@@ -5,21 +5,17 @@ reach tube), invert (interval set inversion), observe (measurement-driven
 tube refinement), and compare (per-method final-step width table).
 
 Exit codes: 0 success, 2 input/validation error, 3 computation error.
-MIXMONO_THREADS caps internal parallelism (the current implementation is
-sequential, which trivially respects any cap).
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import re
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .decomp import TimeSemantics
 from .errors import (
     DimensionMismatch,
     EmptySolution,
@@ -80,7 +76,7 @@ def _parse_vector(text: str) -> list[float]:
     return [float(v) for v in text.strip().strip("[]").split(",")]
 
 
-def _parse_methods(selector: str, f, box, semantics, jac_provider) -> list[tuple[str, MethodId]]:
+def _parse_methods(selector: str, f, box, jac_provider) -> list[tuple[str, MethodId]]:
     out = []
     for raw in selector.split(","):
         name = _ALIASES.get(raw.strip(), raw.strip())
@@ -88,7 +84,7 @@ def _parse_methods(selector: str, f, box, semantics, jac_provider) -> list[tuple
             members = []
             for cand_name, cand in METHOD_NAMES.items():
                 try:
-                    apply_method(cand, f, box, semantics, jac_provider)
+                    apply_method(cand, f, box, jac_provider)
                     members.append(cand)
                 except MixmonoError:
                     continue  # inapplicable on this instance (e.g. not sign-stable)
@@ -122,15 +118,13 @@ def cmd_range(args) -> int:
         box = _parse_domain(args.domain)
         names = _expr_vars(len(box), args.expr)
         f = [parse_expr(args.expr, names)]
-        semantics = TimeSemantics.DISCRETE
         provider = default_jac_provider(f)
     else:
         model = _resolve_model(args.model)
         f = list(model.dynamics)
         box = model.init.concat(model.disturbance)
-        semantics = TimeSemantics.DISCRETE
         provider = model.jac_provider()
-    methods = _parse_methods(args.methods, f, box, semantics, provider)
+    methods = _parse_methods(args.methods, f, box, provider)
 
     rng = np.random.default_rng(args.seed)
     oracle = sampled_range(f, box, rng, n_samples=args.samples) if args.bounds else None
@@ -138,9 +132,9 @@ def cmd_range(args) -> int:
     lines = []
     for name, method in methods:
         if args.subdivide > 1:
-            cells, encs, enc = subdivide_apply(method, f, provider, box, args.subdivide, semantics)
+            cells, encs, enc = subdivide_apply(method, f, provider, box, args.subdivide)
         else:
-            enc = apply_method(method, f, box, semantics, provider)
+            enc = apply_method(method, f, box, provider)
         row = f"{name:15s} " + "  ".join(_fmt_iv(d) for d in enc)
         if args.subdivide > 1:
             row += f"  (hull over {len(cells)} cells)"
@@ -154,7 +148,7 @@ def cmd_range(args) -> int:
         if args.bounds:
             jac = provider(box)
             for i, e in enumerate(f):
-                eb = error_bounds(e, jac.row(i), box, semantics, oracle[i], i=i)
+                eb = error_bounds(e, jac.row(i), box, oracle_range=oracle[i], i=i)
                 lines.append(
                     f"{'':15s} row {i+1}: q_lower_est={eb.q_lower_estimate:.6g} "
                     f"q_upper={eb.q_upper:.6g} q_upper_hat={eb.q_upper_hat:.6g}"
@@ -184,7 +178,7 @@ def cmd_reach(args) -> int:
     steps = _steps_for(args, model)
     methods = _parse_methods(
         args.method, list(model.dynamics), model.init.concat(model.disturbance),
-        TimeSemantics.DISCRETE, model.jac_provider(),
+        model.jac_provider(),
     )
     cfg = InversionConfig(epsilon=args.epsilon, passes=args.passes)
     tubes = {}
@@ -225,8 +219,7 @@ def cmd_invert(args) -> int:
         prior = _parse_domain(args.prior) if args.prior else model.init
     y_lo = _parse_vector(args.ylo)
     y_hi = _parse_vector(args.yhi)
-    method = _parse_methods(args.method, nu, prior, TimeSemantics.DISCRETE,
-                            default_jac_provider(nu))[0][1]
+    method = _parse_methods(args.method, nu, prior, default_jac_provider(nu))[0][1]
     cfg = InversionConfig(epsilon=args.epsilon, passes=args.passes, method=method)
     jac = clarke_jacobian_bounds(nu, prior)
     try:
@@ -243,7 +236,7 @@ def cmd_observe(args) -> int:
     measurements = load_measurements(args.measurements)
     method = _parse_methods(
         args.method, list(model.dynamics), model.init.concat(model.disturbance),
-        TimeSemantics.DISCRETE, model.jac_provider(),
+        model.jac_provider(),
     )[0][1]
     cfg = InversionConfig(epsilon=args.epsilon, passes=args.passes)
     tube = observe(model, method, measurements, cfg, substeps=args.substeps)
@@ -264,7 +257,7 @@ def cmd_compare(args) -> int:
     steps = _steps_for(args, model)
     methods = _parse_methods(
         args.methods, list(model.dynamics), model.init.concat(model.disturbance),
-        TimeSemantics.DISCRETE, model.jac_provider(),
+        model.jac_provider(),
     )
     sys.stdout.write(
         f"{'method':15s} " + "  ".join(f"width({n})" for n in model.state_names) + "\n"
@@ -351,10 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    threads = os.environ.get("MIXMONO_THREADS")
-    if threads is not None and (not threads.isdigit() or int(threads) < 1):
-        sys.stderr.write("MIXMONO_THREADS must be a positive integer\n")
-        return 2
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

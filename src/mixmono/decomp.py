@@ -1,13 +1,18 @@
-"""Remainder-form decomposition machinery.
+"""Remainder-form decomposition: one core, three selectors.
 
-Builds per-row supporting-vector candidates from Clarke-derivative bounds,
-maps each candidate to its corner-point pair, and evaluates three
-decomposition-based enclosures:
+The remainder, sign-selected and tight vertex forms are one decomposition
+function, min over supporting vectors m of f(zeta_plus) + m . (zeta_minus -
+zeta_plus), and differ only in which vectors m a row may use:
 
-* the full candidate-minimization form (tightest tractable remainder form),
-* the single-candidate sign-selection form (cheaper, always looser or equal),
-* direct vertex/corner optimization, exact when every derivative bound is
-  sign-stable over the box.
+* remainder: every candidate of `supporting_vectors` (the tightest
+  tractable form);
+* jacobian_sign: the single sign-selected candidate (cheaper, always looser
+  or equal);
+* tight_vertex: the sign-selected candidate after a sign-stability check;
+  there it is all zeros, so each bound is one exact corner value.
+
+`decompose` evaluates that function row by row for discrete-time enclosures
+and for the continuous-time embedding alike.
 """
 
 from __future__ import annotations
@@ -16,10 +21,11 @@ import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .errors import (
     CandidateExplosion,
+    InvertedBounds,
     MissingDiagonalValue,
     NotSignStable,
     UnboundedBothSides,
@@ -39,10 +45,10 @@ class TimeSemantics(Enum):
     CONTINUOUS = "continuous"
 
 
-# diagonal_policy(row_index, is_upper_row) -> diagonal value for coordinate i
-DiagonalPolicy = Callable[[int, bool], float]
-
 CANDIDATE_CAP = 2**16
+
+# the decomposition engines, named as their MethodId kinds
+SELECTORS = ("remainder", "jacobian_sign", "tight_vertex")
 
 
 @dataclass(frozen=True)
@@ -55,16 +61,6 @@ class SupportingVector:
     def __post_init__(self):
         if any(not math.isfinite(v) for v in self.m):
             raise UnboundedBothSides(f"non-finite supporting vector {self.m}")
-
-
-@dataclass(frozen=True)
-class DecompEval:
-    """Everything needed to evaluate one output row's decomposition."""
-
-    i: int
-    jac_row: tuple[ClarkeInterval, ...]
-    candidates: tuple[SupportingVector, ...]
-    semantics: TimeSemantics
 
 
 def _coordinate_choices(
@@ -113,6 +109,31 @@ def supporting_vectors(
     return tuple(out)
 
 
+def _sign_selected_vector(
+    jac_row: Sequence[ClarkeInterval],
+    semantics: TimeSemantics,
+    i: int,
+) -> SupportingVector:
+    """The single smallest-magnitude branch choice per coordinate."""
+    values, tags = [], []
+    for j, entry in enumerate(jac_row):
+        if semantics is TimeSemantics.CONTINUOUS and j == i:
+            values.append(0.0)
+            tags.append(Branch.DIAGONAL)
+            continue
+        lower = min(entry.lo, 0.0)  # -inf when unbounded below
+        upper = max(entry.hi, 0.0)  # +inf when unbounded above
+        if abs(lower) <= abs(upper):
+            if not math.isfinite(lower):
+                raise UnboundedBothSides(f"derivative bound {entry} has no finite side")
+            values.append(lower)
+            tags.append(Branch.LOWER)
+        else:
+            values.append(upper)
+            tags.append(Branch.UPPER)
+    return SupportingVector(tuple(values), tuple(tags))
+
+
 def corner_points(
     m: SupportingVector,
     a: Sequence[float],
@@ -146,181 +167,124 @@ def _dot_diff(m: Sequence[float], u: Sequence[float], v: Sequence[float]) -> flo
     return math.fsum(mj * (uj - vj) for mj, uj, vj in zip(m, u, v))
 
 
-def _zero_candidate(
-    candidates: Sequence[SupportingVector],
-) -> SupportingVector | None:
-    for cand in candidates:
-        if all(v == 0.0 for v in cand.m):
-            return cand
-    return None
-
-
 def eval_remainder_upper(
-    d: DecompEval,
+    candidates: Sequence[SupportingVector],
     f_i: Expr,
     a: Sequence[float],
     b: Sequence[float],
+    semantics: TimeSemantics,
+    i: int,
     diagonal_value: float | None = None,
 ) -> float:
     """min over candidates of f_i(zeta_plus) + m . (zeta_minus - zeta_plus)."""
-    # an all-zero slope vector exists only when every coordinate is
-    # sign-stable; its corner value is then the exact extremum, so no other
-    # candidate can be mathematically smaller (only spuriously, by rounding)
-    zero = _zero_candidate(d.candidates)
-    if zero is not None:
-        zp, _ = corner_points(zero, a, b, d.semantics, d.i, diagonal_value)
-        val = eval_point(f_i, zp)
-        if not math.isnan(val):
-            return val
-    best = math.inf
-    for cand in d.candidates:
-        zp, zm = corner_points(cand, a, b, d.semantics, d.i, diagonal_value)
-        val = eval_point(f_i, zp) + _dot_diff(cand.m, zm, zp)
-        if val < best:
-            best = val
-    return best
+    return _extremum(candidates, f_i, a, b, semantics, i, diagonal_value, 1.0)
 
 
 def eval_remainder_lower(
-    d: DecompEval,
+    candidates: Sequence[SupportingVector],
     f_i: Expr,
     a: Sequence[float],
     b: Sequence[float],
+    semantics: TimeSemantics,
+    i: int,
     diagonal_value: float | None = None,
 ) -> float:
     """max over candidates of f_i(zeta_minus) + m . (zeta_plus - zeta_minus)."""
-    zero = _zero_candidate(d.candidates)
+    # swapping a and b swaps zeta_plus and zeta_minus
+    return _extremum(candidates, f_i, b, a, semantics, i, diagonal_value, -1.0)
+
+
+def _extremum(candidates, f_i, a, b, semantics, i, diagonal_value, sign: float) -> float:
+    """sign * min over candidates of sign * (f_i(zeta_plus) + m . (zeta_minus - zeta_plus))."""
+    # an all-zero slope vector exists only when every coordinate is
+    # sign-stable; its corner value is then the exact extremum, so no other
+    # candidate can be mathematically better (only spuriously, by rounding)
+    zero = next((c for c in candidates if all(v == 0.0 for v in c.m)), None)
     if zero is not None:
-        _, zm = corner_points(zero, a, b, d.semantics, d.i, diagonal_value)
-        val = eval_point(f_i, zm)
+        zp, _ = corner_points(zero, a, b, semantics, i, diagonal_value)
+        val = eval_point(f_i, zp)
         if not math.isnan(val):
             return val
-    best = -math.inf
-    for cand in d.candidates:
-        zp, zm = corner_points(cand, a, b, d.semantics, d.i, diagonal_value)
-        val = eval_point(f_i, zm) + _dot_diff(cand.m, zp, zm)
-        if val > best:
+    best = math.inf  # NaN values never compare below it
+    for cand in candidates:
+        zp, zm = corner_points(cand, a, b, semantics, i, diagonal_value)
+        val = sign * (eval_point(f_i, zp) + _dot_diff(cand.m, zm, zp))
+        if val < best:
             best = val
-    return best
+    return sign * best
 
 
-def _default_policy(box: Box) -> DiagonalPolicy:
-    return lambda i, is_upper: box.hi[i] if is_upper else box.lo[i]
-
-
-def t_r_inclusion(
+def decompose(
     f: Sequence[Expr],
     jac: JacobianBounds,
-    box: Box,
+    kind: str,
+    a: Sequence[float],
+    b: Sequence[float],
     semantics: TimeSemantics = TimeSemantics.DISCRETE,
-    diagonal_policy: DiagonalPolicy | None = None,
-    cap: int = CANDIDATE_CAP,
-) -> Box:
-    """Full candidate-minimization decomposition enclosure over box."""
-    if diagonal_policy is None:
-        diagonal_policy = _default_policy(box)
-    a, b = box.hi, box.lo
-    dims = []
+) -> list[tuple[float, float]]:
+    """Raw (upper, lower) decomposition values of each row of f.
+
+    kind is one of SELECTORS; a/b are the two evaluation arguments
+    (box.hi/box.lo for an enclosure).  Under CONTINUOUS semantics row i pins
+    coordinate i to a[i] in the upper value and to b[i] in the lower one, and
+    that entry is exempt from the tight_vertex stability check because no
+    corner uses it.
+    """
+    continuous = semantics is TimeSemantics.CONTINUOUS
+    if kind == "tight_vertex":
+        bad = [
+            (i, j)
+            for i in range(jac.rows)
+            for j, entry in enumerate(jac.row(i))
+            if entry.lo < 0.0 < entry.hi and not (continuous and j == i)
+        ]
+        if bad:
+            raise NotSignStable(bad)
+    rows = []
     for i, f_i in enumerate(f):
-        d = DecompEval(
-            i=i,
-            jac_row=jac.row(i),
-            candidates=supporting_vectors(jac.row(i), semantics, i, cap),
-            semantics=semantics,
-        )
-        up_diag = diagonal_policy(i, True) if semantics is TimeSemantics.CONTINUOUS else None
-        lo_diag = diagonal_policy(i, False) if semantics is TimeSemantics.CONTINUOUS else None
-        upper = saturate(eval_remainder_upper(d, f_i, a, b, up_diag), upper=True)
-        lower = saturate(eval_remainder_lower(d, f_i, a, b, lo_diag), upper=False)
-        dims.append(Interval(min(lower, upper), max(lower, upper)))
-    return Box(dims)
-
-
-def _sign_selected_vector(
-    jac_row: Sequence[ClarkeInterval],
-    semantics: TimeSemantics,
-    i: int,
-) -> SupportingVector:
-    """The single smallest-magnitude branch choice per coordinate."""
-    values, tags = [], []
-    for j, entry in enumerate(jac_row):
-        if semantics is TimeSemantics.CONTINUOUS and j == i:
-            values.append(0.0)
-            tags.append(Branch.DIAGONAL)
-            continue
-        lower = min(entry.lo, 0.0)  # -inf when unbounded below
-        upper = max(entry.hi, 0.0)  # +inf when unbounded above
-        if abs(lower) <= abs(upper):
-            if not math.isfinite(lower):
-                raise UnboundedBothSides(f"derivative bound {entry} has no finite side")
-            values.append(lower)
-            tags.append(Branch.LOWER)
+        if kind == "remainder":
+            cands = supporting_vectors(jac.row(i), semantics, i)
         else:
-            values.append(upper)
-            tags.append(Branch.UPPER)
-    return SupportingVector(tuple(values), tuple(tags))
+            cands = (_sign_selected_vector(jac.row(i), semantics, i),)
+        up_diag, lo_diag = (a[i], b[i]) if continuous else (None, None)
+        rows.append((
+            eval_remainder_upper(cands, f_i, a, b, semantics, i, up_diag),
+            eval_remainder_lower(cands, f_i, a, b, semantics, i, lo_diag),
+        ))
+    return rows
 
 
-def t_l_inclusion(
-    f: Sequence[Expr],
-    jac: JacobianBounds,
-    box: Box,
-    semantics: TimeSemantics = TimeSemantics.DISCRETE,
-    diagonal_policy: DiagonalPolicy | None = None,
-) -> Box:
-    """Single-candidate sign-selection enclosure (member of the full family)."""
-    if diagonal_policy is None:
-        diagonal_policy = _default_policy(box)
-    a, b = box.hi, box.lo
+def enclose(f: Sequence[Expr], jac: JacobianBounds, box: Box, kind: str) -> Box:
+    """Decomposition enclosure of f over box by the engine `kind`.
+
+    Raises InvertedBounds when a row's lower bound comes out above its upper
+    bound (unsound derivative bounds, for example) instead of swapping them.
+    """
     dims = []
-    for i, f_i in enumerate(f):
-        cand = _sign_selected_vector(jac.row(i), semantics, i)
-        d = DecompEval(i=i, jac_row=jac.row(i), candidates=(cand,), semantics=semantics)
-        up_diag = diagonal_policy(i, True) if semantics is TimeSemantics.CONTINUOUS else None
-        lo_diag = diagonal_policy(i, False) if semantics is TimeSemantics.CONTINUOUS else None
-        upper = saturate(eval_remainder_upper(d, f_i, a, b, up_diag), upper=True)
-        lower = saturate(eval_remainder_lower(d, f_i, a, b, lo_diag), upper=False)
-        dims.append(Interval(min(lower, upper), max(lower, upper)))
+    for i, (upper, lower) in enumerate(decompose(f, jac, kind, box.hi, box.lo)):
+        upper, lower = saturate(upper, upper=True), saturate(lower, upper=False)
+        if lower > upper:
+            raise InvertedBounds(
+                f"{kind} row {i}: lower bound {lower} exceeds upper bound {upper}"
+            )
+        dims.append(Interval(lower, upper))
     return Box(dims)
 
 
-def t_o_vertex_inclusion(
-    f: Sequence[Expr],
-    jac: JacobianBounds,
-    box: Box,
-    semantics: TimeSemantics = TimeSemantics.DISCRETE,
-    diagonal_policy: DiagonalPolicy | None = None,
-) -> Box:
+def t_r_inclusion(f: Sequence[Expr], jac: JacobianBounds, box: Box) -> Box:
+    """Full candidate-minimization decomposition enclosure over box."""
+    return enclose(f, jac, box, "remainder")
+
+
+def t_l_inclusion(f: Sequence[Expr], jac: JacobianBounds, box: Box) -> Box:
+    """Single-candidate sign-selection enclosure (member of the full family)."""
+    return enclose(f, jac, box, "jacobian_sign")
+
+
+def t_o_vertex_inclusion(f: Sequence[Expr], jac: JacobianBounds, box: Box) -> Box:
     """Tight corner enclosure; requires every derivative bound sign-stable.
 
     Sign stability makes each component monotone per coordinate, so the
     vertex optimum is attained at a single directly-selected corner.
     """
-    if diagonal_policy is None:
-        diagonal_policy = _default_policy(box)
-    bad = [
-        (i, j)
-        for i in range(jac.rows)
-        for j, entry in enumerate(jac.row(i))
-        if entry.lo < 0.0 < entry.hi
-    ]
-    if bad:
-        raise NotSignStable(bad)
-    a, b = box.hi, box.lo
-    dims = []
-    for i, f_i in enumerate(f):
-        up_corner, lo_corner = [], []
-        for j, entry in enumerate(jac.row(i)):
-            if semantics is TimeSemantics.CONTINUOUS and j == i:
-                up_corner.append(diagonal_policy(i, True))
-                lo_corner.append(diagonal_policy(i, False))
-            elif entry.lo >= 0.0:
-                up_corner.append(a[j])
-                lo_corner.append(b[j])
-            else:
-                up_corner.append(b[j])
-                lo_corner.append(a[j])
-        upper = saturate(eval_point(f_i, tuple(up_corner)), upper=True)
-        lower = saturate(eval_point(f_i, tuple(lo_corner)), upper=False)
-        dims.append(Interval(min(lower, upper), max(lower, upper)))
-    return Box(dims)
+    return enclose(f, jac, box, "tight_vertex")

@@ -74,7 +74,7 @@ class EmptySolution(MixmonoError):
 
 
 class InvertedBounds(MixmonoError):
-    """Internal tripwire: an embedding step produced lower > upper."""
+    """Internal tripwire: an enclosure or embedding step produced lower > upper."""
 
 
 class NonFiniteState(MixmonoError):

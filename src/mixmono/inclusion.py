@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .decomp import (
-    DecompEval,
+    SELECTORS,
     TimeSemantics,
     corner_points,
     supporting_vectors,
@@ -158,32 +158,23 @@ def apply_method(
     method: MethodId,
     f: Sequence[Expr],
     box: Box,
-    semantics: TimeSemantics = TimeSemantics.DISCRETE,
     jac_provider: JacProvider | None = None,
-    diagonal_policy=None,
 ) -> Box:
     """Evaluate one enclosure engine (or their intersection) over box."""
     if jac_provider is None:
         jac_provider = default_jac_provider(f)
     if method.kind == "best_of":
-        return best_of(
-            [
-                apply_method(m, f, box, semantics, jac_provider, diagonal_policy)
-                for m in method.members
-            ]
-        )
+        return best_of([apply_method(m, f, box, jac_provider) for m in method.members])
     if method.kind == "natural":
         return t_n_inclusion(f, box)
     if method.kind == "centered":
         return t_c_inclusion(f, jac_provider(box), box)
     if method.kind == "mixed_centered":
         return t_m_inclusion(f, jac_provider, box)
-    if method.kind == "jacobian_sign":
-        return t_l_inclusion(f, jac_provider(box), box, semantics, diagonal_policy)
-    if method.kind == "remainder":
-        return t_r_inclusion(f, jac_provider(box), box, semantics, diagonal_policy)
-    if method.kind == "tight_vertex":
-        return t_o_vertex_inclusion(f, jac_provider(box), box, semantics, diagonal_policy)
+    if method.kind in SELECTORS:
+        wrapper = {"remainder": t_r_inclusion, "jacobian_sign": t_l_inclusion,
+                   "tight_vertex": t_o_vertex_inclusion}[method.kind]
+        return wrapper(f, jac_provider(box), box)
     raise ValueError(f"unknown method {method.kind!r}")
 
 
@@ -299,14 +290,11 @@ def subdivide_apply(
     jac_provider: JacProvider | None,
     box: Box,
     k: int,
-    semantics: TimeSemantics = TimeSemantics.DISCRETE,
     cap: int = CELL_BUDGET,
 ) -> tuple[list[Box], list[Box], Box]:
     """Apply method per subdivision cell; returns (cells, enclosures, hull)."""
     cells = subdivide_box(box, k, cap)
-    enclosures = [
-        apply_method(method, f, cell, semantics, jac_provider) for cell in cells
-    ]
+    enclosures = [apply_method(method, f, cell, jac_provider) for cell in cells]
     hull = enclosures[0]
     for enc in enclosures[1:]:
         hull = hull.hull(enc)

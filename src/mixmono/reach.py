@@ -13,16 +13,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .decomp import (
-    DecompEval,
-    TimeSemantics,
-    eval_remainder_lower,
-    eval_remainder_upper,
-    supporting_vectors,
-    t_l_inclusion,
-    t_o_vertex_inclusion,
-    t_r_inclusion,
-)
+from .decomp import SELECTORS, TimeSemantics, decompose
 from .errors import (
     DimensionMismatch,
     InvertedBounds,
@@ -36,8 +27,6 @@ from .inclusion import (
     default_jac_provider,
 )
 from .interval import Box, Interval
-
-_DECOMP_KINDS = {"jacobian_sign", "remainder", "tight_vertex"}
 
 
 @dataclass(frozen=True)
@@ -139,13 +128,7 @@ def embed_step_discrete(model: SystemModel, method: MethodId, current: Box) -> B
     if len(current) != model.n_x:
         raise DimensionMismatch(f"state box has {len(current)} dims, expected {model.n_x}")
     z = current.concat(model.disturbance)
-    out = apply_method(
-        method,
-        model.dynamics,
-        z,
-        TimeSemantics.DISCRETE,
-        model.jac_provider(),
-    )
+    out = apply_method(method, model.dynamics, z, model.jac_provider())
     _check_ordered(out.lo, out.hi)
     return out
 
@@ -167,58 +150,29 @@ def _embedding_derivative(
             [min(v) for v in zip(*dus)],
             [max(v) for v in zip(*dls)],
         )
-    n = model.n_x
     hull = Box(
         Interval(min(a, b), max(a, b)) for a, b in zip(xl, xu)
     ).concat(model.disturbance)
-    if method.kind in _DECOMP_KINDS:
-        jac = model.jac_provider()(hull)
-        a = tuple(xu) + model.disturbance.hi
-        b = tuple(xl) + model.disturbance.lo
-        du, dl = [], []
-        for i, f_i in enumerate(model.dynamics):
-            if method.kind == "jacobian_sign":
-                from .decomp import _sign_selected_vector
-
-                cands = (_sign_selected_vector(jac.row(i), TimeSemantics.CONTINUOUS, i),)
-            elif method.kind == "remainder":
-                cands = supporting_vectors(jac.row(i), TimeSemantics.CONTINUOUS, i)
-            else:
-                # tight corner selection expressed as the zero supporting vector
-                box_u = hull.replace(i, Interval.point(xu[i]))
-                box_l = hull.replace(i, Interval.point(xl[i]))
-                du.append(
-                    t_o_vertex_inclusion(
-                        [f_i], _row_jac(jac, i), box_u, TimeSemantics.DISCRETE
-                    )[0].hi
-                )
-                dl.append(
-                    t_o_vertex_inclusion(
-                        [f_i], _row_jac(jac, i), box_l, TimeSemantics.DISCRETE
-                    )[0].lo
-                )
-                continue
-            d = DecompEval(i=i, jac_row=jac.row(i), candidates=cands,
-                           semantics=TimeSemantics.CONTINUOUS)
-            du.append(eval_remainder_upper(d, f_i, a, b, diagonal_value=xu[i]))
-            dl.append(eval_remainder_lower(d, f_i, a, b, diagonal_value=xl[i]))
-        return du, dl
+    if method.kind in SELECTORS:
+        rows = decompose(
+            model.dynamics,
+            model.jac_provider()(hull),
+            method.kind,
+            tuple(xu) + model.disturbance.hi,
+            tuple(xl) + model.disturbance.lo,
+            TimeSemantics.CONTINUOUS,
+        )
+        return [du for du, _ in rows], [dl for _, dl in rows]
     # interval-only engines: bound f_i over the hull with coordinate i pinned
     du, dl = [], []
     for i, f_i in enumerate(model.dynamics):
         enc_u = apply_method(method, [f_i], hull.replace(i, Interval.point(xu[i])),
-                             TimeSemantics.DISCRETE, model.jac_provider())
+                             model.jac_provider())
         enc_l = apply_method(method, [f_i], hull.replace(i, Interval.point(xl[i])),
-                             TimeSemantics.DISCRETE, model.jac_provider())
+                             model.jac_provider())
         du.append(enc_u[0].hi)
         dl.append(enc_l[0].lo)
     return du, dl
-
-
-def _row_jac(jac, i):
-    from .expr import JacobianBounds
-
-    return JacobianBounds((jac.row(i),))
 
 
 def embed_integrate_continuous(

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .decomp import TimeSemantics
 from .errors import DimensionMismatch, EmptySolution, ValidationError
 from .expr import Expr, JacobianBounds
 from .inclusion import REMAINDER, MethodId, apply_method
@@ -68,7 +67,7 @@ def set_invert(
     provider = lambda _box: jac  # sound: bounds over the prior cover sub-boxes
 
     def ruled_out(box: Box) -> bool:
-        enc = apply_method(cfg.method, nu, box, TimeSemantics.DISCRETE, provider)
+        enc = apply_method(cfg.method, nu, box, provider)
         return any(
             enc[r].hi < y_lo[r] or enc[r].lo > y_hi[r] for r in range(n_y)
         )

@@ -23,7 +23,6 @@ from mixmono import (
     best_of_method,
     parse_expr,
 )
-from mixmono.decomp import TimeSemantics
 from mixmono.expr import Expr, eval_vec
 
 ALL_METHODS: tuple[tuple[str, MethodId], ...] = (
@@ -96,12 +95,12 @@ def rand_instance(rng: np.random.Generator, max_vars: int = 4) -> Instance:
     return Instance(text=text, expr=parse_expr(text, variables), box=rand_box(rng, n))
 
 
-def applicable_methods(exprs, box, semantics=TimeSemantics.DISCRETE):
+def applicable_methods(exprs, box):
     """The subset of methods that apply to this instance, with their output."""
     out = []
     for name, method in ALL_METHODS:
         try:
-            out.append((name, method, apply_method(method, exprs, box, semantics)))
+            out.append((name, method, apply_method(method, exprs, box)))
         except MixmonoError:
             continue
     return out

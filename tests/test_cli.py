@@ -200,16 +200,3 @@ class TestObserveAndCompare:
                 except ValueError:
                     continue
         assert table["remainder"] <= table["jacobian_sign"] + 1e-12
-
-
-class TestEnvironment:
-    def test_bad_thread_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("MIXMONO_THREADS", "zero")
-        code, _, err = run(capsys, "range", "--expr", "x1", "--domain", "[0,1]")
-        assert code == 2
-        assert "MIXMONO_THREADS" in err
-
-    def test_good_thread_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("MIXMONO_THREADS", "2")
-        code, _, _ = run(capsys, "range", "--expr", "x1", "--domain", "[0,1]")
-        assert code == 0

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from mixmono import (
     Box,
     Branch,
+    JacobianBounds,
     SupportingVector,
     TimeSemantics,
     clarke_jacobian_bounds,
@@ -22,15 +23,10 @@ from mixmono import (
     t_o_vertex_inclusion,
     t_r_inclusion,
 )
-from mixmono.decomp import (
-    CANDIDATE_CAP,
-    DecompEval,
-    corner_points,
-    eval_remainder_lower,
-    eval_remainder_upper,
-)
+from mixmono.decomp import CANDIDATE_CAP, corner_points
 from mixmono.errors import (
     CandidateExplosion,
+    InvertedBounds,
     MissingDiagonalValue,
     NotSignStable,
     UnboundedBothSides,
@@ -137,6 +133,12 @@ class TestScalarAnchors:
         enc = t_o_vertex_inclusion([self.expr], jac, box)
         assert enc[0].lo == pytest.approx(0.9)
         assert enc[0].hi == pytest.approx(26.7)
+
+    def test_unsound_jacobian_raises_inverted_bounds(self):
+        # d/dx1 of x1 is 1, not 0: the corners come out swapped
+        jac = JacobianBounds(((ClarkeInterval(0.0, 0.0),),))
+        with pytest.raises(InvertedBounds):
+            t_r_inclusion([parse_expr("x1", ["x1"])], jac, Box.from_pairs([(0, 1)]))
 
 
 class TestDecompositionFunction:

@@ -98,9 +98,9 @@ class TestApplyMethodAndBestOf:
 
     def test_best_of_method_tighter_than_members(self):
         method = best_of_method([NATURAL, CENTERED, REMAINDER])
-        combined = apply_method(method, [CUBIC], CUBIC_BOX, TimeSemantics.DISCRETE)
+        combined = apply_method(method, [CUBIC], CUBIC_BOX)
         for member in (NATURAL, CENTERED, REMAINDER):
-            enc = apply_method(member, [CUBIC], CUBIC_BOX, TimeSemantics.DISCRETE)
+            enc = apply_method(member, [CUBIC], CUBIC_BOX)
             assert box_subset(combined, enc, slack=1e-12)
 
     @given(st.integers(0, 10_000))
@@ -133,9 +133,7 @@ class TestApplyMethodAndBestOf:
             if name == "tight_vertex":
                 continue  # sign stability may not transfer between the boxes
             try:
-                enc_inner = apply_method(
-                    method, [inst.expr], inner, TimeSemantics.DISCRETE
-                )
+                enc_inner = apply_method(method, [inst.expr], inner)
             except Exception:
                 continue
             assert box_subset(enc_inner, enc, slack=1e-9), name

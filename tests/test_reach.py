@@ -12,6 +12,7 @@ from mixmono import (
     JACOBIAN_SIGN,
     NATURAL,
     REMAINDER,
+    TIGHT_VERTEX,
     Box,
     SystemModel,
     TimeSemantics,
@@ -21,6 +22,7 @@ from mixmono import (
     reach_tube,
 )
 from mixmono.errors import ValidationError
+from mixmono.reach import _embedding_derivative
 
 from conftest import box_subset, simulate_discrete, tube_contains
 
@@ -111,6 +113,49 @@ class TestContinuousReach:
         for tube in (coarse, fine):
             assert tube.final[0].lo <= lo_exact + 1e-6
             assert tube.final[0].hi >= hi_exact - 1e-6
+
+    def test_tight_vertex_exempts_the_pinned_diagonal(self):
+        # d(x1')/dx1 = x1 changes sign over the init box, but row 1 pins x1,
+        # so every entry tight_vertex uses is sign-stable
+        model = parse_model("""
+        system "pinned" {
+          time: continuous(dt=0.1);
+          state: x1, x2;
+          dynamics { x1' = 0.5*x1^2 - x2; x2' = -x2; }
+          init: [[-0.5, 0.5], [0.1, 0.2]];
+        }
+        """)
+        vertex = reach_tube(model, TIGHT_VERTEX, 5)
+        remainder = reach_tube(model, REMAINDER, 5)
+        assert [s.box for s in vertex] == [s.box for s in remainder]
+
+    def test_tight_vertex_derivative_reads_raw_bounds(self):
+        # tight_vertex takes its corners from xu/xl as given, like the other
+        # decomposition engines: an inverted stage (x2 lower above upper) is
+        # not reordered, and an overflowing corner stays infinite
+        linear = parse_model("""
+        system "linear" {
+          time: continuous(dt=0.1);
+          state: x1, x2;
+          dynamics { x1' = -x1 + x2; x2' = -x2; }
+          init: [[0, 1], [0, 1]];
+        }
+        """)
+        big = parse_model("""
+        system "big" {
+          time: continuous(dt=0.1);
+          state: x1, x2;
+          dynamics { x1' = 1e300*x2*x2 - x1; x2' = -x2; }
+          init: [[0, 1], [1, 2]];
+        }
+        """)
+        for model, xu, xl, expected in [
+            (linear, [1.0, 0.0], [0.0, 1.0], ([-1.0, 0.0], [1.0, -1.0])),
+            (big, [1.0, 1e10], [0.0, 1.0], ([math.inf, -1e10], [1e300, -1.0])),
+        ]:
+            vertex = _embedding_derivative(model, TIGHT_VERTEX, xu, xl)
+            assert vertex == expected
+            assert vertex == _embedding_derivative(model, JACOBIAN_SIGN, xu, xl)
 
     def test_unicycle_frames_sampled_rollouts(self, rng):
         model = load_bundled("unicycle")
