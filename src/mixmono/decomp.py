@@ -79,12 +79,26 @@ def _coordinate_choices(
     return choices
 
 
+class RowCandidates(tuple):
+    """A row's supporting vectors, with the index of the all-zero one.
+
+    zero is None when no candidate is all zeros.
+    """
+
+    def __new__(cls, vectors):
+        self = super().__new__(cls, vectors)
+        self.zero = next(
+            (k for k, c in enumerate(self) if all(v == 0.0 for v in c.m)), None
+        )
+        return self
+
+
 def supporting_vectors(
     jac_row: Sequence[ClarkeInterval],
     semantics: TimeSemantics,
     i: int,
     cap: int = CANDIDATE_CAP,
-) -> tuple[SupportingVector, ...]:
+) -> RowCandidates:
     """Cartesian product of per-coordinate branch choices for row i."""
     per_coord: list[list[tuple[float, Branch]]] = []
     count = 1
@@ -98,15 +112,33 @@ def supporting_vectors(
             raise CandidateExplosion(
                 f"row {i}: {count}+ supporting-vector candidates exceed cap {cap}"
             )
-    out = []
-    for combo in itertools.product(*per_coord):
-        out.append(
-            SupportingVector(
-                m=tuple(v for v, _ in combo),
-                branches=tuple(tag for _, tag in combo),
-            )
+    return RowCandidates(
+        SupportingVector(
+            m=tuple(v for v, _ in combo),
+            branches=tuple(tag for _, tag in combo),
         )
-    return tuple(out)
+        for combo in itertools.product(*per_coord)
+    )
+
+
+def row_candidates(
+    jac: JacobianBounds, kind: str, semantics: TimeSemantics, i: int
+) -> RowCandidates:
+    """The candidates the engine `kind` may use in row i of jac.
+
+    Built once per (kind, semantics, row) and kept on jac, so every
+    decomposition against the same bounds (set_invert's many sub-boxes)
+    reuses them.
+    """
+    key = (kind, semantics, i)
+    cands = jac.derived.get(key)
+    if cands is None:
+        if kind == "remainder":
+            cands = supporting_vectors(jac.row(i), semantics, i)
+        else:
+            cands = RowCandidates((_sign_selected_vector(jac.row(i), semantics, i),))
+        jac.derived[key] = cands
+    return cands
 
 
 def _sign_selected_vector(
@@ -196,12 +228,13 @@ def eval_remainder_lower(
 
 def _extremum(candidates, f_i, a, b, semantics, i, diagonal_value, sign: float) -> float:
     """sign * min over candidates of sign * (f_i(zeta_plus) + m . (zeta_minus - zeta_plus))."""
+    if not isinstance(candidates, RowCandidates):
+        candidates = RowCandidates(candidates)
     # an all-zero slope vector exists only when every coordinate is
     # sign-stable; its corner value is then the exact extremum, so no other
     # candidate can be mathematically better (only spuriously, by rounding)
-    zero = next((c for c in candidates if all(v == 0.0 for v in c.m)), None)
-    if zero is not None:
-        zp, _ = corner_points(zero, a, b, semantics, i, diagonal_value)
+    if candidates.zero is not None:
+        zp, _ = corner_points(candidates[candidates.zero], a, b, semantics, i, diagonal_value)
         val = eval_point(f_i, zp)
         if not math.isnan(val):
             return val
@@ -242,10 +275,7 @@ def decompose(
             raise NotSignStable(bad)
     rows = []
     for i, f_i in enumerate(f):
-        if kind == "remainder":
-            cands = supporting_vectors(jac.row(i), semantics, i)
-        else:
-            cands = (_sign_selected_vector(jac.row(i), semantics, i),)
+        cands = row_candidates(jac, kind, semantics, i)
         up_diag, lo_diag = (a[i], b[i]) if continuous else (None, None)
         rows.append((
             eval_remainder_upper(cands, f_i, a, b, semantics, i, up_diag),

@@ -1,9 +1,14 @@
 """Expression trees for vector fields and constraint maps.
 
-Supports point evaluation, natural interval evaluation, vectorized numpy
-evaluation, and symbolic Clarke-derivative bound computation.  Trees are
-immutable; sums and products are n-ary and flattened by the parser to keep
-natural-inclusion dependency pessimism deterministic.
+Each tree is lowered once, on first use, to a flat post-order `Tape` that
+is kept on the root node (`Expr.tape`), and the tape is interpreted three
+ways: point values and natural interval values run as straight-line Python
+compiled from it, and Clarke-derivative bounds come from one forward pass
+that carries every node's interval value and all its partials at once
+(forward-mode interval differentiation).  `eval_vec` is a separate numpy
+walker over the tree.  Trees are immutable; sums and products are n-ary and
+flattened by the parser to keep natural-inclusion dependency pessimism
+deterministic.
 
 Grammar (see parse_expr):
     expr   := term (('+'|'-') term)*
@@ -19,7 +24,8 @@ from __future__ import annotations
 import math
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -31,7 +37,7 @@ from .errors import (
     UnboundedBothSides,
     UnknownIdentifier,
 )
-from .interval import Box, Interval, arith
+from .interval import Box, Interval, _pow_float, arith
 
 _INF = math.inf
 _FMAX = sys.float_info.max
@@ -43,7 +49,19 @@ _FMAX = sys.float_info.max
 
 @dataclass(frozen=True)
 class Expr:
-    pass
+    @cached_property
+    def tape(self) -> Tape:
+        """This tree lowered to a tape, built on first use and kept on the node.
+
+        cached_property writes the instance __dict__, so the tape takes no
+        part in equality or hashing, and no cache is keyed by the tree.
+        """
+        return Tape(self)
+
+    def __getstate__(self):
+        # the tape's compiled functions do not pickle; an unpickled tree
+        # lowers itself again on first use
+        return {k: v for k, v in self.__dict__.items() if k != "tape"}
 
 
 @dataclass(frozen=True)
@@ -97,19 +115,7 @@ _BINARY_FUNCS = ("min", "max")
 
 def max_var_index(e: Expr) -> int:
     """Largest variable index referenced, or -1 for a constant tree."""
-    if isinstance(e, Var):
-        return e.index
-    if isinstance(e, Const):
-        return -1
-    if isinstance(e, Unary):
-        return max_var_index(e.child)
-    if isinstance(e, Pow):
-        return max_var_index(e.child)
-    if isinstance(e, Div):
-        return max(max_var_index(e.num), max_var_index(e.den))
-    if isinstance(e, Binary):
-        return max(max_var_index(e.left), max_var_index(e.right))
-    return max((max_var_index(c) for c in e.children), default=-1)
+    return e.tape.max_var
 
 
 # ---------------------------------------------------------------------------
@@ -288,56 +294,17 @@ def _fmt(e: Expr, names: Sequence[str], parent_prec: int) -> str:
 def eval_point(e: Expr, z: Sequence[float]) -> float:
     """Real evaluation of e at a point."""
     try:
-        return _eval_point(e, z)
+        return e.tape.point(z)
     except (ValueError, ZeroDivisionError) as exc:
         raise DomainError(str(exc)) from exc
 
 
-def _eval_point(e: Expr, z: Sequence[float]) -> float:
-    if isinstance(e, Const):
-        return e.value
-    if isinstance(e, Var):
-        return z[e.index]
-    if isinstance(e, Unary):
-        x = _eval_point(e.child, z)
-        return _POINT_UNARY[e.op](x)
-    if isinstance(e, Pow):
-        from .interval import _pow_float
+def eval_interval(e: Expr, box: Box) -> Interval:
+    """Natural interval evaluation: a sound enclosure of the range over box."""
+    if e.tape.max_var >= len(box):
+        raise DimensionMismatch("expression references variable outside box")
+    return e.tape.interval(box.dims)
 
-        return _pow_float(_eval_point(e.child, z), e.exponent)
-    if isinstance(e, Div):
-        return _eval_point(e.num, z) / _eval_point(e.den, z)
-    if isinstance(e, Binary):
-        a, b = _eval_point(e.left, z), _eval_point(e.right, z)
-        return min(a, b) if e.op == "min" else max(a, b)
-    if isinstance(e, Sum):
-        terms = [_eval_point(c, z) for c in e.children]
-        try:
-            return math.fsum(terms)
-        except (OverflowError, ValueError):
-            return sum(terms)  # overflow degrades to inf/nan; callers saturate
-    acc = 1.0
-    for c in e.children:
-        acc *= _eval_point(c, z)
-    return acc
-
-
-def _exp_point(x: float) -> float:
-    try:
-        return math.exp(x)
-    except OverflowError:
-        return math.inf
-
-
-_POINT_UNARY = {
-    "neg": lambda x: -x,
-    "sin": math.sin,
-    "cos": math.cos,
-    "exp": _exp_point,
-    "sqrt": math.sqrt,
-    "arctan": math.atan,
-    "abs": abs,
-}
 
 _NP_UNARY = {
     "neg": np.negative,
@@ -376,37 +343,6 @@ def eval_vec(e: Expr, cols: np.ndarray) -> np.ndarray:
     return acc
 
 
-def eval_interval(e: Expr, box: Box) -> Interval:
-    """Natural interval evaluation: a sound enclosure of the range over box."""
-    if max_var_index(e) >= len(box):
-        raise DimensionMismatch("expression references variable outside box")
-    return _eval_iv(e, box)
-
-
-def _eval_iv(e: Expr, box: Box) -> Interval:
-    if isinstance(e, Const):
-        return Interval.point(e.value)
-    if isinstance(e, Var):
-        return box[e.index]
-    if isinstance(e, Unary):
-        return arith(e.op, _eval_iv(e.child, box))
-    if isinstance(e, Pow):
-        return arith("pow_int", _eval_iv(e.child, box), exponent=e.exponent)
-    if isinstance(e, Div):
-        return arith("div", _eval_iv(e.num, box), _eval_iv(e.den, box))
-    if isinstance(e, Binary):
-        return arith(e.op, _eval_iv(e.left, box), _eval_iv(e.right, box))
-    if isinstance(e, Sum):
-        acc = _eval_iv(e.children[0], box)
-        for c in e.children[1:]:
-            acc = acc + _eval_iv(c, box)
-        return acc
-    acc = _eval_iv(e.children[0], box)
-    for c in e.children[1:]:
-        acc = acc * _eval_iv(c, box)
-    return acc
-
-
 # ---------------------------------------------------------------------------
 # Clarke-derivative bounds
 # ---------------------------------------------------------------------------
@@ -438,145 +374,20 @@ class ClarkeInterval:
         return f"[{self.lo:g}, {self.hi:g}]"
 
 
-def _clip_overflow(value: float, *operands: float) -> float:
-    """Saturate overflow of finite inputs; keep genuinely infinite results."""
-    if math.isinf(value) and all(math.isfinite(x) for x in operands):
-        return math.copysign(_FMAX, value)
-    return value
-
-
-def _xadd(a: ClarkeInterval, b: ClarkeInterval) -> ClarkeInterval:
-    lo = -_INF if (a.lo == -_INF or b.lo == -_INF) else _clip_overflow(a.lo + b.lo, a.lo, b.lo)
-    hi = _INF if (a.hi == _INF or b.hi == _INF) else _clip_overflow(a.hi + b.hi, a.hi, b.hi)
-    return ClarkeInterval(lo, hi)
-
-
-def _xneg(a: ClarkeInterval) -> ClarkeInterval:
-    return ClarkeInterval(-a.hi, -a.lo)
-
-
-def _corner(a: float, b: float) -> float:
-    # 0 * inf contributes 0 to corner enumeration (exact-zero endpoint)
-    if a == 0.0 or b == 0.0:
-        return 0.0
-    return _clip_overflow(a * b, a, b)
-
-
-def _xmul(a: ClarkeInterval, b: ClarkeInterval) -> ClarkeInterval:
-    c = (_corner(a.lo, b.lo), _corner(a.lo, b.hi),
-         _corner(a.hi, b.lo), _corner(a.hi, b.hi))
-    return ClarkeInterval(min(c), max(c))
-
-
-def _xfrom(iv: Interval) -> ClarkeInterval:
-    return ClarkeInterval(iv.lo, iv.hi)
-
-
-def _xdiv_pos(a: ClarkeInterval, den: Interval) -> ClarkeInterval:
-    """a / den for den with den.lo >= 0 (den.lo == 0 yields infinite sides)."""
-    if den.lo > 0.0:
-        c = tuple(
-            _clip_overflow(num / d, num, d) if math.isfinite(num) else num
-            for num in (a.lo, a.hi)
-            for d in (den.lo, den.hi)
-        )
-        return ClarkeInterval(min(c), max(c))
-    if den.hi == 0.0:
-        # derivative through a flat sqrt(0) point: unbounded wherever a != 0
-        lo = -_INF if a.lo < 0.0 else 0.0
-        hi = _INF if a.hi > 0.0 else 0.0
-        return ClarkeInterval(lo, hi)
-    lo = -_INF if a.lo < 0.0 else (0.0 if a.lo == 0.0 else a.lo / den.hi)
-    hi = _INF if a.hi > 0.0 else (0.0 if a.hi == 0.0 else a.hi / den.hi)
-    return ClarkeInterval(lo, hi)
-
-
 _ZERO_X = ClarkeInterval(0.0, 0.0)
-
-
-def _clarke(e: Expr, j: int, box: Box) -> ClarkeInterval:
-    """Enclosure of the j-th Clarke partial of e over box."""
-    if isinstance(e, (Const,)):
-        return _ZERO_X
-    if isinstance(e, Var):
-        return ClarkeInterval(1.0, 1.0) if e.index == j else _ZERO_X
-    if isinstance(e, Unary):
-        d = _clarke(e.child, j, box)
-        if e.op == "neg":
-            return _xneg(d)
-        u = _eval_iv(e.child, box)
-        if e.op == "sin":
-            return _xmul(_xfrom(arith("cos", u)), d)
-        if e.op == "cos":
-            return _xmul(_xneg(_xfrom(arith("sin", u))), d)
-        if e.op == "exp":
-            return _xmul(_xfrom(arith("exp", u)), d)
-        if e.op == "arctan":
-            den = Interval(1.0, 1.0) + arith("pow_int", u, exponent=2)
-            return _xdiv_pos(d, den)
-        if e.op == "sqrt":
-            root = arith("sqrt", u)
-            return _xdiv_pos(d, root.scale(2.0))
-        if e.op == "abs":
-            # sign(u) * u'; the kink at 0 contributes conv{+-u'}
-            if u.lo > 0.0:
-                return d
-            if u.hi < 0.0:
-                return _xneg(d)
-            return _xmul(ClarkeInterval(-1.0, 1.0), d)
-        raise ValueError(f"unknown unary op {e.op!r}")
-    if isinstance(e, Pow):
-        d = _clarke(e.child, j, box)
-        u = _eval_iv(e.child, box)
-        if e.exponent == 0:
-            return _ZERO_X
-        factor = arith("pow_int", u, exponent=e.exponent - 1).scale(float(e.exponent))
-        return _xmul(_xfrom(factor), d)
-    if isinstance(e, Div):
-        du = _clarke(e.num, j, box)
-        dv = _clarke(e.den, j, box)
-        u = _eval_iv(e.num, box)
-        v = _eval_iv(e.den, box)
-        num = _xadd(_xmul(du, _xfrom(v)), _xneg(_xmul(_xfrom(u), dv)))
-        vsq = arith("pow_int", v, exponent=2)
-        return _xdiv_pos(num, vsq)
-    if isinstance(e, Binary):
-        da, db = _clarke(e.left, j, box), _clarke(e.right, j, box)
-        a, b = _eval_iv(e.left, box), _eval_iv(e.right, box)
-        if e.op == "min":
-            if a.hi < b.lo:
-                return da
-            if b.hi < a.lo:
-                return db
-        else:
-            if a.lo > b.hi:
-                return da
-            if b.lo > a.hi:
-                return db
-        # branches can tie: hull of both branch derivatives
-        return ClarkeInterval(min(da.lo, db.lo), max(da.hi, db.hi))
-    if isinstance(e, Sum):
-        acc = _ZERO_X
-        for c in e.children:
-            acc = _xadd(acc, _clarke(c, j, box))
-        return acc
-    # product rule over the flattened factor list
-    ivs = [_eval_iv(c, box) for c in e.children]
-    acc = _ZERO_X
-    for i, c in enumerate(e.children):
-        term = _clarke(c, j, box)
-        for k, iv in enumerate(ivs):
-            if k != i:
-                term = _xmul(term, _xfrom(iv))
-        acc = _xadd(acc, term)
-    return acc
 
 
 @dataclass(frozen=True)
 class JacobianBounds:
-    """Per-entry extended-real bounds on Clarke partial derivatives."""
+    """Per-entry extended-real bounds on Clarke partial derivatives.
+
+    derived holds values that callers compute from these bounds once and
+    reuse for as long as the bounds live (decomp keeps each row's
+    supporting vectors there); it takes no part in equality.
+    """
 
     entries: tuple[tuple[ClarkeInterval, ...], ...]
+    derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def rows(self) -> int:
@@ -601,22 +412,342 @@ def clarke_jacobian_bounds(
     """Symbolic Clarke differentiation + natural interval evaluation.
 
     overrides replaces individual (row, col) entries, e.g. with tighter
-    analytically-known bounds from a model file.
+    analytically-known bounds from a model file.  A row whose entries are
+    all overridden is never evaluated.
     """
     n_z = len(box)
     rows = []
     bad = []
     for i, e in enumerate(exprs):
-        row = []
-        for j in range(n_z):
-            if overrides and (i, j) in overrides:
-                entry = overrides[(i, j)]
-            else:
-                entry = _clarke(e, j, box)
-            if entry.unbounded_both:
-                bad.append((i, j))
-            row.append(entry)
-        rows.append(tuple(row))
+        fixed = {j: overrides[(i, j)] for j in range(n_z) if (i, j) in (overrides or ())}
+        if len(fixed) < n_z:
+            default, partials = e.tape.clarke(box.dims)
+        row = tuple(
+            fixed[j] if j in fixed else ClarkeInterval(*partials.get(j, default))
+            for j in range(n_z)
+        )
+        bad += [(i, j) for j, entry in enumerate(row) if entry.unbounded_both]
+        rows.append(row)
     if bad:
         raise UnboundedBothSides(f"Clarke bounds unbounded on both sides at {bad}")
     return JacobianBounds(tuple(rows))
+
+
+# ---------------------------------------------------------------------------
+# The tape: each tree lowered once, interpreted three ways
+# ---------------------------------------------------------------------------
+
+# ops whose Clarke rule reads the interval values of their children; neg and
+# sum only combine the children's partials
+_READS_VALUES = frozenset(
+    ("sin", "cos", "exp", "sqrt", "arctan", "abs", "pow", "div", "min", "max", "prod")
+)
+
+
+def _fsum(terms: tuple[float, ...]) -> float:
+    try:
+        return math.fsum(terms)
+    except (OverflowError, ValueError):
+        return sum(terms)  # overflow degrades to inf/nan; callers saturate
+
+
+def _exp_point(x: float) -> float:
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
+_POINT_CODE = {
+    "neg": "-{0}",
+    "sin": "sin({0})",
+    "cos": "cos({0})",
+    "exp": "exp({0})",
+    "sqrt": "sqrt({0})",
+    "arctan": "atan({0})",
+    "abs": "abs({0})",
+    "pow": "pow_float({0}, {arg})",
+    "div": "{0} / {1}",
+    "min": "min({0}, {1})",
+    "max": "max({0}, {1})",
+}
+_POINT_NAMES = {
+    "sin": math.sin, "cos": math.cos, "exp": _exp_point, "sqrt": math.sqrt,
+    "atan": math.atan, "pow_float": _pow_float, "fsum": _fsum,
+}
+
+
+def _point_code(op: str, arg, a: list[str]) -> str:
+    if op == "sum":
+        return f"fsum(({''.join(x + ', ' for x in a)}))"
+    if op == "prod":
+        return " * ".join(["1.0", *a])  # from 1.0, so integer inputs give a float
+    return _POINT_CODE[op].format(*a, arg=arg)
+
+
+def _interval_code(op: str, arg, a: list[str]) -> str:
+    # every operator goes through arith, so the inflate mode applies
+    if op == "sum":
+        return " + ".join(a)
+    if op == "prod":
+        return " * ".join(a)
+    if op == "pow":
+        return f"arith('pow_int', {a[0]}, exponent={arg})"
+    return f"arith({op!r}, {', '.join(a)})"
+
+
+class Tape:
+    """An expression tree lowered to a flat post-order list of nodes.
+
+    nodes[k] is (op, arg, kids): kids are the slots of earlier nodes, arg is
+    the constant, variable index or exponent (None for other ops), and the
+    root is the last node.  `point` and `interval` are straight-line Python
+    compiled from the nodes on first use; `clarke` is one forward pass that
+    carries every node's partials in all columns at once.
+    """
+
+    def __init__(self, root: Expr):
+        nodes: list[tuple[str, object, tuple[int, ...]]] = []
+
+        def lower(e: Expr) -> int:
+            if isinstance(e, Const):
+                node = ("const", e.value, ())
+            elif isinstance(e, Var):
+                node = ("var", e.index, ())
+            elif isinstance(e, Unary):
+                node = (e.op, None, (lower(e.child),))
+            elif isinstance(e, Pow):
+                node = ("pow", e.exponent, (lower(e.child),))
+            elif isinstance(e, Div):
+                node = ("div", None, (lower(e.num), lower(e.den)))
+            elif isinstance(e, Binary):
+                node = (e.op, None, (lower(e.left), lower(e.right)))
+            elif isinstance(e, (Sum, Prod)):
+                op = "sum" if isinstance(e, Sum) else "prod"
+                node = (op, None, tuple(lower(c) for c in e.children))
+            else:
+                raise TypeError(f"unknown node {e!r}")
+            nodes.append(node)
+            return len(nodes) - 1
+
+        lower(root)
+        self.nodes = tuple(nodes)
+        self.max_var = max((arg for op, arg, _ in nodes if op == "var"), default=-1)
+        # The Clarke pass needs a node's interval value only below an op that
+        # reads values.  Evaluating any other node could raise where the
+        # partials are well defined: 1/x1 over a box holding 0.
+        needed = [False] * len(nodes)
+        for k in reversed(range(len(nodes))):
+            op, _, kids = nodes[k]
+            for c in kids:
+                needed[c] = needed[k] or op in _READS_VALUES
+        self._needed = [k for k in range(len(nodes)) if needed[k]]
+
+    def _compile(self, code, constant, names: dict, slots, result: str):
+        """def run(z): one local t<k> per node of slots, in order; return result.
+
+        Straight-line code leaves no per-node dispatch on the hot path.
+        """
+        namespace = dict(names)
+        lines = ["def run(z):"]
+        for k in slots:
+            op, arg, kids = self.nodes[k]
+            if op == "const":
+                namespace[f"t{k}"] = constant(arg)
+            elif op == "var":
+                lines.append(f"    t{k} = z[{arg}]")
+            else:
+                lines.append(f"    t{k} = {code(op, arg, [f't{c}' for c in kids])}")
+        lines.append(f"    return {result}")
+        exec("\n".join(lines), namespace)
+        return namespace["run"]
+
+    @cached_property
+    def point(self):
+        """z -> the value at the point z."""
+        root = len(self.nodes) - 1
+        return self._compile(_point_code, lambda value: value, _POINT_NAMES,
+                             range(root + 1), f"t{root}")
+
+    @cached_property
+    def interval(self):
+        """box.dims -> the natural interval value over the box."""
+        root = len(self.nodes) - 1
+        return self._compile(_interval_code, Interval.point, {"arith": arith},
+                             range(root + 1), f"t{root}")
+
+    @cached_property
+    def _values(self):
+        """box.dims -> per slot, the interval value the Clarke pass reads, or None."""
+        needed = set(self._needed)
+        result = ", ".join(f"t{k}" if k in needed else "None"
+                           for k in range(len(self.nodes)))
+        return self._compile(_interval_code, Interval.point, {"arith": arith},
+                             self._needed, f"({result},)")
+
+    def clarke(self, dims: Sequence[Interval]) -> tuple[_Pair, dict[int, _Pair]]:
+        """Enclosures of every Clarke partial of the root over the box dims.
+
+        Returns (default, partials): partials[j] bounds the j-th partial as a
+        (lo, hi) pair, and every column missing from it equals default.  The
+        pass keeps each node's partials in that sparse form, so a node costs
+        one rule application per column its subtree reads, plus one.
+        """
+        values = self._values(dims)
+        parts: list[tuple[_Pair, dict[int, _Pair]]] = []
+        for op, arg, kids in self.nodes:
+            if op == "const":
+                parts.append((_Z, {}))
+                continue
+            if op == "var":
+                parts.append((_Z, {arg: _ONE}))
+                continue
+            rule = _clarke_rule(op, arg, [values[c] for c in kids])
+            sub = [parts[c] for c in kids]
+            default = rule(*[d for d, _ in sub])
+            cols = set().union(*[p for _, p in sub])
+            parts.append((default, {
+                j: rule(*[p.get(j, d) for d, p in sub]) for j in cols
+            }))
+        return parts[-1]
+
+
+# A Clarke partial during the forward pass: (lo, hi) in the extended reals.
+_Pair = tuple[float, float]
+_Z: _Pair = (0.0, 0.0)
+_ONE: _Pair = (1.0, 1.0)
+
+
+def _clip_overflow(value: float, *operands: float) -> float:
+    """Saturate overflow of finite inputs; keep genuinely infinite results."""
+    if math.isinf(value) and all(math.isfinite(x) for x in operands):
+        return math.copysign(_FMAX, value)
+    return value
+
+
+def _xadd(a: _Pair, b: _Pair) -> _Pair:
+    lo = -_INF if (a[0] == -_INF or b[0] == -_INF) else _clip_overflow(a[0] + b[0], a[0], b[0])
+    hi = _INF if (a[1] == _INF or b[1] == _INF) else _clip_overflow(a[1] + b[1], a[1], b[1])
+    return (lo, hi)
+
+
+def _xneg(a: _Pair) -> _Pair:
+    return (-a[1], -a[0])
+
+
+def _corner(a: float, b: float) -> float:
+    # 0 * inf contributes 0 to corner enumeration (exact-zero endpoint)
+    if a == 0.0 or b == 0.0:
+        return 0.0
+    return _clip_overflow(a * b, a, b)
+
+
+def _xmul(a: _Pair, b: _Pair) -> _Pair:
+    c = (_corner(a[0], b[0]), _corner(a[0], b[1]),
+         _corner(a[1], b[0]), _corner(a[1], b[1]))
+    return (min(c), max(c))
+
+
+def _xfrom(iv: Interval) -> _Pair:
+    return (iv.lo, iv.hi)
+
+
+def _xdiv_pos(a: _Pair, den: Interval) -> _Pair:
+    """a / den for den with den.lo >= 0 (den.lo == 0 yields infinite sides)."""
+    if den.lo > 0.0:
+        c = tuple(
+            _clip_overflow(num / d, num, d) if math.isfinite(num) else num
+            for num in a
+            for d in (den.lo, den.hi)
+        )
+        return (min(c), max(c))
+    if den.hi == 0.0:
+        # derivative through a flat sqrt(0) point: unbounded wherever a != 0
+        lo = -_INF if a[0] < 0.0 else 0.0
+        hi = _INF if a[1] > 0.0 else 0.0
+        return (lo, hi)
+    lo = -_INF if a[0] < 0.0 else (0.0 if a[0] == 0.0 else a[0] / den.hi)
+    hi = _INF if a[1] > 0.0 else (0.0 if a[1] == 0.0 else a[1] / den.hi)
+    return (lo, hi)
+
+
+def _xsum(*terms: _Pair) -> _Pair:
+    acc = _Z
+    for d in terms:
+        # acc is never -0.0, so adding a (signed) zero leaves it unchanged
+        if d != _Z:
+            acc = _xadd(acc, d)
+    return acc
+
+
+def _clarke_rule(op: str, arg, u: list[Interval | None]):
+    """The node's partial in one column, as a function of its children's.
+
+    u holds the children's interval values (None where the rule reads none).
+    """
+    if op == "neg":
+        return _xneg
+    if op == "sum":
+        return _xsum
+    if op in ("sin", "cos", "exp"):
+        if op == "sin":
+            factor = _xfrom(arith("cos", u[0]))
+        elif op == "cos":
+            factor = _xneg(_xfrom(arith("sin", u[0])))
+        else:
+            factor = _xfrom(arith("exp", u[0]))
+        return lambda d: _xmul(factor, d)
+    if op in ("arctan", "sqrt"):
+        if op == "arctan":
+            den = Interval(1.0, 1.0) + arith("pow_int", u[0], exponent=2)
+        else:
+            den = arith("sqrt", u[0]).scale(2.0)
+        return lambda d: _xdiv_pos(d, den)
+    if op == "abs":
+        # sign(u) * u'; the kink at 0 contributes conv{+-u'}
+        if u[0].lo > 0.0:
+            return lambda d: d
+        if u[0].hi < 0.0:
+            return _xneg
+        return lambda d: _xmul((-1.0, 1.0), d)
+    if op == "pow":
+        if arg == 0:
+            return lambda d: _Z
+        factor = _xfrom(arith("pow_int", u[0], exponent=arg - 1).scale(float(arg)))
+        return lambda d: _xmul(factor, d)
+    if op == "div":
+        num, den = _xfrom(u[0]), u[1]
+        vsq = arith("pow_int", den, exponent=2)
+        return lambda du, dv: _xdiv_pos(
+            _xadd(_xmul(du, _xfrom(den)), _xneg(_xmul(num, dv))), vsq)
+    if op in ("min", "max"):
+        a, b = u
+        if op == "min":
+            if a.hi < b.lo:
+                return lambda da, db: da
+            if b.hi < a.lo:
+                return lambda da, db: db
+        else:
+            if a.lo > b.hi:
+                return lambda da, db: da
+            if b.lo > a.hi:
+                return lambda da, db: db
+        # branches can tie: hull of both branch derivatives
+        return lambda da, db: (min(da[0], db[0]), max(da[1], db[1]))
+    if op == "prod":
+        factors = [_xfrom(iv) for iv in u]
+
+        def product_rule(*ds: _Pair) -> _Pair:
+            acc = _Z
+            for i, d in enumerate(ds):
+                if d == _Z:
+                    continue  # a zero partial times anything is (0.0, 0.0)
+                term = d
+                for k, f in enumerate(factors):
+                    if k != i:
+                        term = _xmul(term, f)
+                acc = _xadd(acc, term)
+            return acc
+
+        return product_rule
+    raise ValueError(f"unknown op {op!r}")

@@ -244,16 +244,15 @@ def error_bounds(
     f_i: Expr,
     jac_row: Sequence[ClarkeInterval],
     box: Box,
-    semantics: TimeSemantics = TimeSemantics.DISCRETE,
     oracle_range: Interval | None = None,
     i: int = 0,
-    diagonal_value: float | None = None,
 ) -> ErrorBounds:
+    """Error bounds of the remainder-form enclosure of row i, f_i, over box."""
     a, b = box.hi, box.lo
-    cands = supporting_vectors(jac_row, semantics, i)
+    cands = supporting_vectors(jac_row, TimeSemantics.DISCRETE, i)
     d3, d3p4, d1, d2 = [], [], [], []
     for cand in cands:
-        zp, zm = corner_points(cand, a, b, semantics, i, diagonal_value)
+        zp, zm = corner_points(cand, a, b, TimeSemantics.DISCRETE, i)
         delta3 = math.fsum(mj * (u - v) for mj, u, v in zip(cand.m, zm, zp))
         fzp = eval_point(f_i, zp)
         fzm = eval_point(f_i, zm)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 from .decomp import SELECTORS, TimeSemantics, decompose
 from .errors import (
@@ -116,21 +115,12 @@ class ReachTube:
         return self.steps[-1].box
 
 
-def _check_ordered(lo: Sequence[float], hi: Sequence[float]) -> None:
-    for a, b in zip(lo, hi):
-        slack = 1e-9 * (1.0 + abs(a) + abs(b))
-        if a > b + slack:
-            raise InvertedBounds(f"lower bound {a} exceeds upper bound {b}")
-
-
 def embed_step_discrete(model: SystemModel, method: MethodId, current: Box) -> Box:
     """One discrete embedding step from the current state box."""
     if len(current) != model.n_x:
         raise DimensionMismatch(f"state box has {len(current)} dims, expected {model.n_x}")
     z = current.concat(model.disturbance)
-    out = apply_method(method, model.dynamics, z, model.jac_provider())
-    _check_ordered(out.lo, out.hi)
-    return out
+    return apply_method(method, model.dynamics, z, model.jac_provider())
 
 
 def _embedding_derivative(
@@ -211,8 +201,10 @@ def embed_integrate_continuous(
         ]
         if any(not math.isfinite(v) for v in xu + xl):
             raise NonFiniteState("embedding integration produced a non-finite value")
-    _check_ordered(xl, xu)
-    return Box(Interval(min(a, b), max(a, b)) for a, b in zip(xl, xu))
+    for i, (a, b) in enumerate(zip(xl, xu)):
+        if a > b:
+            raise InvertedBounds(f"state {i}: lower bound {a} exceeds upper bound {b}")
+    return Box(Interval(a, b) for a, b in zip(xl, xu))
 
 
 def embed_step(model: SystemModel, method: MethodId, current: Box,

@@ -227,8 +227,7 @@ def test_criterion_06_error_bound_chain():
         expr = parse_expr(text, ["x1"])
         jac = clarke_jacobian_bounds([expr], box)
         oracle = sampled_range([expr], box, rng)
-        eb = error_bounds(expr, jac.row(0), box, TimeSemantics.DISCRETE,
-                          oracle[0], i=0)
+        eb = error_bounds(expr, jac.row(0), box, oracle[0], i=0)
         tr = t_r_inclusion([expr], jac, box)
         measured = hausdorff_q(tr, oracle)
         allowance = 1e-3 * oracle[0].width

@@ -21,8 +21,9 @@ from mixmono import (
     parse_model,
     reach_tube,
 )
-from mixmono.errors import ValidationError
-from mixmono.reach import _embedding_derivative
+from mixmono import reach
+from mixmono.errors import InvertedBounds, ValidationError
+from mixmono.reach import _embedding_derivative, embed_integrate_continuous
 
 from conftest import box_subset, simulate_discrete, tube_contains
 
@@ -156,6 +157,15 @@ class TestContinuousReach:
             vertex = _embedding_derivative(model, TIGHT_VERTEX, xu, xl)
             assert vertex == expected
             assert vertex == _embedding_derivative(model, JACOBIAN_SIGN, xu, xl)
+
+    def test_inverted_final_box_raises(self, monkeypatch):
+        # the lower bound's derivative runs 1e-12 above the upper one's, so
+        # the final lower bound ends above the upper by far less than 1e-9
+        model = load_bundled("unicycle")
+        monkeypatch.setattr(reach, "_embedding_derivative",
+                            lambda model, method, xu, xl: ([0.0] * 3, [1e-12] * 3))
+        with pytest.raises(InvertedBounds):
+            embed_integrate_continuous(model, REMAINDER, model.init, model.dt, 2)
 
     def test_unicycle_frames_sampled_rollouts(self, rng):
         model = load_bundled("unicycle")

@@ -1,0 +1,124 @@
+"""Point, interval and Clarke evaluation of the lowered expression tape."""
+
+from __future__ import annotations
+
+import hashlib
+import pickle
+
+import numpy as np
+import pytest
+
+from mixmono import (
+    Box,
+    clarke_jacobian_bounds,
+    eval_interval,
+    eval_point,
+    load_bundled,
+    parse_expr,
+    set_inflate_mode,
+)
+from mixmono.expr import ClarkeInterval
+from mixmono.model import bundled_models
+
+from conftest import rand_instance
+
+# sha256 of every value below, recorded from the tree-walking evaluators that
+# the tape replaced; any change to a single bit of any value changes it
+EVALUATION_DIGEST = "99fd38a5e0745403b44f3e9fb7e755c693835ec3f989b08d88af45937ca1d9c7"
+
+# signed zeros, division by intervals holding 0, kinks at ties, and every
+# operator the random instances leave out
+EDGE_EXPRESSIONS = (
+    "-x1", "-(x1*x2)", "abs(-x1 - 2)", "-abs(x2)*-x1",
+    "min(x1, x2) - max(-x1, x2)", "1/x1", "x1/(2 + x2^2)", "sqrt(x1^2 + 1)",
+    "arctan(x1*x2)", "x1^-2", "(x1 - x2)^0", "exp(-x1)*sin(x2)/cos(x1)",
+    "sqrt(x2)", "-(-x1)",
+)
+
+
+def _cases():
+    for name in bundled_models():
+        model = load_bundled(name)
+        box = model.init.concat(model.disturbance)
+        exprs = list(model.dynamics)
+        if model.observation is not None:
+            exprs += model.observation.exprs
+        exprs += [c.expr for c in model.constraints]
+        yield exprs, box
+    for text in EDGE_EXPRESSIONS:
+        e = parse_expr(text, ["x1", "x2"])
+        yield [e], Box.from_pairs([(-1, 0.5), (0.2, 1.5)])
+        yield [e], Box.from_pairs([(0.5, 2), (-0.3, -0.1)])
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        inst = rand_instance(rng)
+        yield [inst.expr], inst.box
+
+
+def _outcome(fn, *args):
+    """The floats fn returns, or the name of the error it raises."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # the error type is part of the pinned behaviour
+        return type(exc).__name__
+
+
+def _endpoints(iv):
+    return [iv.lo, iv.hi]
+
+
+def test_evaluations_are_bit_identical():
+    h = hashlib.sha256()
+
+    def put(value):
+        if isinstance(value, str):
+            h.update(value.encode())
+        else:
+            for x in value:
+                h.update(float(x).hex().encode())
+
+    for exprs, box in _cases():
+        points = [*box.vertices(), box.midpoint()]
+        for e in exprs:
+            for z in points:
+                put(_outcome(lambda: [eval_point(e, z)]))
+            put(_outcome(lambda: _endpoints(eval_interval(e, box))))
+        jac = _outcome(clarke_jacobian_bounds, exprs, box)
+        put(jac if isinstance(jac, str)
+            else [x for row in jac.entries for c in row for x in (c.lo, c.hi)])
+    assert h.hexdigest() == EVALUATION_DIGEST
+
+
+def test_overridden_rows_are_never_evaluated():
+    # the row's only entry is overridden, so 1/x1 over a box holding 0 is
+    # never evaluated, and its interval division cannot raise
+    e = parse_expr("1/x1", ["x1"])
+    override = ClarkeInterval(-1.0, 1.0)
+    jac = clarke_jacobian_bounds([e], Box.from_pairs([(-1, 1)]), {(0, 0): override})
+    assert jac[0, 0] == override
+
+
+def test_inflate_mode_widens_tape_results():
+    e = parse_expr("0.3*cos(x3) + x1*x2", ["x1", "x2", "x3"])
+    box = Box.from_pairs([(0.1, 0.7), (-0.4, 0.3), (0.2, 1.1)])
+    nearest = eval_interval(e, box), clarke_jacobian_bounds([e], box)
+    set_inflate_mode(True)
+    try:
+        wide = eval_interval(e, box), clarke_jacobian_bounds([e], box)
+    finally:
+        set_inflate_mode(False)
+    assert wide[0].lo < nearest[0].lo and wide[0].hi > nearest[0].hi
+    # d/dx3 runs through the interval sine; d/dx1 = x2 and d/dx2 = x1 are
+    # the box's own endpoints, which no interval operation touches
+    for j in range(3):
+        w, n = wide[1][0, j], nearest[1][0, j]
+        assert w.lo <= n.lo and w.hi >= n.hi
+    w, n = wide[1][0, 2], nearest[1][0, 2]
+    assert w.lo < n.lo and w.hi > n.hi
+
+
+def test_evaluated_expressions_still_pickle():
+    e = parse_expr("x1*sin(x2)", ["x1", "x2"])
+    value = eval_point(e, [1.0, 2.0])
+    copy = pickle.loads(pickle.dumps(e))
+    assert copy == e and eval_point(copy, [1.0, 2.0]) == value
