@@ -50,7 +50,7 @@ def main():
         gap = hausdorff_q(enc, oracle)
         print(f"{name:16s} {fmt(enc)}   distance-to-range {gap:.4f}")
 
-    eb = error_bounds(expr, jac.row(0), BOX, oracle[0], i=0)
+    eb = error_bounds(expr, jac.row(0), BOX, oracle[0])
     print(f"\na-priori error bounds: q_upper_hat={eb.q_upper_hat:.4f} "
           f"q_upper={eb.q_upper:.4f} (sampled lower estimate "
           f"{eb.q_lower_estimate:.4f})")

@@ -148,7 +148,7 @@ def cmd_range(args) -> int:
         if args.bounds:
             jac = provider(box)
             for i, e in enumerate(f):
-                eb = error_bounds(e, jac.row(i), box, oracle_range=oracle[i], i=i)
+                eb = error_bounds(e, jac.row(i), box, oracle_range=oracle[i])
                 lines.append(
                     f"{'':15s} row {i+1}: q_lower_est={eb.q_lower_estimate:.6g} "
                     f"q_upper={eb.q_upper:.6g} q_upper_hat={eb.q_upper_hat:.6g}"
@@ -277,9 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="mixmono", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
-        sp.add_argument("--seed", type=int, default=0)
-
     r = sub.add_parser("range", help="enclose the image of a map over a box")
     r.add_argument("--model")
     r.add_argument("--expr")
@@ -289,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--bounds", action="store_true")
     r.add_argument("--samples", type=int, default=10**5)
     r.add_argument("--out")
-    common(r)
+    r.add_argument("--seed", type=int, default=0)
     r.set_defaults(fn=cmd_range)
 
     rc = sub.add_parser("reach", help="propagate a reach tube")
@@ -304,7 +301,6 @@ def build_parser() -> argparse.ArgumentParser:
     rc.add_argument("--out")
     rc.add_argument("--format", choices=["csv", "json"])
     rc.add_argument("--plot")
-    common(rc)
     rc.set_defaults(fn=cmd_reach)
 
     iv = sub.add_parser("invert", help="interval set inversion")
@@ -316,7 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
     iv.add_argument("--epsilon", type=float, default=1e-3)
     iv.add_argument("--passes", type=int, default=1)
     iv.add_argument("--method", default="remainder")
-    common(iv)
     iv.set_defaults(fn=cmd_invert)
 
     ob = sub.add_parser("observe", help="measurement-driven tube refinement")
@@ -329,7 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
     ob.add_argument("--out")
     ob.add_argument("--format", choices=["csv", "json"])
     ob.add_argument("--plot")
-    common(ob)
     ob.set_defaults(fn=cmd_observe)
 
     cp = sub.add_parser("compare", help="per-method final-step width table")
@@ -338,7 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
     cp.add_argument("--steps", type=int)
     cp.add_argument("--horizon", type=float)
     cp.add_argument("--substeps", type=int, default=10)
-    common(cp)
     cp.set_defaults(fn=cmd_compare)
     return p
 

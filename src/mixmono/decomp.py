@@ -12,7 +12,9 @@ zeta_plus), and differ only in which vectors m a row may use:
   there it is all zeros, so each bound is one exact corner value.
 
 `decompose` evaluates that function row by row for discrete-time enclosures
-and for the continuous-time embedding alike.
+and for the continuous-time embedding alike, and is the only function here
+that knows about time: the embedding's row i is the same function with
+coordinate i pinned, a zero slope in column i and equal arguments there.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from typing import Sequence
 from .errors import (
     CandidateExplosion,
     InvertedBounds,
-    MissingDiagonalValue,
     NotSignStable,
     UnboundedBothSides,
 )
@@ -37,7 +38,6 @@ from .interval import Box, Interval, saturate
 class Branch(Enum):
     UPPER = "upper"
     LOWER = "lower"
-    DIAGONAL = "diagonal"
 
 
 class TimeSemantics(Enum):
@@ -46,6 +46,9 @@ class TimeSemantics(Enum):
 
 
 CANDIDATE_CAP = 2**16
+
+# the slope bound of a pinned coordinate: one candidate value, 0.0
+_PINNED = ClarkeInterval(0.0, 0.0)
 
 # the decomposition engines, named as their MethodId kinds
 SELECTORS = ("remainder", "jacobian_sign", "tight_vertex")
@@ -95,22 +98,17 @@ class RowCandidates(tuple):
 
 def supporting_vectors(
     jac_row: Sequence[ClarkeInterval],
-    semantics: TimeSemantics,
-    i: int,
     cap: int = CANDIDATE_CAP,
 ) -> RowCandidates:
-    """Cartesian product of per-coordinate branch choices for row i."""
+    """Cartesian product of per-coordinate branch choices for one row."""
     per_coord: list[list[tuple[float, Branch]]] = []
     count = 1
-    for j, entry in enumerate(jac_row):
-        if semantics is TimeSemantics.CONTINUOUS and j == i:
-            per_coord.append([(0.0, Branch.DIAGONAL)])
-        else:
-            per_coord.append(_coordinate_choices(entry))
+    for entry in jac_row:
+        per_coord.append(_coordinate_choices(entry))
         count *= len(per_coord[-1])
         if count > cap:
             raise CandidateExplosion(
-                f"row {i}: {count}+ supporting-vector candidates exceed cap {cap}"
+                f"{count}+ supporting-vector candidates exceed cap {cap}"
             )
     return RowCandidates(
         SupportingVector(
@@ -121,38 +119,37 @@ def supporting_vectors(
     )
 
 
+def _row(jac: JacobianBounds, i: int, pinned: bool) -> tuple[ClarkeInterval, ...]:
+    """Row i of jac; a pinned row has a zero slope in column i."""
+    row = jac.row(i)
+    return row[:i] + (_PINNED,) + row[i + 1:] if pinned else row
+
+
 def row_candidates(
-    jac: JacobianBounds, kind: str, semantics: TimeSemantics, i: int
+    jac: JacobianBounds, kind: str, i: int, pinned: bool = False
 ) -> RowCandidates:
     """The candidates the engine `kind` may use in row i of jac.
 
-    Built once per (kind, semantics, row) and kept on jac, so every
+    Built once per (kind, pinned, row) and kept on jac, so every
     decomposition against the same bounds (set_invert's many sub-boxes)
     reuses them.
     """
-    key = (kind, semantics, i)
+    key = (kind, pinned, i)
     cands = jac.derived.get(key)
     if cands is None:
+        row = _row(jac, i, pinned)
         if kind == "remainder":
-            cands = supporting_vectors(jac.row(i), semantics, i)
+            cands = supporting_vectors(row)
         else:
-            cands = RowCandidates((_sign_selected_vector(jac.row(i), semantics, i),))
+            cands = RowCandidates((_sign_selected_vector(row),))
         jac.derived[key] = cands
     return cands
 
 
-def _sign_selected_vector(
-    jac_row: Sequence[ClarkeInterval],
-    semantics: TimeSemantics,
-    i: int,
-) -> SupportingVector:
+def _sign_selected_vector(jac_row: Sequence[ClarkeInterval]) -> SupportingVector:
     """The single smallest-magnitude branch choice per coordinate."""
     values, tags = [], []
-    for j, entry in enumerate(jac_row):
-        if semantics is TimeSemantics.CONTINUOUS and j == i:
-            values.append(0.0)
-            tags.append(Branch.DIAGONAL)
-            continue
+    for entry in jac_row:
         lower = min(entry.lo, 0.0)  # -inf when unbounded below
         upper = max(entry.hi, 0.0)  # +inf when unbounded above
         if abs(lower) <= abs(upper):
@@ -170,23 +167,15 @@ def corner_points(
     m: SupportingVector,
     a: Sequence[float],
     b: Sequence[float],
-    semantics: TimeSemantics,
-    i: int,
-    diagonal_value: float | None = None,
 ) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """Corner pair (zeta_plus, zeta_minus) for one candidate.
 
     a/b are the two evaluation arguments (a >= b componentwise when the
     caller wants the upper bound).
     """
-    if semantics is TimeSemantics.CONTINUOUS and diagonal_value is None:
-        raise MissingDiagonalValue(f"continuous row {i} needs a diagonal value")
     zp, zm = [], []
     for j, tag in enumerate(m.branches):
-        if tag is Branch.DIAGONAL:
-            zp.append(diagonal_value)
-            zm.append(diagonal_value)
-        elif tag is Branch.UPPER:
+        if tag is Branch.UPPER:
             zp.append(b[j])
             zm.append(a[j])
         else:
@@ -204,12 +193,9 @@ def eval_remainder_upper(
     f_i: Expr,
     a: Sequence[float],
     b: Sequence[float],
-    semantics: TimeSemantics,
-    i: int,
-    diagonal_value: float | None = None,
 ) -> float:
     """min over candidates of f_i(zeta_plus) + m . (zeta_minus - zeta_plus)."""
-    return _extremum(candidates, f_i, a, b, semantics, i, diagonal_value, 1.0)
+    return _extremum(candidates, f_i, a, b, 1.0)
 
 
 def eval_remainder_lower(
@@ -217,16 +203,13 @@ def eval_remainder_lower(
     f_i: Expr,
     a: Sequence[float],
     b: Sequence[float],
-    semantics: TimeSemantics,
-    i: int,
-    diagonal_value: float | None = None,
 ) -> float:
     """max over candidates of f_i(zeta_minus) + m . (zeta_plus - zeta_minus)."""
     # swapping a and b swaps zeta_plus and zeta_minus
-    return _extremum(candidates, f_i, b, a, semantics, i, diagonal_value, -1.0)
+    return _extremum(candidates, f_i, b, a, -1.0)
 
 
-def _extremum(candidates, f_i, a, b, semantics, i, diagonal_value, sign: float) -> float:
+def _extremum(candidates, f_i, a, b, sign: float) -> float:
     """sign * min over candidates of sign * (f_i(zeta_plus) + m . (zeta_minus - zeta_plus))."""
     if not isinstance(candidates, RowCandidates):
         candidates = RowCandidates(candidates)
@@ -234,13 +217,13 @@ def _extremum(candidates, f_i, a, b, semantics, i, diagonal_value, sign: float) 
     # sign-stable; its corner value is then the exact extremum, so no other
     # candidate can be mathematically better (only spuriously, by rounding)
     if candidates.zero is not None:
-        zp, _ = corner_points(candidates[candidates.zero], a, b, semantics, i, diagonal_value)
+        zp, _ = corner_points(candidates[candidates.zero], a, b)
         val = eval_point(f_i, zp)
         if not math.isnan(val):
             return val
     best = math.inf  # NaN values never compare below it
     for cand in candidates:
-        zp, zm = corner_points(cand, a, b, semantics, i, diagonal_value)
+        zp, zm = corner_points(cand, a, b)
         val = sign * (eval_point(f_i, zp) + _dot_diff(cand.m, zm, zp))
         if val < best:
             best = val
@@ -258,28 +241,32 @@ def decompose(
     """Raw (upper, lower) decomposition values of each row of f.
 
     kind is one of SELECTORS; a/b are the two evaluation arguments
-    (box.hi/box.lo for an enclosure).  Under CONTINUOUS semantics row i pins
-    coordinate i to a[i] in the upper value and to b[i] in the lower one, and
-    that entry is exempt from the tight_vertex stability check because no
-    corner uses it.
+    (box.hi/box.lo for an enclosure).  Under CONTINUOUS semantics row i is
+    pinned: its slope in column i is zero, its upper value is taken at
+    (a, b with b[i] = a[i]) and its lower value at (a with a[i] = b[i], b).
+    The tight_vertex stability check reads the same pinned rows, so the
+    pinned entry never fails it.
     """
-    continuous = semantics is TimeSemantics.CONTINUOUS
+    pinned = semantics is TimeSemantics.CONTINUOUS
     if kind == "tight_vertex":
         bad = [
             (i, j)
             for i in range(jac.rows)
-            for j, entry in enumerate(jac.row(i))
-            if entry.lo < 0.0 < entry.hi and not (continuous and j == i)
+            for j, entry in enumerate(_row(jac, i, pinned))
+            if entry.lo < 0.0 < entry.hi
         ]
         if bad:
             raise NotSignStable(bad)
     rows = []
     for i, f_i in enumerate(f):
-        cands = row_candidates(jac, kind, semantics, i)
-        up_diag, lo_diag = (a[i], b[i]) if continuous else (None, None)
+        cands = row_candidates(jac, kind, i, pinned)
+        a_lo, b_up = a, b
+        if pinned:
+            a_lo = (*a[:i], b[i], *a[i + 1:])
+            b_up = (*b[:i], a[i], *b[i + 1:])
         rows.append((
-            eval_remainder_upper(cands, f_i, a, b, semantics, i, up_diag),
-            eval_remainder_lower(cands, f_i, a, b, semantics, i, lo_diag),
+            eval_remainder_upper(cands, f_i, a, b_up),
+            eval_remainder_lower(cands, f_i, a_lo, b),
         ))
     return rows
 

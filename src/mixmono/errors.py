@@ -61,10 +61,6 @@ class CellBudgetExceeded(MixmonoError):
     pass
 
 
-class MissingDiagonalValue(MixmonoError):
-    pass
-
-
 class EmptyIntersection(MixmonoError):
     pass
 

@@ -1,14 +1,14 @@
 """Expression trees for vector fields and constraint maps.
 
 Each tree is lowered once, on first use, to a flat post-order `Tape` that
-is kept on the root node (`Expr.tape`), and the tape is interpreted three
-ways: point values and natural interval values run as straight-line Python
-compiled from it, and Clarke-derivative bounds come from one forward pass
+is kept on the root node (`Expr.tape`), and the tape is interpreted four
+ways: point values, natural interval values and numpy values over many
+points (`eval_vec`) run as straight-line code compiled from it through one
+op->code table each, and Clarke-derivative bounds come from one forward pass
 that carries every node's interval value and all its partials at once
-(forward-mode interval differentiation).  `eval_vec` is a separate numpy
-walker over the tree.  Trees are immutable; sums and products are n-ary and
-flattened by the parser to keep natural-inclusion dependency pessimism
-deterministic.
+(forward-mode interval differentiation).  Trees are immutable; sums and
+products are n-ary and flattened by the parser to keep natural-inclusion
+dependency pessimism deterministic.
 
 Grammar (see parse_expr):
     expr   := term (('+'|'-') term)*
@@ -37,7 +37,20 @@ from .errors import (
     UnboundedBothSides,
     UnknownIdentifier,
 )
-from .interval import Box, Interval, _pow_float, arith
+from .interval import (
+    Box,
+    Interval,
+    _pow_float,
+    iabs,
+    iarctan,
+    icos,
+    iexp,
+    imax,
+    imin,
+    ipow,
+    isin,
+    isqrt,
+)
 
 _INF = math.inf
 _FMAX = sys.float_info.max
@@ -306,41 +319,9 @@ def eval_interval(e: Expr, box: Box) -> Interval:
     return e.tape.interval(box.dims)
 
 
-_NP_UNARY = {
-    "neg": np.negative,
-    "sin": np.sin,
-    "cos": np.cos,
-    "exp": np.exp,
-    "sqrt": np.sqrt,
-    "arctan": np.arctan,
-    "abs": np.abs,
-}
-
-
 def eval_vec(e: Expr, cols: np.ndarray) -> np.ndarray:
     """Vectorized evaluation; cols has shape (n_vars, n_points)."""
-    if isinstance(e, Const):
-        return np.full(cols.shape[1], e.value)
-    if isinstance(e, Var):
-        return cols[e.index]
-    if isinstance(e, Unary):
-        return _NP_UNARY[e.op](eval_vec(e.child, cols))
-    if isinstance(e, Pow):
-        return eval_vec(e.child, cols) ** float(e.exponent)
-    if isinstance(e, Div):
-        return eval_vec(e.num, cols) / eval_vec(e.den, cols)
-    if isinstance(e, Binary):
-        a, b = eval_vec(e.left, cols), eval_vec(e.right, cols)
-        return np.minimum(a, b) if e.op == "min" else np.maximum(a, b)
-    if isinstance(e, Sum):
-        acc = eval_vec(e.children[0], cols)
-        for c in e.children[1:]:
-            acc = acc + eval_vec(c, cols)
-        return acc
-    acc = eval_vec(e.children[0], cols)
-    for c in e.children[1:]:
-        acc = acc * eval_vec(c, cols)
-    return acc
+    return e.tape.vec(cols)
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +415,7 @@ def clarke_jacobian_bounds(
 
 
 # ---------------------------------------------------------------------------
-# The tape: each tree lowered once, interpreted three ways
+# The tape: each tree lowered once, interpreted four ways
 # ---------------------------------------------------------------------------
 
 # ops whose Clarke rule reads the interval values of their children; neg and
@@ -458,42 +439,50 @@ def _exp_point(x: float) -> float:
         return math.inf
 
 
+def _same(value):
+    return value
+
+
+# op -> code tables, one per compiled interpretation.  {0} and {1} are the
+# children, {arg} the constant, variable index or exponent, and {sum},
+# {prod} and {kids} the children joined by " + ", " * " and ", ".
 _POINT_CODE = {
-    "neg": "-{0}",
-    "sin": "sin({0})",
-    "cos": "cos({0})",
-    "exp": "exp({0})",
-    "sqrt": "sqrt({0})",
-    "arctan": "atan({0})",
-    "abs": "abs({0})",
-    "pow": "pow_float({0}, {arg})",
-    "div": "{0} / {1}",
-    "min": "min({0}, {1})",
-    "max": "max({0}, {1})",
+    "const": "{arg}", "var": "z[{arg}]", "neg": "-{0}",
+    "sin": "sin({0})", "cos": "cos({0})", "exp": "exp({0})", "sqrt": "sqrt({0})",
+    "arctan": "atan({0})", "abs": "abs({0})", "pow": "pow_float({0}, {arg})",
+    "div": "{0} / {1}", "min": "min({0}, {1})", "max": "max({0}, {1})",
+    "sum": "fsum(({kids},))",
+    "prod": "1.0 * {prod}",  # from 1.0, so integer inputs give a float
 }
 _POINT_NAMES = {
     "sin": math.sin, "cos": math.cos, "exp": _exp_point, "sqrt": math.sqrt,
     "atan": math.atan, "pow_float": _pow_float, "fsum": _fsum,
 }
-
-
-def _point_code(op: str, arg, a: list[str]) -> str:
-    if op == "sum":
-        return f"fsum(({''.join(x + ', ' for x in a)}))"
-    if op == "prod":
-        return " * ".join(["1.0", *a])  # from 1.0, so integer inputs give a float
-    return _POINT_CODE[op].format(*a, arg=arg)
-
-
-def _interval_code(op: str, arg, a: list[str]) -> str:
-    # every operator goes through arith, so the inflate mode applies
-    if op == "sum":
-        return " + ".join(a)
-    if op == "prod":
-        return " * ".join(a)
-    if op == "pow":
-        return f"arith('pow_int', {a[0]}, exponent={arg})"
-    return f"arith({op!r}, {', '.join(a)})"
+# the interval operators read the inflate mode on every call
+_INTERVAL_CODE = {
+    "const": "{arg}", "var": "z[{arg}]", "neg": "-{0}",
+    "sin": "isin({0})", "cos": "icos({0})", "exp": "iexp({0})", "sqrt": "isqrt({0})",
+    "arctan": "iarctan({0})", "abs": "iabs({0})", "pow": "ipow({0}, {arg})",
+    "div": "{0} / {1}", "min": "imin({0}, {1})", "max": "imax({0}, {1})",
+    "sum": "{sum}", "prod": "{prod}",
+}
+_INTERVAL_NAMES = {
+    "isin": isin, "icos": icos, "iexp": iexp, "isqrt": isqrt, "iarctan": iarctan,
+    "iabs": iabs, "ipow": ipow, "imin": imin, "imax": imax,
+}
+# z is the (n_vars, n_points) array of columns
+_VEC_CODE = {
+    "const": "full(z.shape[1], {arg})", "var": "z[{arg}]", "neg": "negative({0})",
+    "sin": "sin({0})", "cos": "cos({0})", "exp": "exp({0})", "sqrt": "sqrt({0})",
+    "arctan": "arctan({0})", "abs": "absolute({0})", "pow": "{0} ** float({arg})",
+    "div": "{0} / {1}", "min": "minimum({0}, {1})", "max": "maximum({0}, {1})",
+    "sum": "{sum}", "prod": "{prod}",
+}
+_VEC_NAMES = {
+    "full": np.full, "negative": np.negative, "sin": np.sin, "cos": np.cos,
+    "exp": np.exp, "sqrt": np.sqrt, "arctan": np.arctan, "absolute": np.abs,
+    "minimum": np.minimum, "maximum": np.maximum,
+}
 
 
 class Tape:
@@ -501,9 +490,9 @@ class Tape:
 
     nodes[k] is (op, arg, kids): kids are the slots of earlier nodes, arg is
     the constant, variable index or exponent (None for other ops), and the
-    root is the last node.  `point` and `interval` are straight-line Python
-    compiled from the nodes on first use; `clarke` is one forward pass that
-    carries every node's partials in all columns at once.
+    root is the last node.  `point`, `interval` and `vec` are straight-line
+    code compiled from the nodes on first use; `clarke` is one forward pass
+    that carries every node's partials in all columns at once.
     """
 
     def __init__(self, root: Expr):
@@ -543,9 +532,11 @@ class Tape:
                 needed[c] = needed[k] or op in _READS_VALUES
         self._needed = [k for k in range(len(nodes)) if needed[k]]
 
-    def _compile(self, code, constant, names: dict, slots, result: str):
+    def _compile(self, code: dict, constant, names: dict, slots, result: str):
         """def run(z): one local t<k> per node of slots, in order; return result.
 
+        code maps each op to its line (see _POINT_CODE); constant turns a
+        constant's value into the object the code reads as c<k>.
         Straight-line code leaves no per-node dispatch on the hot path.
         """
         namespace = dict(names)
@@ -553,28 +544,34 @@ class Tape:
         for k in slots:
             op, arg, kids = self.nodes[k]
             if op == "const":
-                namespace[f"t{k}"] = constant(arg)
-            elif op == "var":
-                lines.append(f"    t{k} = z[{arg}]")
-            else:
-                lines.append(f"    t{k} = {code(op, arg, [f't{c}' for c in kids])}")
+                namespace[f"c{k}"] = constant(arg)
+                arg = f"c{k}"
+            a = [f"t{c}" for c in kids]
+            line = code[op].format(*a, arg=arg, kids=", ".join(a),
+                                   sum=" + ".join(a), prod=" * ".join(a))
+            lines.append(f"    t{k} = {line}")
         lines.append(f"    return {result}")
         exec("\n".join(lines), namespace)
         return namespace["run"]
 
+    def _compile_root(self, code: dict, constant, names: dict):
+        root = len(self.nodes) - 1
+        return self._compile(code, constant, names, range(root + 1), f"t{root}")
+
     @cached_property
     def point(self):
         """z -> the value at the point z."""
-        root = len(self.nodes) - 1
-        return self._compile(_point_code, lambda value: value, _POINT_NAMES,
-                             range(root + 1), f"t{root}")
+        return self._compile_root(_POINT_CODE, _same, _POINT_NAMES)
 
     @cached_property
     def interval(self):
         """box.dims -> the natural interval value over the box."""
-        root = len(self.nodes) - 1
-        return self._compile(_interval_code, Interval.point, {"arith": arith},
-                             range(root + 1), f"t{root}")
+        return self._compile_root(_INTERVAL_CODE, Interval.point, _INTERVAL_NAMES)
+
+    @cached_property
+    def vec(self):
+        """cols -> the numpy values at the points that are the columns of cols."""
+        return self._compile_root(_VEC_CODE, _same, _VEC_NAMES)
 
     @cached_property
     def _values(self):
@@ -582,7 +579,7 @@ class Tape:
         needed = set(self._needed)
         result = ", ".join(f"t{k}" if k in needed else "None"
                            for k in range(len(self.nodes)))
-        return self._compile(_interval_code, Interval.point, {"arith": arith},
+        return self._compile(_INTERVAL_CODE, Interval.point, _INTERVAL_NAMES,
                              self._needed, f"({result},)")
 
     def clarke(self, dims: Sequence[Interval]) -> tuple[_Pair, dict[int, _Pair]]:
@@ -691,17 +688,17 @@ def _clarke_rule(op: str, arg, u: list[Interval | None]):
         return _xsum
     if op in ("sin", "cos", "exp"):
         if op == "sin":
-            factor = _xfrom(arith("cos", u[0]))
+            factor = _xfrom(icos(u[0]))
         elif op == "cos":
-            factor = _xneg(_xfrom(arith("sin", u[0])))
+            factor = _xneg(_xfrom(isin(u[0])))
         else:
-            factor = _xfrom(arith("exp", u[0]))
+            factor = _xfrom(iexp(u[0]))
         return lambda d: _xmul(factor, d)
     if op in ("arctan", "sqrt"):
         if op == "arctan":
-            den = Interval(1.0, 1.0) + arith("pow_int", u[0], exponent=2)
+            den = Interval(1.0, 1.0) + ipow(u[0], 2)
         else:
-            den = arith("sqrt", u[0]).scale(2.0)
+            den = isqrt(u[0]).scale(2.0)
         return lambda d: _xdiv_pos(d, den)
     if op == "abs":
         # sign(u) * u'; the kink at 0 contributes conv{+-u'}
@@ -713,11 +710,11 @@ def _clarke_rule(op: str, arg, u: list[Interval | None]):
     if op == "pow":
         if arg == 0:
             return lambda d: _Z
-        factor = _xfrom(arith("pow_int", u[0], exponent=arg - 1).scale(float(arg)))
+        factor = _xfrom(ipow(u[0], arg - 1).scale(float(arg)))
         return lambda d: _xmul(factor, d)
     if op == "div":
         num, den = _xfrom(u[0]), u[1]
-        vsq = arith("pow_int", den, exponent=2)
+        vsq = ipow(den, 2)
         return lambda du, dv: _xdiv_pos(
             _xadd(_xmul(du, _xfrom(den)), _xneg(_xmul(num, dv))), vsq)
     if op in ("min", "max"):

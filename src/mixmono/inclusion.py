@@ -15,7 +15,6 @@ from typing import Callable, Sequence
 
 from .decomp import (
     SELECTORS,
-    TimeSemantics,
     corner_points,
     supporting_vectors,
     t_l_inclusion,
@@ -99,18 +98,27 @@ def t_n_inclusion(f: Sequence[Expr], box: Box) -> Box:
     return Box(eval_interval(e, box) for e in f)
 
 
-def t_c_inclusion(f: Sequence[Expr], jac: JacobianBounds, box: Box) -> Box:
-    """Centered form: f(midpoint) + J . (box - midpoint)."""
-    _finite_jac(jac, "centered form")
+def _centered(
+    f: Sequence[Expr],
+    box: Box,
+    slopes: Callable[[int], Sequence[ClarkeInterval]],
+) -> Box:
+    """Row i: f_i(m) + sum over j of slopes(i)[j] * (box_j - m_j), m the midpoint."""
     m = box.midpoint()
     dims = []
     for i, e in enumerate(f):
         acc = Interval.point(eval_point(e, m))
-        for j, entry in enumerate(jac.row(i)):
+        for j, entry in enumerate(slopes(i)):
             dev = box[j] - Interval.point(m[j])
             acc = acc + Interval(entry.lo, entry.hi) * dev
         dims.append(acc)
     return Box(dims)
+
+
+def t_c_inclusion(f: Sequence[Expr], jac: JacobianBounds, box: Box) -> Box:
+    """Centered form: f(midpoint) + J . (box - midpoint)."""
+    _finite_jac(jac, "centered form")
+    return _centered(f, box, jac.row)
 
 
 def t_m_inclusion(f: Sequence[Expr], jac_provider: JacProvider, box: Box) -> Box:
@@ -130,15 +138,7 @@ def t_m_inclusion(f: Sequence[Expr], jac_provider: JacProvider, box: Box) -> Box
         jac_j = jac_provider(sub)
         _finite_jac(jac_j, "mixed-centered form")
         sub_jacs.append(jac_j)
-    dims = []
-    for i, e in enumerate(f):
-        acc = Interval.point(eval_point(e, m))
-        for j in range(n):
-            entry = sub_jacs[j][i, j]
-            dev = box[j] - Interval.point(m[j])
-            acc = acc + Interval(entry.lo, entry.hi) * dev
-        dims.append(acc)
-    return Box(dims)
+    return _centered(f, box, lambda i: [sub_jacs[j][i, j] for j in range(n)])
 
 
 def best_of(results: Sequence[Box]) -> Box:
@@ -245,14 +245,13 @@ def error_bounds(
     jac_row: Sequence[ClarkeInterval],
     box: Box,
     oracle_range: Interval | None = None,
-    i: int = 0,
 ) -> ErrorBounds:
-    """Error bounds of the remainder-form enclosure of row i, f_i, over box."""
+    """Error bounds of the remainder-form enclosure of f_i over box."""
     a, b = box.hi, box.lo
-    cands = supporting_vectors(jac_row, TimeSemantics.DISCRETE, i)
+    cands = supporting_vectors(jac_row)
     d3, d3p4, d1, d2 = [], [], [], []
     for cand in cands:
-        zp, zm = corner_points(cand, a, b, TimeSemantics.DISCRETE, i)
+        zp, zm = corner_points(cand, a, b)
         delta3 = math.fsum(mj * (u - v) for mj, u, v in zip(cand.m, zm, zp))
         fzp = eval_point(f_i, zp)
         fzm = eval_point(f_i, zm)

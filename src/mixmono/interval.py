@@ -1,10 +1,11 @@
 """Closed-interval and interval-vector (box) arithmetic.
 
-Every operation is pure and returns a sound enclosure of the true range
-under round-to-nearest floating point.  An optional inflate mode widens
-each computed endpoint outward by a few ULPs for callers that need
-conservatism against rounding; it is off by default because the test
-suites work with tolerances.
+Every operation is pure and bounds the range of its operator over its
+arguments, but computes the endpoints in floating point rounded to nearest,
+so an endpoint can miss the exact range by an ULP.  Only the optional
+inflate mode, which widens each computed endpoint outward by a few ULPs,
+guards against that; it is off by default because the test suites work
+with tolerances.
 """
 
 from __future__ import annotations
@@ -224,40 +225,6 @@ def isin(x: Interval) -> Interval:
 
 def icos(x: Interval) -> Interval:
     return _trig_range(x, math.cos, 0.0, math.pi)
-
-
-_UNARY = {
-    "neg": lambda x: -x,
-    "sin": isin,
-    "cos": icos,
-    "exp": iexp,
-    "sqrt": isqrt,
-    "arctan": iarctan,
-    "abs": iabs,
-}
-
-_BINARY = {
-    "add": lambda x, y: x + y,
-    "sub": lambda x, y: x - y,
-    "mul": lambda x, y: x * y,
-    "div": lambda x, y: x / y,
-    "min": imin,
-    "max": imax,
-}
-
-
-def arith(op: str, *args: Interval, exponent: int | None = None) -> Interval:
-    """Uniform entry point over the supported interval operators."""
-    if op == "pow_int":
-        (x,) = args
-        return ipow(x, int(exponent))
-    if op in _UNARY:
-        (x,) = args
-        return _UNARY[op](x)
-    if op in _BINARY:
-        x, y = args
-        return _BINARY[op](x, y)
-    raise ValueError(f"unknown interval operator {op!r}")
 
 
 class Box:

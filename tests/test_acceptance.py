@@ -42,7 +42,7 @@ from mixmono import (
     t_o_vertex_inclusion,
     t_r_inclusion,
 )
-from mixmono.decomp import TimeSemantics, corner_points
+from mixmono.decomp import corner_points
 from mixmono.errors import MixmonoError, NotSignStable, UnboundedBothSides
 from mixmono.inclusion import default_jac_provider
 
@@ -179,7 +179,7 @@ def test_criterion_04_tight_vertex_equivalence():
 def _decomposition_value(f_i, candidates, x, xhat):
     best = math.inf
     for cand in candidates:
-        zp, zm = corner_points(cand, x, xhat, TimeSemantics.DISCRETE, 0)
+        zp, zm = corner_points(cand, x, xhat)
         val = eval_point(f_i, zp) + math.fsum(
             m * (a - b) for m, a, b in zip(cand.m, zm, zp)
         )
@@ -196,7 +196,7 @@ def test_criterion_05_decomposition_axioms():
             jac = clarke_jacobian_bounds([inst.expr], inst.box)
         except UnboundedBothSides:
             continue
-        cands = supporting_vectors(jac.row(0), TimeSemantics.DISCRETE, 0)
+        cands = supporting_vectors(jac.row(0))
         instances.append((inst, cands))
     trials = 1000
     for inst, cands in instances:
@@ -227,7 +227,7 @@ def test_criterion_06_error_bound_chain():
         expr = parse_expr(text, ["x1"])
         jac = clarke_jacobian_bounds([expr], box)
         oracle = sampled_range([expr], box, rng)
-        eb = error_bounds(expr, jac.row(0), box, oracle[0], i=0)
+        eb = error_bounds(expr, jac.row(0), box, oracle[0])
         tr = t_r_inclusion([expr], jac, box)
         measured = hausdorff_q(tr, oracle)
         allowance = 1e-3 * oracle[0].width

@@ -200,3 +200,11 @@ class TestObserveAndCompare:
                 except ValueError:
                     continue
         assert table["remainder"] <= table["jacobian_sign"] + 1e-12
+
+    def test_seed_is_only_a_range_option(self, capsys):
+        # nothing in compare samples, so it takes no --seed
+        code, _, err = run(
+            capsys, "compare", "--model", "vanderpol", "--steps", "1", "--seed", "1"
+        )
+        assert code == 2
+        assert "--seed" in err

@@ -14,7 +14,6 @@ from mixmono import (
     Branch,
     JacobianBounds,
     SupportingVector,
-    TimeSemantics,
     clarke_jacobian_bounds,
     eval_point,
     parse_expr,
@@ -23,11 +22,10 @@ from mixmono import (
     t_o_vertex_inclusion,
     t_r_inclusion,
 )
-from mixmono.decomp import CANDIDATE_CAP, corner_points
+from mixmono.decomp import CANDIDATE_CAP, corner_points, row_candidates
 from mixmono.errors import (
     CandidateExplosion,
     InvertedBounds,
-    MissingDiagonalValue,
     NotSignStable,
     UnboundedBothSides,
 )
@@ -36,8 +34,7 @@ from mixmono.expr import ClarkeInterval
 from conftest import box_subset, rand_instance
 
 
-def decomposition_value(f_i, candidates, x, xhat, semantics, i,
-                        diagonal_value=None) -> float:
+def decomposition_value(f_i, candidates, x, xhat) -> float:
     """min over candidates of the two-argument decomposition at (x, xhat).
 
     With x = box.hi and xhat = box.lo this is the row's upper bound; with the
@@ -45,7 +42,7 @@ def decomposition_value(f_i, candidates, x, xhat, semantics, i,
     """
     best = math.inf
     for cand in candidates:
-        zp, zm = corner_points(cand, x, xhat, semantics, i, diagonal_value)
+        zp, zm = corner_points(cand, x, xhat)
         val = eval_point(f_i, zp) + math.fsum(
             m * (a - b) for m, a, b in zip(cand.m, zm, zp)
         )
@@ -56,35 +53,39 @@ def decomposition_value(f_i, candidates, x, xhat, semantics, i,
 class TestSupportingVectors:
     def test_sign_stable_entry_gives_two_branches(self):
         row = (ClarkeInterval(1.0, 3.0),)
-        cands = supporting_vectors(row, TimeSemantics.DISCRETE, 0)
+        cands = supporting_vectors(row)
         values = sorted(c.m[0] for c in cands)
         assert values == [0.0, 3.0]
 
     def test_straddling_entry(self):
         row = (ClarkeInterval(-2.0, 5.0),)
-        cands = supporting_vectors(row, TimeSemantics.DISCRETE, 0)
+        cands = supporting_vectors(row)
         assert sorted(c.m[0] for c in cands) == [-2.0, 5.0]
 
     def test_one_sided_infinite_entry_drops_that_branch(self):
         row = (ClarkeInterval(0.25, math.inf),)
-        cands = supporting_vectors(row, TimeSemantics.DISCRETE, 0)
+        cands = supporting_vectors(row)
         assert [c.m[0] for c in cands] == [0.0]
 
     def test_two_sided_infinite_entry_rejected(self):
         row = (ClarkeInterval(-math.inf, math.inf),)
         with pytest.raises(UnboundedBothSides):
-            supporting_vectors(row, TimeSemantics.DISCRETE, 0)
+            supporting_vectors(row)
 
     def test_continuous_diagonal_is_pinned(self):
+        # a straddling diagonal entry has two branches, but a pinned row
+        # keeps one zero slope there: 2 candidates, not 4
         row = (ClarkeInterval(-1.0, 1.0), ClarkeInterval(2.0, 3.0))
-        cands = supporting_vectors(row, TimeSemantics.CONTINUOUS, 0)
-        assert all(c.branches[0] is Branch.DIAGONAL for c in cands)
+        jac = JacobianBounds((row,))
+        assert len(row_candidates(jac, "remainder", 0)) == 4
+        cands = row_candidates(jac, "remainder", 0, pinned=True)
         assert len(cands) == 2
+        assert all(c.m[0] == 0.0 for c in cands)
 
     def test_candidate_cap(self):
         row = tuple(ClarkeInterval(-1.0, 1.0) for _ in range(17))
         with pytest.raises(CandidateExplosion):
-            supporting_vectors(row, TimeSemantics.DISCRETE, 0, cap=2**16)
+            supporting_vectors(row, cap=2**16)
 
     def test_cap_constant(self):
         assert CANDIDATE_CAP == 2**16
@@ -94,14 +95,9 @@ class TestCornerPoints:
     def test_branch_to_corner_mapping(self):
         cand = SupportingVector((2.0, -1.0), (Branch.UPPER, Branch.LOWER))
         a, b = (1.0, 1.0), (0.0, 0.0)
-        zp, zm = corner_points(cand, a, b, TimeSemantics.DISCRETE, 0)
+        zp, zm = corner_points(cand, a, b)
         assert zp == (0.0, 1.0)
         assert zm == (1.0, 0.0)
-
-    def test_continuous_requires_diagonal_value(self):
-        cand = SupportingVector((0.0,), (Branch.DIAGONAL,))
-        with pytest.raises(MissingDiagonalValue):
-            corner_points(cand, (1.0,), (0.0,), TimeSemantics.CONTINUOUS, 0)
 
 
 class TestScalarAnchors:
@@ -151,9 +147,9 @@ class TestDecompositionFunction:
             jac = clarke_jacobian_bounds([inst.expr], inst.box)
         except UnboundedBothSides:
             return
-        cands = supporting_vectors(jac.row(0), TimeSemantics.DISCRETE, 0)
+        cands = supporting_vectors(jac.row(0))
         z = tuple(rng.uniform(inst.box.lo, inst.box.hi))
-        d = decomposition_value(inst.expr, cands, z, z, TimeSemantics.DISCRETE, 0)
+        d = decomposition_value(inst.expr, cands, z, z)
         assert d == pytest.approx(eval_point(inst.expr, z), abs=1e-12, rel=1e-12)
 
     @given(st.integers(0, 10_000))
@@ -165,24 +161,18 @@ class TestDecompositionFunction:
             jac = clarke_jacobian_bounds([inst.expr], inst.box)
         except UnboundedBothSides:
             return
-        cands = supporting_vectors(jac.row(0), TimeSemantics.DISCRETE, 0)
+        cands = supporting_vectors(jac.row(0))
         n = len(inst.box)
         lo, hi = np.asarray(inst.box.lo), np.asarray(inst.box.hi)
         for _ in range(25):
             xhat = rng.uniform(lo, hi)
             x = rng.uniform(xhat, hi)
-            base = decomposition_value(
-                inst.expr, cands, tuple(x), tuple(xhat), TimeSemantics.DISCRETE, 0
-            )
+            base = decomposition_value(inst.expr, cands, tuple(x), tuple(xhat))
             x_up = np.minimum(x + rng.uniform(0, 1, n) * (hi - x), hi)
-            up = decomposition_value(
-                inst.expr, cands, tuple(x_up), tuple(xhat), TimeSemantics.DISCRETE, 0
-            )
+            up = decomposition_value(inst.expr, cands, tuple(x_up), tuple(xhat))
             assert up >= base - 1e-9 * (1 + abs(base))
             xhat_up = np.minimum(xhat + rng.uniform(0, 1, n) * (x - xhat), x)
-            down = decomposition_value(
-                inst.expr, cands, tuple(x), tuple(xhat_up), TimeSemantics.DISCRETE, 0
-            )
+            down = decomposition_value(inst.expr, cands, tuple(x), tuple(xhat_up))
             assert down <= base + 1e-9 * (1 + abs(base))
 
 

@@ -142,7 +142,7 @@ class TestErrorBounds:
     def test_cubic_anchor_all_bounds(self):
         jac = clarke_jacobian_bounds([CUBIC], CUBIC_BOX)
         oracle = sampled_range([CUBIC], CUBIC_BOX, np.random.default_rng(0))
-        eb = error_bounds(CUBIC, jac.row(0), CUBIC_BOX, oracle[0], 0)
+        eb = error_bounds(CUBIC, jac.row(0), CUBIC_BOX, oracle[0])
         assert eb.q_upper_hat == pytest.approx(0.4)
         assert eb.q_upper == pytest.approx(0.4)
         assert eb.q_lower_estimate == pytest.approx(0.4, abs=1e-2)
@@ -150,7 +150,7 @@ class TestErrorBounds:
     def test_chain_holds(self):
         jac = clarke_jacobian_bounds([CUBIC], CUBIC_BOX)
         oracle = sampled_range([CUBIC], CUBIC_BOX, np.random.default_rng(0))
-        eb = error_bounds(CUBIC, jac.row(0), CUBIC_BOX, oracle[0], 0)
+        eb = error_bounds(CUBIC, jac.row(0), CUBIC_BOX, oracle[0])
         assert eb.q_lower_estimate <= eb.q_upper + 1e-12
         assert eb.q_upper <= eb.q_upper_hat + 1e-12
 

@@ -1,4 +1,5 @@
-"""Point, interval and Clarke evaluation of the lowered expression tape."""
+"""Point, interval, Clarke and numpy evaluation of the lowered expression tape,
+and the continuous-time embedding built on it."""
 
 from __future__ import annotations
 
@@ -9,22 +10,37 @@ import numpy as np
 import pytest
 
 from mixmono import (
+    JACOBIAN_SIGN,
+    NATURAL,
+    REMAINDER,
+    TIGHT_VERTEX,
     Box,
+    best_of_method,
     clarke_jacobian_bounds,
     eval_interval,
     eval_point,
+    eval_vec,
     load_bundled,
     parse_expr,
+    parse_model,
     set_inflate_mode,
 )
+from mixmono.errors import NotSignStable
 from mixmono.expr import ClarkeInterval
 from mixmono.model import bundled_models
+from mixmono.reach import _embedding_derivative
 
 from conftest import rand_instance
 
 # sha256 of every value below, recorded from the tree-walking evaluators that
 # the tape replaced; any change to a single bit of any value changes it
 EVALUATION_DIGEST = "99fd38a5e0745403b44f3e9fb7e755c693835ec3f989b08d88af45937ca1d9c7"
+# sha256 of the bytes of every eval_vec result below, recorded from the
+# recursive numpy walker that the tape's numpy interpretation replaced
+VECTOR_DIGEST = "811b50954bac4f352b5f0627cdcf68f4579509d5d64fbc230eb7ebc21c8d21fe"
+# sha256 of every continuous-time embedding derivative below, recorded
+# before the diagonal branch left the candidate layer
+EMBEDDING_DIGEST = "8e3eea99b496cc88e2ac11bbf190d4eacef9b688eddf700dcf6709b2cf9e1f4d"
 
 # signed zeros, division by intervals holding 0, kinks at ties, and every
 # operator the random instances leave out
@@ -53,6 +69,11 @@ def _cases():
     for _ in range(200):
         inst = rand_instance(rng)
         yield [inst.expr], inst.box
+
+
+# eval_vec cases on top of EDGE_EXPRESSIONS: roots that are a constant or a
+# variable, a constant folded into a product, and negative powers
+VECTOR_EDGE_EXPRESSIONS = ("2.5", "x2", "sin(2.0)*x1", "x1^-3 + x2^-1", "(x1 + x2)^-2")
 
 
 def _outcome(fn, *args):
@@ -122,3 +143,95 @@ def test_evaluated_expressions_still_pickle():
     value = eval_point(e, [1.0, 2.0])
     copy = pickle.loads(pickle.dumps(e))
     assert copy == e and eval_point(copy, [1.0, 2.0]) == value
+
+
+def _vector_cases():
+    for exprs, box in _cases():
+        yield exprs, box
+    for text in VECTOR_EDGE_EXPRESSIONS:
+        e = parse_expr(text, ["x1", "x2"])
+        yield [e], Box.from_pairs([(-1, 0.5), (0.2, 1.5)])
+        yield [e], Box.from_pairs([(0.5, 2), (-0.3, -0.1)])
+
+
+def test_vector_evaluation_is_bit_identical():
+    h = hashlib.sha256()
+    rng = np.random.default_rng(11)
+    with np.errstate(all="ignore"):
+        for exprs, box in _vector_cases():
+            lo, hi = np.asarray(box.lo), np.asarray(box.hi)
+            samples = rng.uniform(lo, hi, size=(16, len(box))).T
+            corners = np.array(list(box.vertices()), dtype=float).T
+            cols = np.concatenate([samples, corners], axis=1)
+            for e in exprs:
+                vals = _outcome(eval_vec, e, cols)
+                if isinstance(vals, str):
+                    h.update(vals.encode())
+                else:
+                    h.update(f"{vals.dtype.str}{vals.shape}".encode())
+                    h.update(np.ascontiguousarray(vals).tobytes())
+    assert h.hexdigest() == VECTOR_DIGEST
+
+
+_EMBEDDING_MODELS = (
+    # the two models of test_tight_vertex_derivative_reads_raw_bounds, and
+    # one whose diagonal entry straddles zero
+    """system "linear" {
+      time: continuous(dt=0.1);
+      state: x1, x2;
+      dynamics { x1' = -x1 + x2; x2' = -x2; }
+      init: [[0, 1], [0, 1]];
+    }""",
+    """system "big" {
+      time: continuous(dt=0.1);
+      state: x1, x2;
+      dynamics { x1' = 1e300*x2*x2 - x1; x2' = -x2; }
+      init: [[0, 1], [1, 2]];
+    }""",
+    """system "pinned" {
+      time: continuous(dt=0.1);
+      state: x1, x2;
+      dynamics { x1' = 0.5*x1^2 - x2; x2' = -x2; }
+      init: [[-0.5, 0.5], [0.1, 0.2]];
+    }""",
+)
+
+
+def _stages(model, rng):
+    """(xu, xl) pairs: the init box, widened and random boxes around it, a
+    point, one stage whose last coordinate is disordered, and the stages of
+    test_tight_vertex_derivative_reads_raw_bounds."""
+    lo, hi = np.asarray(model.init.lo), np.asarray(model.init.hi)
+    mid = 0.5 * (lo + hi)
+    stages = [(hi, lo), (mid, mid)]
+    for r in (0.1, 0.7, 1.5):
+        stages.append((hi + r, lo - r))
+    for _ in range(3):
+        stages.append((mid + rng.uniform(0, 1, len(mid)), mid - rng.uniform(0, 1, len(mid))))
+    xu, xl = hi + 0.1, lo - 0.1
+    xu[-1], xl[-1] = xl[-1], xu[-1]
+    stages.append((xu, xl))
+    stages += [([1.0, 0.0], [0.0, 1.0]), ([1.0, 1e10], [0.0, 1.0])] if len(mid) == 2 else []
+    return [([float(v) for v in u], [float(v) for v in l]) for u, l in stages]
+
+
+def test_embedding_derivative_is_bit_identical():
+    models = [load_bundled("ct_abate"), load_bundled("unicycle")]
+    models += [parse_model(text) for text in _EMBEDDING_MODELS]
+    methods = (REMAINDER, JACOBIAN_SIGN, TIGHT_VERTEX,
+               best_of_method([NATURAL, JACOBIAN_SIGN, REMAINDER]))
+    h = hashlib.sha256()
+    rng = np.random.default_rng(5)
+    for model in models:
+        for xu, xl in _stages(model, rng):
+            for method in methods:
+                try:
+                    du, dl = _embedding_derivative(model, method, xu, xl)
+                except NotSignStable as exc:
+                    h.update(f"NotSignStable{exc.entries}".encode())
+                except Exception as exc:  # the error type is part of the pinned behaviour
+                    h.update(type(exc).__name__.encode())
+                else:
+                    for x in du + dl:
+                        h.update(float(x).hex().encode())
+    assert h.hexdigest() == EMBEDDING_DIGEST
