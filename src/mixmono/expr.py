@@ -2,9 +2,9 @@
 
 Each tree is lowered once, on first use, to a flat post-order `Tape` that
 is kept on the root node (`Expr.tape`), and the tape is interpreted four
-ways: point values, natural interval values and numpy values over many
-points (`eval_vec`) run as straight-line code compiled from it through one
-op->code table each, and Clarke-derivative bounds come from one forward pass
+ways, each as straight-line code compiled from it through one op->code
+table: point values, natural interval values, numpy values over many points
+(`eval_vec`), and Clarke-derivative bounds, which come from one forward pass
 that carries every node's interval value and all its partials at once
 (forward-mode interval differentiation).  Trees are immutable; sums and
 products are n-ary and flattened by the parser to keep natural-inclusion
@@ -392,14 +392,18 @@ def clarke_jacobian_bounds(
 ) -> JacobianBounds:
     """Symbolic Clarke differentiation + natural interval evaluation.
 
-    overrides replaces individual (row, col) entries, e.g. with tighter
-    analytically-known bounds from a model file.  A row whose entries are
-    all overridden is never evaluated.
+    Each row runs its tape's compiled Clarke pass (`Tape.clarke`) once over
+    the box.  overrides replaces individual (row, col) entries, e.g. with
+    tighter analytically-known bounds from a model file.  A row whose
+    entries are all overridden is never evaluated.  A row that reads a
+    variable outside the box raises DimensionMismatch.
     """
     n_z = len(box)
     rows = []
     bad = []
     for i, e in enumerate(exprs):
+        if e.tape.max_var >= n_z:
+            raise DimensionMismatch(f"row {i} references variable outside box")
         fixed = {j: overrides[(i, j)] for j in range(n_z) if (i, j) in (overrides or ())}
         if len(fixed) < n_z:
             default, partials = e.tape.clarke(box.dims)
@@ -417,13 +421,6 @@ def clarke_jacobian_bounds(
 # ---------------------------------------------------------------------------
 # The tape: each tree lowered once, interpreted four ways
 # ---------------------------------------------------------------------------
-
-# ops whose Clarke rule reads the interval values of their children; neg and
-# sum only combine the children's partials
-_READS_VALUES = frozenset(
-    ("sin", "cos", "exp", "sqrt", "arctan", "abs", "pow", "div", "min", "max", "prod")
-)
-
 
 def _fsum(terms: tuple[float, ...]) -> float:
     try:
@@ -490,9 +487,12 @@ class Tape:
 
     nodes[k] is (op, arg, kids): kids are the slots of earlier nodes, arg is
     the constant, variable index or exponent (None for other ops), and the
-    root is the last node.  `point`, `interval` and `vec` are straight-line
-    code compiled from the nodes on first use; `clarke` is one forward pass
-    that carries every node's partials in all columns at once.
+    root is the last node.  `point`, `interval`, `vec` and `clarke` are
+    straight-line code compiled from the nodes on first use, each through
+    its own op->code table.  `clarke` is a forward pass that carries every
+    node's partials sparsely: a default plus one local per column its
+    subtree reads, which the tape fixes, so the code has one line per node
+    and column.
     """
 
     def __init__(self, root: Expr):
@@ -522,22 +522,14 @@ class Tape:
         lower(root)
         self.nodes = tuple(nodes)
         self.max_var = max((arg for op, arg, _ in nodes if op == "var"), default=-1)
-        # The Clarke pass needs a node's interval value only below an op that
-        # reads values.  Evaluating any other node could raise where the
-        # partials are well defined: 1/x1 over a box holding 0.
-        needed = [False] * len(nodes)
-        for k in reversed(range(len(nodes))):
-            op, _, kids = nodes[k]
-            for c in kids:
-                needed[c] = needed[k] or op in _READS_VALUES
-        self._needed = [k for k in range(len(nodes)) if needed[k]]
 
-    def _compile(self, code: dict, constant, names: dict, slots, result: str):
-        """def run(z): one local t<k> per node of slots, in order; return result.
+    def _compile(self, code: dict, constant, names: dict, slots, tail):
+        """def run(z): one local t<k> per node of slots, in order, then tail.
 
         code maps each op to its line (see _POINT_CODE); constant turns a
-        constant's value into the object the code reads as c<k>.
-        Straight-line code leaves no per-node dispatch on the hot path.
+        constant's value into the object the code reads as c<k>; tail is
+        the lines that follow, the last a return.  Straight-line code leaves
+        no per-node dispatch on the hot path.
         """
         namespace = dict(names)
         lines = ["def run(z):"]
@@ -550,13 +542,13 @@ class Tape:
             line = code[op].format(*a, arg=arg, kids=", ".join(a),
                                    sum=" + ".join(a), prod=" * ".join(a))
             lines.append(f"    t{k} = {line}")
-        lines.append(f"    return {result}")
+        lines += [f"    {line}" for line in tail]
         exec("\n".join(lines), namespace)
         return namespace["run"]
 
     def _compile_root(self, code: dict, constant, names: dict):
         root = len(self.nodes) - 1
-        return self._compile(code, constant, names, range(root + 1), f"t{root}")
+        return self._compile(code, constant, names, range(root + 1), [f"return t{root}"])
 
     @cached_property
     def point(self):
@@ -574,39 +566,51 @@ class Tape:
         return self._compile_root(_VEC_CODE, _same, _VEC_NAMES)
 
     @cached_property
-    def _values(self):
-        """box.dims -> per slot, the interval value the Clarke pass reads, or None."""
-        needed = set(self._needed)
-        result = ", ".join(f"t{k}" if k in needed else "None"
-                           for k in range(len(self.nodes)))
-        return self._compile(_INTERVAL_CODE, Interval.point, _INTERVAL_NAMES,
-                             self._needed, f"({result},)")
+    def clarke(self):
+        """box.dims -> (default, partials), every Clarke partial of the root.
 
-    def clarke(self, dims: Sequence[Interval]) -> tuple[_Pair, dict[int, _Pair]]:
-        """Enclosures of every Clarke partial of the root over the box dims.
-
-        Returns (default, partials): partials[j] bounds the j-th partial as a
-        (lo, hi) pair, and every column missing from it equals default.  The
-        pass keeps each node's partials in that sparse form, so a node costs
-        one rule application per column its subtree reads, plus one.
+        partials[j] bounds the j-th partial as a (lo, hi) pair, and every
+        column missing from it equals default.  The code first computes the
+        interval values the rules read, then per node one factor line from
+        them (see _CLARKE_CODE) and one line each for its default and for
+        every column its subtree reads.
         """
-        values = self._values(dims)
-        parts: list[tuple[_Pair, dict[int, _Pair]]] = []
-        for op, arg, kids in self.nodes:
+        nodes = self.nodes
+        # A node's interval value is computed only below an op that reads
+        # values.  Evaluating any other node could raise where the partials
+        # are well defined: 1/x1 over a box holding 0.
+        needed = [False] * len(nodes)
+        for k in reversed(range(len(nodes))):
+            op, _, kids = nodes[k]
+            for c in kids:
+                needed[c] = needed[k] or _CLARKE_CODE[op][0] is not None
+        # local[k][j] names the local holding node k's partial in column j,
+        # and local[k][None] the one holding its default
+        local: list[dict] = []
+        lines = []
+        for k, (op, arg, kids) in enumerate(nodes):
             if op == "const":
-                parts.append((_Z, {}))
+                local.append({None: "Z"})
                 continue
             if op == "var":
-                parts.append((_Z, {arg: _ONE}))
+                local.append({None: "Z", arg: "ONE"})
                 continue
-            rule = _clarke_rule(op, arg, [values[c] for c in kids])
-            sub = [parts[c] for c in kids]
-            default = rule(*[d for d, _ in sub])
-            cols = set().union(*[p for _, p in sub])
-            parts.append((default, {
-                j: rule(*[p.get(j, d) for d, p in sub]) for j in cols
-            }))
-        return parts[-1]
+            factor, apply = _CLARKE_CODE["pow0" if op == "pow" and arg == 0 else op]
+            if factor is not None:
+                values = [f"t{c}" for c in kids]
+                lines.append(f"f{k} = " + factor.format(
+                    *values, arg=arg, pairs=", ".join(f"xfrom({v})" for v in values)))
+            here = {}
+            for j in [None, *sorted(set().union(*(local[c] for c in kids)) - {None})]:
+                a = [local[c].get(j, local[c][None]) for c in kids]
+                here[j] = f"d{k}" if j is None else f"p{k}_{j}"
+                lines.append(f"{here[j]} = " + apply.format(*a, f=f"f{k}", kids=", ".join(a)))
+            local.append(here)
+        root = local[-1]
+        partials = ", ".join(f"{j}: {name}" for j, name in root.items() if j is not None)
+        lines.append(f"return {root[None]}, {{{partials}}}")
+        slots = [k for k in range(len(nodes)) if needed[k]]
+        return self._compile(_INTERVAL_CODE, Interval.point, _CLARKE_NAMES, slots, lines)
 
 
 # A Clarke partial during the forward pass: (lo, hi) in the extended reals.
@@ -677,74 +681,69 @@ def _xsum(*terms: _Pair) -> _Pair:
     return acc
 
 
-def _clarke_rule(op: str, arg, u: list[Interval | None]):
-    """The node's partial in one column, as a function of its children's.
+def _xprod(factors: tuple[_Pair, ...], ds: tuple[_Pair, ...]) -> _Pair:
+    """The product rule: sum over i of ds[i] times every factor but the i-th."""
+    acc = _Z
+    for i, d in enumerate(ds):
+        if d == _Z:
+            continue  # a zero partial times anything is (0.0, 0.0)
+        term = d
+        for k, f in enumerate(factors):
+            if k != i:
+                term = _xmul(term, f)
+        acc = _xadd(acc, term)
+    return acc
 
-    u holds the children's interval values (None where the rule reads none).
-    """
-    if op == "neg":
-        return _xneg
-    if op == "sum":
-        return _xsum
-    if op in ("sin", "cos", "exp"):
-        if op == "sin":
-            factor = _xfrom(icos(u[0]))
-        elif op == "cos":
-            factor = _xneg(_xfrom(isin(u[0])))
-        else:
-            factor = _xfrom(iexp(u[0]))
-        return lambda d: _xmul(factor, d)
-    if op in ("arctan", "sqrt"):
-        if op == "arctan":
-            den = Interval(1.0, 1.0) + ipow(u[0], 2)
-        else:
-            den = isqrt(u[0]).scale(2.0)
-        return lambda d: _xdiv_pos(d, den)
-    if op == "abs":
-        # sign(u) * u'; the kink at 0 contributes conv{+-u'}
-        if u[0].lo > 0.0:
-            return lambda d: d
-        if u[0].hi < 0.0:
-            return _xneg
-        return lambda d: _xmul((-1.0, 1.0), d)
-    if op == "pow":
-        if arg == 0:
-            return lambda d: _Z
-        factor = _xfrom(ipow(u[0], arg - 1).scale(float(arg)))
-        return lambda d: _xmul(factor, d)
-    if op == "div":
-        num, den = _xfrom(u[0]), u[1]
-        vsq = ipow(den, 2)
-        return lambda du, dv: _xdiv_pos(
-            _xadd(_xmul(du, _xfrom(den)), _xneg(_xmul(num, dv))), vsq)
-    if op in ("min", "max"):
-        a, b = u
-        if op == "min":
-            if a.hi < b.lo:
-                return lambda da, db: da
-            if b.hi < a.lo:
-                return lambda da, db: db
-        else:
-            if a.lo > b.hi:
-                return lambda da, db: da
-            if b.lo > a.hi:
-                return lambda da, db: db
-        # branches can tie: hull of both branch derivatives
-        return lambda da, db: (min(da[0], db[0]), max(da[1], db[1]))
-    if op == "prod":
-        factors = [_xfrom(iv) for iv in u]
 
-        def product_rule(*ds: _Pair) -> _Pair:
-            acc = _Z
-            for i, d in enumerate(ds):
-                if d == _Z:
-                    continue  # a zero partial times anything is (0.0, 0.0)
-                term = d
-                for k, f in enumerate(factors):
-                    if k != i:
-                        term = _xmul(term, f)
-                acc = _xadd(acc, term)
-            return acc
+def _xkink(d: _Pair) -> _Pair:
+    return _xmul((-1.0, 1.0), d)
 
-        return product_rule
-    raise ValueError(f"unknown op {op!r}")
+
+def _first(a: _Pair, b: _Pair) -> _Pair:
+    return a
+
+
+def _second(a: _Pair, b: _Pair) -> _Pair:
+    return b
+
+
+def _xhull(a: _Pair, b: _Pair) -> _Pair:
+    return (min(a[0], b[0]), max(a[1], b[1]))
+
+
+# op -> (factor, apply) code for the compiled Clarke pass.  The factor line
+# runs once per node and reads the children's interval values {0} and {1},
+# or {pairs}, all of them as (lo, hi) pairs; None means the rule reads no
+# values.  The apply line runs for the node's default and for each column
+# its subtree reads; it reads the children's partials in that column, {0}
+# and {1} or all of them as {kids}, and the factor {f}.  A rule whose branch
+# depends on the values (abs, min, max) picks its apply function in the
+# factor line.  The interval operators read the inflate mode on every call.
+_CLARKE_CODE = {
+    "neg": (None, "xneg({0})"),
+    "sum": (None, "xsum({kids})"),
+    "sin": ("xfrom(icos({0}))", "xmul({f}, {0})"),
+    "cos": ("xneg(xfrom(isin({0})))", "xmul({f}, {0})"),
+    "exp": ("xfrom(iexp({0}))", "xmul({f}, {0})"),
+    "arctan": ("one + ipow({0}, 2)", "xdiv_pos({0}, {f})"),
+    "sqrt": ("isqrt({0}).scale(2.0)", "xdiv_pos({0}, {f})"),
+    # sign(u) * u'; the kink at 0 contributes conv{+-u'}
+    "abs": ("same if {0}.lo > 0.0 else xneg if {0}.hi < 0.0 else xkink", "{f}({0})"),
+    "pow": ("xfrom(ipow({0}, {arg} - 1).scale({arg}.0))", "xmul({f}, {0})"),
+    "pow0": (None, "Z"),  # x^0 is constant
+    # (u'v - uv') / v^2, with v as a pair and v^2 as an interval
+    "div": ("xfrom({0}), xfrom({1}), ipow({1}, 2)",
+            "xdiv_pos(xadd(xmul({0}, {f}[1]), xneg(xmul({f}[0], {1}))), {f}[2])"),
+    # where no branch wins outright they can tie: the hull of both
+    "min": ("first if {0}.hi < {1}.lo else second if {1}.hi < {0}.lo else xhull",
+            "{f}({0}, {1})"),
+    "max": ("first if {0}.lo > {1}.hi else second if {1}.lo > {0}.hi else xhull",
+            "{f}({0}, {1})"),
+    "prod": ("({pairs},)", "xprod({f}, ({kids},))"),
+}
+_CLARKE_NAMES = {
+    **_INTERVAL_NAMES, "Z": _Z, "ONE": _ONE, "one": Interval(1.0, 1.0),
+    "xneg": _xneg, "xsum": _xsum, "xmul": _xmul, "xadd": _xadd, "xfrom": _xfrom,
+    "xdiv_pos": _xdiv_pos, "xprod": _xprod, "xkink": _xkink, "same": _same,
+    "first": _first, "second": _second, "xhull": _xhull,
+}

@@ -84,6 +84,9 @@ def observe(
     if cfg is None:
         cfg = InversionConfig()
     obs = model.observation
+    for m in measurements:
+        if not all(math.isfinite(v) for v in (m.t, *m.y)):
+            raise ValidationError(f"measurement at t={m.t} is not finite: {m.y}")
     for a, b in zip(measurements, measurements[1:]):
         if b.t <= a.t:
             raise ValidationError("measurement timestamps must be strictly increasing")

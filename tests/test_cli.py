@@ -185,6 +185,17 @@ class TestObserveAndCompare:
         assert code == 2
         assert "2" in err
 
+    @pytest.mark.parametrize("row", ["inf,2,0.5,2,-0.5", "nan,2,0.5,2,-0.5",
+                                     "0.0,2,-inf,2,-0.5", "0.0,2,0.5,nan,-0.5"])
+    def test_observe_rejects_non_finite_measurements(self, capsys, tmp_path, row):
+        p = tmp_path / "meas.csv"
+        p.write_text(f"t,y1,y2,y3,y4\n{row}\n")
+        code, _, err = run(
+            capsys, "observe", "--model", "unicycle", "--measurements", str(p),
+        )
+        assert code == 2
+        assert "finite" in err
+
     def test_compare_orders_methods(self, capsys):
         code, out, _ = run(
             capsys, "compare", "--model", "vanderpol", "--steps", "10"

@@ -19,6 +19,7 @@ from mixmono import (
     to_string,
 )
 from mixmono.errors import (
+    DimensionMismatch,
     ExprSyntaxError,
     UnboundedBothSides,
     UnknownIdentifier,
@@ -155,6 +156,12 @@ class TestClarkeBounds:
         assert entry.lo == 0.25
         assert not math.isfinite(entry.hi)
         assert entry.finite_both is False
+
+    @pytest.mark.parametrize("text", ["x1 + x2", "sin(x2)", "x1*x2"])
+    def test_box_too_narrow_raises(self, text):
+        # as eval_interval does; x1 + x2 used to drop its x2 partial
+        with pytest.raises(DimensionMismatch):
+            clarke_jacobian_bounds([parse_expr(text, XY)], Box.from_pairs([(0, 1)]))
 
     def test_unbounded_both_sides_raises(self):
         e = parse_expr("sqrt(abs(x1))", ["x1"])

@@ -27,6 +27,7 @@ from mixmono import (
 )
 from mixmono.errors import NotSignStable
 from mixmono.expr import ClarkeInterval
+from mixmono.interval import Interval, isin
 from mixmono.model import bundled_models
 from mixmono.reach import _embedding_derivative
 
@@ -41,6 +42,9 @@ VECTOR_DIGEST = "811b50954bac4f352b5f0627cdcf68f4579509d5d64fbc230eb7ebc21c8d21f
 # sha256 of every continuous-time embedding derivative below, recorded
 # before the diagonal branch left the candidate layer
 EMBEDDING_DIGEST = "8e3eea99b496cc88e2ac11bbf190d4eacef9b688eddf700dcf6709b2cf9e1f4d"
+# sha256 of every Clarke value below in inflate mode, recorded from the
+# interpreted Clarke pass that the compiled one replaced
+INFLATE_CLARKE_DIGEST = "0a4971afdafff7fed090e6a89cb26b298110a256448ff09be05a0168a149f6d4"
 
 # signed zeros, division by intervals holding 0, kinks at ties, and every
 # operator the random instances leave out
@@ -88,26 +92,63 @@ def _endpoints(iv):
     return [iv.lo, iv.hi]
 
 
+def _jacobian_outcome(exprs, box):
+    jac = _outcome(clarke_jacobian_bounds, exprs, box)
+    if isinstance(jac, str):
+        return jac
+    return [x for row in jac.entries for c in row for x in (c.lo, c.hi)]
+
+
+def _put(h, value):
+    if isinstance(value, str):
+        h.update(value.encode())
+    else:
+        for x in value:
+            h.update(float(x).hex().encode())
+
+
 def test_evaluations_are_bit_identical():
     h = hashlib.sha256()
-
-    def put(value):
-        if isinstance(value, str):
-            h.update(value.encode())
-        else:
-            for x in value:
-                h.update(float(x).hex().encode())
-
     for exprs, box in _cases():
         points = [*box.vertices(), box.midpoint()]
         for e in exprs:
             for z in points:
-                put(_outcome(lambda: [eval_point(e, z)]))
-            put(_outcome(lambda: _endpoints(eval_interval(e, box))))
-        jac = _outcome(clarke_jacobian_bounds, exprs, box)
-        put(jac if isinstance(jac, str)
-            else [x for row in jac.entries for c in row for x in (c.lo, c.hi)])
+                _put(h, _outcome(lambda: [eval_point(e, z)]))
+            _put(h, _outcome(lambda: _endpoints(eval_interval(e, box))))
+        _put(h, _jacobian_outcome(exprs, box))
     assert h.hexdigest() == EVALUATION_DIGEST
+
+
+def test_clarke_in_inflate_mode_is_bit_identical():
+    # every case runs once in nearest mode first, so whatever the Clarke
+    # pass builds on first use is built before the mode flips: a compiled
+    # pass that froze an interval result would miss the widening
+    cases = list(_cases())
+    for exprs, box in cases:
+        _jacobian_outcome(exprs, box)
+    h = hashlib.sha256()
+    set_inflate_mode(True)
+    try:
+        for exprs, box in cases:
+            _put(h, _jacobian_outcome(exprs, box))
+    finally:
+        set_inflate_mode(False)
+    assert h.hexdigest() == INFLATE_CLARKE_DIGEST
+
+
+def test_clarke_of_constant_and_variable_roots():
+    # a root that is a constant or a variable has no rule to apply, and a
+    # constant subtree's partials are all zero; hex tells signed zeros apart
+    box = Box.from_pairs([(-1, 0.5), (0.2, 1.5)])
+    s = isin(Interval.point(2.0))
+    expected = {
+        "2.5": [0.0, 0.0, 0.0, 0.0],
+        "x2": [0.0, 0.0, 1.0, 1.0],
+        "sin(2.0)*x1": [s.lo, s.hi, 0.0, 0.0],
+    }
+    for text, row in expected.items():
+        got = _jacobian_outcome([parse_expr(text, ["x1", "x2"])], box)
+        assert list(map(float.hex, got)) == list(map(float.hex, row)), text
 
 
 def test_overridden_rows_are_never_evaluated():
