@@ -40,6 +40,7 @@ from .errors import (
 from .interval import (
     Box,
     Interval,
+    _exp_float,
     _pow_float,
     iabs,
     iarctan,
@@ -429,13 +430,6 @@ def _fsum(terms: tuple[float, ...]) -> float:
         return sum(terms)  # overflow degrades to inf/nan; callers saturate
 
 
-def _exp_point(x: float) -> float:
-    try:
-        return math.exp(x)
-    except OverflowError:
-        return math.inf
-
-
 def _same(value):
     return value
 
@@ -452,10 +446,10 @@ _POINT_CODE = {
     "prod": "1.0 * {prod}",  # from 1.0, so integer inputs give a float
 }
 _POINT_NAMES = {
-    "sin": math.sin, "cos": math.cos, "exp": _exp_point, "sqrt": math.sqrt,
+    "sin": math.sin, "cos": math.cos, "exp": _exp_float, "sqrt": math.sqrt,
     "atan": math.atan, "pow_float": _pow_float, "fsum": _fsum,
 }
-# the interval operators read the inflate mode on every call
+# the interval operators round each endpoint outward (see interval.py)
 _INTERVAL_CODE = {
     "const": "{arg}", "var": "z[{arg}]", "neg": "-{0}",
     "sin": "isin({0})", "cos": "icos({0})", "exp": "iexp({0})", "sqrt": "isqrt({0})",
@@ -718,7 +712,9 @@ def _xhull(a: _Pair, b: _Pair) -> _Pair:
 # its subtree reads; it reads the children's partials in that column, {0}
 # and {1} or all of them as {kids}, and the factor {f}.  A rule whose branch
 # depends on the values (abs, min, max) picks its apply function in the
-# factor line.  The interval operators read the inflate mode on every call.
+# factor line.  The interval values the factor lines read are rounded
+# outward; the pair arithmetic of the partials (_xadd, _xmul, _xdiv_pos)
+# still rounds to nearest.
 _CLARKE_CODE = {
     "neg": (None, "xneg({0})"),
     "sum": (None, "xsum({kids})"),

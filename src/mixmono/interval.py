@@ -1,15 +1,29 @@
 """Closed-interval and interval-vector (box) arithmetic.
 
-Every operation is pure and bounds the range of its operator over its
-arguments, but computes the endpoints in floating point rounded to nearest,
-so an endpoint can miss the exact range by an ULP.  Only the optional
-inflate mode, which widens each computed endpoint outward by a few ULPs,
-guards against that; it is off by default because the test suites work
-with tolerances.
+Every operation encloses the exact real range of its operator over its
+arguments, under one rounding policy: an endpoint computed in floating point
+is rounded outward, and an exact endpoint stays put (outward rounding as in
+Moore, Kearfott & Cloud, Introduction to Interval Analysis, 2009).
+
+- ``+ - * /`` and ``sqrt`` are correctly rounded, so an inexact endpoint
+  moves out one ULP.  A sum s of a and b is exact when s - a == b and
+  s - b == a; a product, quotient or square root when Dekker's error-free
+  product leaves no error.
+- ``sin cos exp arctan`` and integer powers come from libm, which glibc
+  documents as within one ULP of the true value for them, so an endpoint
+  moves out by a budget of two ULPs; a power whose partial products are all
+  exact stays put.  sin and cos are clamped to [-1, 1], exp to [0, inf).
+- An exact zero stays zero, so an entry that is sign-stable in real
+  arithmetic stays sign-stable: a zero from a zero operand, from exact
+  cancellation in a sum, x^0 and x^1, and the 0 that starts an even power
+  of a sign-spanning base.  A product, quotient or power of nonzero
+  operands that underflows to 0 is inexact and widens.
+- Negation, abs, min, max, hull and intersection are exact.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from sys import float_info
@@ -17,29 +31,66 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import DimensionMismatch, DivisionByZeroInterval, DomainError
 
-_INFLATE_ULPS = 0
 _TWO_PI = 2.0 * math.pi
-
-
-def set_inflate_mode(enabled: bool, ulps: int = 4) -> None:
-    """Globally enable/disable outward widening of interval endpoints."""
-    global _INFLATE_ULPS
-    _INFLATE_ULPS = ulps if enabled else 0
-
-
-def _step_down(x: float, n: int) -> float:
-    for _ in range(n):
-        x = math.nextafter(x, -math.inf)
-    return x
-
-
-def _step_up(x: float, n: int) -> float:
-    for _ in range(n):
-        x = math.nextafter(x, math.inf)
-    return x
-
-
 _MAXF = float_info.max
+_NEG, _POS = -math.inf, math.inf
+# Veltkamp's splitter for Dekker's product, and the magnitude below which a
+# product's partial terms can underflow, so that it is not tested
+_SPLIT = 134217729.0  # 2**27 + 1
+_TINY = 2.0**-960
+
+
+def _libm(x: float, toward: float) -> float:
+    """A libm value moved toward +-inf by its budget of two ULPs."""
+    return math.nextafter(math.nextafter(x, toward), toward)
+
+
+def _product_exact(p: float, x: float, y: float) -> bool:
+    """Whether p, the rounded x * y, equals it (Dekker's product)."""
+    if x == 0.0 or y == 0.0:
+        return True
+    if not abs(p) >= _TINY:  # an underflow, or too close to one to test
+        return False
+    # overflow in the split or the partial products gives inf or nan, which
+    # never compares equal to 0.0, so such a product counts as inexact
+    cx, cy = _SPLIT * x, _SPLIT * y
+    xh, yh = cx - (cx - x), cy - (cy - y)
+    xl, yl = x - xh, y - yh
+    return ((xh * yh - p) + xh * yl + xl * yh) + xl * yl == 0.0
+
+
+def _mul(x: float, y: float, toward: float) -> float:
+    """x * y rounded toward +-inf."""
+    p = x * y
+    return p if _product_exact(p, x, y) else math.nextafter(p, toward)
+
+
+def _div(x: float, y: float, toward: float) -> float:
+    """x / y rounded toward +-inf; q is exact when q * y is exactly x."""
+    q = x / y
+    p = q * y
+    return q if p == x and _product_exact(p, q, y) else math.nextafter(q, toward)
+
+
+def _add(x: float, y: float, toward: float) -> float:
+    """x + y rounded toward +-inf; a zero sum is always exact."""
+    s = x + y
+    return s if s - x == y and s - y == x else math.nextafter(s, toward)
+
+
+def _pow(x: float, n: int, toward: float) -> float:
+    """x**n (n >= 2) rounded toward +-inf.
+
+    x**n is exact only if every partial product x**k is, and then it is
+    their last; otherwise libm's x**n moves out by its budget.
+    """
+    q = x
+    for _ in range(n - 1):
+        r = q * x
+        if not _product_exact(r, q, x):
+            return _libm(_pow_float(x, n), toward)
+        q = r
+    return q
 
 
 def saturate(x: float, upper: bool) -> float:
@@ -79,14 +130,6 @@ class Interval:
     def point(x: float) -> "Interval":
         return Interval(x, x)
 
-    @staticmethod
-    def make(lo: float, hi: float) -> "Interval":
-        """Build an interval, applying the inflate mode if active."""
-        if _INFLATE_ULPS:
-            lo = _step_down(lo, _INFLATE_ULPS)
-            hi = _step_up(hi, _INFLATE_ULPS)
-        return Interval(lo, hi)
-
     @property
     def width(self) -> float:
         return self.hi - self.lo
@@ -101,34 +144,44 @@ class Interval:
     def contains_interval(self, other: "Interval", tol: float = 0.0) -> bool:
         return self.lo - tol <= other.lo and other.hi <= self.hi + tol
 
-    def straddles_zero(self) -> bool:
-        return self.lo < 0.0 < self.hi
-
     # --- arithmetic -------------------------------------------------
 
     def __add__(self, other: "Interval") -> "Interval":
-        return Interval.make(self.lo + other.lo, self.hi + other.hi)
+        return Interval(_add(self.lo, other.lo, _NEG), _add(self.hi, other.hi, _POS))
 
     def __sub__(self, other: "Interval") -> "Interval":
-        return Interval.make(self.lo - other.hi, self.hi - other.lo)
+        return Interval(_add(self.lo, -other.hi, _NEG), _add(self.hi, -other.lo, _POS))
 
     def __neg__(self) -> "Interval":
         return Interval(-self.hi, -self.lo)
 
     def __mul__(self, other: "Interval") -> "Interval":
-        c = (self.lo * other.lo, self.lo * other.hi,
-             self.hi * other.lo, self.hi * other.hi)
-        return Interval.make(min(c), max(c))
+        # the corner that attains each end follows from the signs; y is an
+        # operand that does not span 0, if there is one
+        x, y = (self, other) if other.lo >= 0.0 or other.hi <= 0.0 else (other, self)
+        a, b, c, d = x.lo, x.hi, y.lo, y.hi
+        if c >= 0.0:
+            return Interval(_mul(a, c if a >= 0.0 else d, _NEG),
+                            _mul(b, d if b >= 0.0 else c, _POS))
+        if d <= 0.0:
+            return Interval(_mul(b, c if b >= 0.0 else d, _NEG),
+                            _mul(a, d if a >= 0.0 else c, _POS))
+        return Interval(min(_mul(a, d, _NEG), _mul(b, c, _NEG)),
+                        max(_mul(a, c, _POS), _mul(b, d, _POS)))
 
     def __truediv__(self, other: "Interval") -> "Interval":
-        if other.lo <= 0.0 <= other.hi:
-            raise DivisionByZeroInterval(f"divisor {other} contains zero")
-        c = (self.lo / other.lo, self.lo / other.hi,
-             self.hi / other.lo, self.hi / other.hi)
-        return Interval.make(min(c), max(c))
+        a, b, c, d = self.lo, self.hi, other.lo, other.hi
+        if c > 0.0:
+            return Interval(_div(a, d if a >= 0.0 else c, _NEG),
+                            _div(b, c if b >= 0.0 else d, _POS))
+        if d < 0.0:
+            return Interval(_div(b, d if b >= 0.0 else c, _NEG),
+                            _div(a, c if a >= 0.0 else d, _POS))
+        raise DivisionByZeroInterval(f"divisor {other} contains zero")
 
     def scale(self, a: float) -> "Interval":
-        return Interval.make(*sorted((a * self.lo, a * self.hi)))
+        lo, hi = (self.lo, self.hi) if a >= 0.0 else (self.hi, self.lo)
+        return Interval(_mul(a, lo, _NEG), _mul(a, hi, _POS))
 
     def hull(self, other: "Interval") -> "Interval":
         return Interval(min(self.lo, other.lo), max(self.hi, other.hi))
@@ -156,20 +209,28 @@ def ipow(x: Interval, n: int) -> Interval:
     """
     if n == 0:
         return Interval(1.0, 1.0)
+    if n == 1:
+        return x
     if n < 0:
         return Interval(1.0, 1.0) / ipow(x, -n)
-    a, b = _pow_float(x.lo, n), _pow_float(x.hi, n)
-    if n % 2 == 0:
-        if x.lo <= 0.0 <= x.hi:
-            return Interval.make(0.0, max(a, b))
-        return Interval.make(min(a, b), max(a, b))
-    return Interval.make(a, b)
+    # even powers fall over the negatives, so there the ends swap
+    lo, hi = (x.hi, x.lo) if n % 2 == 0 and x.hi < 0.0 else (x.lo, x.hi)
+    if n % 2 == 0 and lo <= 0.0 <= hi:
+        return Interval(0.0, max(_pow(lo, n, _POS), _pow(hi, n, _POS)))
+    return Interval(_pow(lo, n, _NEG), _pow(hi, n, _POS))
 
 
 def isqrt(x: Interval) -> Interval:
     if x.lo < 0.0:
         raise DomainError(f"sqrt of interval with negative lower bound: {x}")
-    return Interval.make(math.sqrt(x.lo), math.sqrt(x.hi))
+    return Interval(_sqrt(x.lo, _NEG), _sqrt(x.hi, _POS))
+
+
+def _sqrt(x: float, toward: float) -> float:
+    """sqrt(x) rounded toward +-inf; r is exact when r * r is exactly x."""
+    r = math.sqrt(x)
+    p = r * r
+    return r if p == x and _product_exact(p, r, r) else math.nextafter(r, toward)
 
 
 def _exp_float(x: float) -> float:
@@ -180,11 +241,20 @@ def _exp_float(x: float) -> float:
 
 
 def iexp(x: Interval) -> Interval:
-    return Interval.make(_exp_float(x.lo), _exp_float(x.hi))
+    return Interval(max(0.0, _libm(_exp_float(x.lo), _NEG)), _libm(_exp_float(x.hi), _POS))
+
+
+def _libm_hull(a: float, b: float) -> tuple[float, float]:
+    """The outward hull of two sin, cos or arctan values.
+
+    A zero is exact: sin and arctan are 0 only at 0, and cos at no float.
+    """
+    lo, hi = min(a, b), max(a, b)
+    return (lo if lo == 0.0 else _libm(lo, _NEG)), (hi if hi == 0.0 else _libm(hi, _POS))
 
 
 def iarctan(x: Interval) -> Interval:
-    return Interval.make(math.atan(x.lo), math.atan(x.hi))
+    return Interval(*_libm_hull(math.atan(x.lo), math.atan(x.hi)))
 
 
 def iabs(x: Interval) -> Interval:
@@ -205,18 +275,25 @@ def imax(x: Interval, y: Interval) -> Interval:
 
 def _trig_range(x: Interval, fn, crest_phase: float, trough_phase: float) -> Interval:
     """Range of sin/cos over x: endpoint values plus any interior extrema."""
-    lo, hi = min(fn(x.lo), fn(x.hi)), max(fn(x.lo), fn(x.hi))
+    lo, hi = _libm_hull(fn(x.lo), fn(x.hi))
     # k*2pi + phase inside [x.lo, x.hi] pins the extremum at +-1
     if _phase_inside(x, crest_phase):
         hi = 1.0
     if _phase_inside(x, trough_phase):
         lo = -1.0
-    return Interval.make(max(lo, -1.0), min(hi, 1.0))
+    return Interval(max(lo, -1.0), min(hi, 1.0))
 
 
 def _phase_inside(x: Interval, phase: float) -> bool:
-    k = math.ceil((x.lo - phase) / _TWO_PI)
-    return phase + k * _TWO_PI <= x.hi
+    """Whether phase + 2*pi*k lies in x for some integer k, or may.
+
+    x is widened on both sides by more than the rounding error of
+    phase + k * _TWO_PI against the real extremum, so a miss is certain
+    and a near miss reports a hit, which only widens the range.
+    """
+    slack = 1e-15 * (8.0 + max(-x.lo, x.hi))
+    k = math.ceil((x.lo - slack - phase) / _TWO_PI)
+    return phase + k * _TWO_PI <= x.hi + slack
 
 
 def isin(x: Interval) -> Interval:
@@ -281,9 +358,6 @@ class Box:
     def midpoint(self) -> tuple[float, ...]:
         return tuple(d.mid for d in self.dims)
 
-    def diameter(self) -> float:
-        return max((d.width for d in self.dims), default=0.0)
-
     def widths(self) -> tuple[float, ...]:
         return tuple(d.width for d in self.dims)
 
@@ -327,20 +401,7 @@ class Box:
 
     def vertices(self) -> Iterator[tuple[float, ...]]:
         """All 2^n corner points (degenerate dims contribute one choice)."""
-        n = len(self.dims)
-        choices = [(d.lo,) if d.lo == d.hi else (d.lo, d.hi) for d in self.dims]
-        idx = [0] * n
-        while True:
-            yield tuple(choices[j][idx[j]] for j in range(n))
-            j = n - 1
-            while j >= 0:
-                idx[j] += 1
-                if idx[j] < len(choices[j]):
-                    break
-                idx[j] = 0
-                j -= 1
-            if j < 0:
-                return
+        return itertools.product(*((d.lo,) if d.lo == d.hi else (d.lo, d.hi) for d in self.dims))
 
     def _check_dim(self, n: int) -> None:
         if len(self.dims) != n:

@@ -12,12 +12,10 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from .errors import DimensionMismatch, ValidationError
 from .expr import clarke_jacobian_bounds
 from .inclusion import MethodId
-from .interval import Box
+from .interval import Box, Interval
 from .reach import ReachTube, StepRecord, SystemModel, embed_step
 from .setinv import InversionConfig, set_invert
 
@@ -44,26 +42,27 @@ def measurement_to_constraint(
     v_lo: Sequence[float],
     v_hi: Sequence[float],
 ) -> ConstraintInterval:
-    """Interval on nu(x) implied by y = nu(x) + V v, v in [v_lo, v_hi]."""
-    Vm = np.asarray(V, dtype=float)
-    y_arr = np.asarray(y, dtype=float)
-    lo_arr = np.asarray(v_lo, dtype=float)
-    hi_arr = np.asarray(v_hi, dtype=float)
-    if Vm.ndim != 2 or Vm.shape[0] != y_arr.shape[0] or Vm.shape[1] != lo_arr.shape[0]:
+    """Interval on nu(x) implied by y = nu(x) + V v, v in [v_lo, v_hi].
+
+    Row r is y_r - sum_j V_rj * [v_lo_j, v_hi_j] in outward-rounded interval
+    arithmetic, so it contains the exact real interval.
+    """
+    if (len(V) != len(y) or len(v_hi) != len(v_lo)
+            or any(len(row) != len(v_lo) for row in V)):
         raise DimensionMismatch(
-            f"noise matrix shape {Vm.shape} incompatible with y ({y_arr.shape[0]}) "
-            f"and v ({lo_arr.shape[0]})"
+            f"noise matrix rows {[len(row) for row in V]} incompatible with "
+            f"y ({len(y)}) and v ({len(v_lo)}, {len(v_hi)})"
         )
-    if np.any(lo_arr > hi_arr):
+    if any(a > b for a, b in zip(v_lo, v_hi)):
         raise ValidationError("noise bounds inverted")
-    Vp = np.maximum(Vm, 0.0)
-    Vn = Vp - Vm
-    s_hi = Vp @ hi_arr - Vn @ lo_arr
-    s_lo = Vp @ lo_arr - Vn @ hi_arr
-    return ConstraintInterval(
-        lo=tuple((y_arr - s_hi).tolist()),
-        hi=tuple((y_arr - s_lo).tolist()),
-    )
+    noise = [Interval(float(a), float(b)) for a, b in zip(v_lo, v_hi)]
+    rows = []
+    for y_r, V_r in zip(y, V):
+        row = Interval.point(float(y_r))
+        for c, v in zip(V_r, noise):
+            row = row - v.scale(float(c))
+        rows.append(row)
+    return ConstraintInterval(lo=tuple(r.lo for r in rows), hi=tuple(r.hi for r in rows))
 
 
 def observe(

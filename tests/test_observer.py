@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from mixmono import (
     observe,
     reach_tube,
 )
-from mixmono.errors import ValidationError
+from mixmono.errors import DimensionMismatch, ValidationError
 
 from conftest import box_subset
 
@@ -51,6 +53,33 @@ class TestConstraintMapping:
         c = measurement_to_constraint([0.0], [[1.0, -2.0]], [0.0, 0.0], [1.0, 1.0])
         assert c.lo[0] == pytest.approx(-1.0)
         assert c.hi[0] == pytest.approx(2.0)
+
+    def test_constraint_holds_the_exact_interval(self):
+        # y - V v over the noise box in exact rationals: a constraint rounded
+        # to nearest misses it by an ULP on one side or the other
+        rng = np.random.default_rng(3)
+        for _ in range(300):
+            n_y, n_v = (int(k) for k in rng.integers(1, 4, size=2))
+            y = rng.uniform(-5, 5, n_y).tolist()
+            V = rng.uniform(-2, 2, (n_y, n_v)).tolist()
+            lo, hi = rng.uniform(-1, 0, n_v).tolist(), rng.uniform(0, 1, n_v).tolist()
+            c = measurement_to_constraint(y, V, lo, hi)
+            for r in range(n_y):
+                terms = [(Fraction(v), Fraction(a), Fraction(b)) for v, a, b in zip(V[r], lo, hi)]
+                s_hi = sum(v * (b if v > 0 else a) for v, a, b in terms)
+                s_lo = sum(v * (a if v > 0 else b) for v, a, b in terms)
+                assert Fraction(c.lo[r]) <= Fraction(y[r]) - s_hi
+                assert Fraction(y[r]) - s_lo <= Fraction(c.hi[r])
+
+    def test_shape_and_order_errors(self):
+        with pytest.raises(DimensionMismatch):
+            measurement_to_constraint([0.0, 1.0], [[1.0]], [0.0], [1.0])
+        with pytest.raises(DimensionMismatch):
+            measurement_to_constraint([0.0], [[1.0, 2.0]], [0.0], [1.0])
+        with pytest.raises(DimensionMismatch):  # a ragged matrix
+            measurement_to_constraint([0.0, 1.0], [[1.0], [1.0, 2.0]], [0.0], [1.0])
+        with pytest.raises(ValidationError):
+            measurement_to_constraint([0.0], [[1.0]], [1.0], [0.0])
 
 
 class TestObserve:

@@ -1,0 +1,93 @@
+"""Natural interval evaluation against an exact oracle.
+
+mpmath's interval arithmetic at 120 bits encloses the real value of an
+expression at a float point to far below one ULP of a double.  The natural
+enclosure over a box must hold that oracle interval at every corner and at
+sampled float points of the box, with no tolerance.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from mpmath import iv
+
+from mixmono import NATURAL, apply_method, eval_interval, parse_expr
+from mixmono.expr import Binary, Const, Div, Pow, Prod, Sum, Unary, Var
+
+from conftest import rand_box, rand_instance
+
+_UNARY = {
+    "neg": lambda x: -x, "sin": iv.sin, "cos": iv.cos, "exp": iv.exp,
+    "sqrt": iv.sqrt, "arctan": lambda x: iv.atan2(x, 1), "abs": abs,
+}
+
+
+def _oracle(e, z):
+    """An mpmath interval holding the real value of e at the float point z."""
+    if isinstance(e, Const):
+        return iv.mpf(e.value)
+    if isinstance(e, Var):
+        return iv.mpf(z[e.index])
+    if isinstance(e, Unary):
+        return _UNARY[e.op](_oracle(e.child, z))
+    if isinstance(e, Pow):
+        return _oracle(e.child, z) ** e.exponent
+    if isinstance(e, Div):
+        return _oracle(e.num, z) / _oracle(e.den, z)
+    if isinstance(e, Binary):
+        a, b = _oracle(e.left, z), _oracle(e.right, z)
+        pick = min if e.op == "min" else max
+        return iv.mpf([pick(a.a, b.a), pick(a.b, b.b)])
+    values = [_oracle(c, z) for c in e.children]
+    acc = values[0]
+    for v in values[1:]:
+        acc = acc + v if isinstance(e, Sum) else acc * v
+    return acc
+
+
+def _points(box, rng, count=8):
+    """Every corner of box, and count uniform float points clamped into it."""
+    lo, hi = np.asarray(box.lo), np.asarray(box.hi)
+    samples = np.clip(rng.uniform(lo, hi, size=(count, len(box))), lo, hi)
+    return [*box.vertices(), *(tuple(map(float, p)) for p in samples)]
+
+
+def _check(expr, box, rng):
+    enclosures = [eval_interval(expr, box), apply_method(NATURAL, [expr], box)[0]]
+    prec = iv.prec
+    iv.prec = 120
+    try:
+        for z in _points(box, rng):
+            exact = _oracle(expr, z)
+            for enc in enclosures:
+                assert enc.lo <= exact.a and exact.b <= enc.hi, (z, enc, exact)
+    finally:
+        iv.prec = prec
+
+
+# seeds whose expressions the round-to-nearest operators enclosed wrongly
+@example(seed=2)
+@example(seed=3)
+@example(seed=18)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_natural_enclosure_holds_the_exact_image(seed):
+    rng = np.random.default_rng(seed)
+    inst = rand_instance(rng)
+    _check(inst.expr, inst.box, rng)
+
+
+# the operators rand_instance leaves out, with denominators away from 0
+OTHER_EXPRESSIONS = (
+    "x1/(2 + x2^2)", "sqrt(x1^2 + 1)", "arctan(x1*x2)", "(x1^2 + 0.1)^-2",
+    "exp(-x1)*sin(x2)/(1.5 + cos(x1))", "-x1^3 + x1*x2 - x2",
+)
+
+
+@given(st.sampled_from(OTHER_EXPRESSIONS), st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_other_operators_hold_the_exact_image(text, seed):
+    rng = np.random.default_rng(seed)
+    _check(parse_expr(text, ["x1", "x2"]), rand_box(rng, 2), rng)

@@ -4,6 +4,7 @@ and the continuous-time embedding built on it."""
 from __future__ import annotations
 
 import hashlib
+import math
 import pickle
 
 import numpy as np
@@ -23,7 +24,6 @@ from mixmono import (
     load_bundled,
     parse_expr,
     parse_model,
-    set_inflate_mode,
 )
 from mixmono.errors import NotSignStable
 from mixmono.expr import ClarkeInterval
@@ -33,18 +33,17 @@ from mixmono.reach import _embedding_derivative
 
 from conftest import rand_instance
 
-# sha256 of every value below, recorded from the tree-walking evaluators that
-# the tape replaced; any change to a single bit of any value changes it
-EVALUATION_DIGEST = "99fd38a5e0745403b44f3e9fb7e755c693835ec3f989b08d88af45937ca1d9c7"
+# sha256 of every value below, recorded when the interval operators began
+# to round outward (the point values are those of the tree-walking
+# evaluators that the tape replaced); any change to a single bit of any
+# value changes it
+EVALUATION_DIGEST = "6f8d5d520253bbea897b5e9d66e1838bab97775cddab2efb89f8fe5c8cae5b66"
 # sha256 of the bytes of every eval_vec result below, recorded from the
 # recursive numpy walker that the tape's numpy interpretation replaced
 VECTOR_DIGEST = "811b50954bac4f352b5f0627cdcf68f4579509d5d64fbc230eb7ebc21c8d21fe"
 # sha256 of every continuous-time embedding derivative below, recorded
-# before the diagonal branch left the candidate layer
-EMBEDDING_DIGEST = "8e3eea99b496cc88e2ac11bbf190d4eacef9b688eddf700dcf6709b2cf9e1f4d"
-# sha256 of every Clarke value below in inflate mode, recorded from the
-# interpreted Clarke pass that the compiled one replaced
-INFLATE_CLARKE_DIGEST = "0a4971afdafff7fed090e6a89cb26b298110a256448ff09be05a0168a149f6d4"
+# when the interval operators began to round outward
+EMBEDDING_DIGEST = "7db6374695d676362ab552bfd03a8d1dacb546105e194cc9b81dfa2f6d0c749e"
 
 # signed zeros, division by intervals holding 0, kinks at ties, and every
 # operator the random instances leave out
@@ -119,23 +118,6 @@ def test_evaluations_are_bit_identical():
     assert h.hexdigest() == EVALUATION_DIGEST
 
 
-def test_clarke_in_inflate_mode_is_bit_identical():
-    # every case runs once in nearest mode first, so whatever the Clarke
-    # pass builds on first use is built before the mode flips: a compiled
-    # pass that froze an interval result would miss the widening
-    cases = list(_cases())
-    for exprs, box in cases:
-        _jacobian_outcome(exprs, box)
-    h = hashlib.sha256()
-    set_inflate_mode(True)
-    try:
-        for exprs, box in cases:
-            _put(h, _jacobian_outcome(exprs, box))
-    finally:
-        set_inflate_mode(False)
-    assert h.hexdigest() == INFLATE_CLARKE_DIGEST
-
-
 def test_clarke_of_constant_and_variable_roots():
     # a root that is a constant or a variable has no rule to apply, and a
     # constant subtree's partials are all zero; hex tells signed zeros apart
@@ -160,23 +142,20 @@ def test_overridden_rows_are_never_evaluated():
     assert jac[0, 0] == override
 
 
-def test_inflate_mode_widens_tape_results():
+def test_tape_results_round_outward():
     e = parse_expr("0.3*cos(x3) + x1*x2", ["x1", "x2", "x3"])
     box = Box.from_pairs([(0.1, 0.7), (-0.4, 0.3), (0.2, 1.1)])
-    nearest = eval_interval(e, box), clarke_jacobian_bounds([e], box)
-    set_inflate_mode(True)
-    try:
-        wide = eval_interval(e, box), clarke_jacobian_bounds([e], box)
-    finally:
-        set_inflate_mode(False)
-    assert wide[0].lo < nearest[0].lo and wide[0].hi > nearest[0].hi
-    # d/dx3 runs through the interval sine; d/dx1 = x2 and d/dx2 = x1 are
-    # the box's own endpoints, which no interval operation touches
-    for j in range(3):
-        w, n = wide[1][0, j], nearest[1][0, j]
-        assert w.lo <= n.lo and w.hi >= n.hi
-    w, n = wide[1][0, 2], nearest[1][0, 2]
-    assert w.lo < n.lo and w.hi > n.hi
+    value, jac = eval_interval(e, box), clarke_jacobian_bounds([e], box)
+    # the same operations rounded to nearest: cos falls over [0.2, 1.1],
+    # and x1*x2 spans [0.7*-0.4, 0.7*0.3]
+    assert value.lo < 0.3 * math.cos(1.1) + 0.7 * -0.4
+    assert value.hi > 0.3 * math.cos(0.2) + 0.7 * 0.3
+    # d/dx3 = -0.3*sin(x3) runs through the interval sine
+    assert jac[0, 2].lo < 0.3 * -math.sin(1.1) and jac[0, 2].hi > 0.3 * -math.sin(0.2)
+    # d/dx1 = x2 and d/dx2 = x1 are the box's own endpoints, which no
+    # interval operation touches, so they stay bit-exact
+    got = [x for c in jac.row(0)[:2] for x in (c.lo, c.hi)]
+    assert list(map(float.hex, got)) == list(map(float.hex, [-0.4, 0.3, 0.1, 0.7]))
 
 
 def test_evaluated_expressions_still_pickle():
