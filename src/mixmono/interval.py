@@ -9,15 +9,13 @@ Moore, Kearfott & Cloud, Introduction to Interval Analysis, 2009).
   moves out one ULP.  A sum s of a and b is exact when s - a == b and
   s - b == a; a product, quotient or square root when Dekker's error-free
   product leaves no error.
-- ``sin cos exp arctan`` and integer powers come from libm, which glibc
-  documents as within one ULP of the true value for them, so an endpoint
-  moves out by a budget of two ULPs; a power whose partial products are all
-  exact stays put.  sin and cos are clamped to [-1, 1], exp to [0, inf).
-- An exact zero stays zero, so an entry that is sign-stable in real
-  arithmetic stays sign-stable: a zero from a zero operand, from exact
-  cancellation in a sum, x^0 and x^1, and the 0 that starts an even power
-  of a sign-spanning base.  A product, quotient or power of nonzero
-  operands that underflows to 0 is inexact and widens.
+- ``sin cos exp arctan`` and inexact integer powers come from libm, which
+  glibc documents as within one ULP for them, so their endpoints move out a
+  budget of two ULPs.  sin and cos are clamped to [-1, 1], exp to [0, inf).
+- An exact zero stays zero, so a sign-stable entry stays sign-stable: a zero
+  operand, exact cancellation in a sum, x^0, x^1, the 0 that starts an even
+  power of a sign-spanning base, and sin or arctan of 0.  A product,
+  quotient or power of nonzero operands that underflows to 0 widens.
 - Negation, abs, min, max, hull and intersection are exact.
 """
 
@@ -65,11 +63,17 @@ def _mul(x: float, y: float, toward: float) -> float:
     return p if _product_exact(p, x, y) else math.nextafter(p, toward)
 
 
-def _div(x: float, y: float, toward: float) -> float:
-    """x / y rounded toward +-inf; q is exact when q * y is exactly x."""
-    q = x / y
+def _quotient(q: float, y: float, x: float, toward: float) -> float:
+    """q, the rounded x / y (or sqrt(x), with y = q), rounded toward +-inf.
+
+    q is exact when q * y is exactly x.
+    """
     p = q * y
     return q if p == x and _product_exact(p, q, y) else math.nextafter(q, toward)
+
+
+def _div(x: float, y: float, toward: float) -> float:
+    return _quotient(x / y, y, x, toward)
 
 
 def _add(x: float, y: float, toward: float) -> float:
@@ -79,17 +83,12 @@ def _add(x: float, y: float, toward: float) -> float:
 
 
 def _pow(x: float, n: int, toward: float) -> float:
-    """x**n (n >= 2) rounded toward +-inf.
-
-    x**n is exact only if every partial product x**k is, and then it is
-    their last; otherwise libm's x**n moves out by its budget.
-    """
+    """x**n (n >= 2) rounded toward +-inf: exact if every partial product is."""
     q = x
     for _ in range(n - 1):
-        r = q * x
-        if not _product_exact(r, q, x):
+        p, q = q, q * x
+        if not _product_exact(q, p, x):
             return _libm(_pow_float(x, n), toward)
-        q = r
     return q
 
 
@@ -223,14 +222,8 @@ def ipow(x: Interval, n: int) -> Interval:
 def isqrt(x: Interval) -> Interval:
     if x.lo < 0.0:
         raise DomainError(f"sqrt of interval with negative lower bound: {x}")
-    return Interval(_sqrt(x.lo, _NEG), _sqrt(x.hi, _POS))
-
-
-def _sqrt(x: float, toward: float) -> float:
-    """sqrt(x) rounded toward +-inf; r is exact when r * r is exactly x."""
-    r = math.sqrt(x)
-    p = r * r
-    return r if p == x and _product_exact(p, r, r) else math.nextafter(r, toward)
+    lo, hi = math.sqrt(x.lo), math.sqrt(x.hi)
+    return Interval(_quotient(lo, lo, x.lo, _NEG), _quotient(hi, hi, x.hi, _POS))
 
 
 def _exp_float(x: float) -> float:
@@ -244,17 +237,16 @@ def iexp(x: Interval) -> Interval:
     return Interval(max(0.0, _libm(_exp_float(x.lo), _NEG)), _libm(_exp_float(x.hi), _POS))
 
 
-def _libm_hull(a: float, b: float) -> tuple[float, float]:
-    """The outward hull of two sin, cos or arctan values.
+def _libm_out(lo: float, hi: float) -> tuple[float, float]:
+    """lo <= hi, two sin, cos or arctan values, moved outward by the budget.
 
     A zero is exact: sin and arctan are 0 only at 0, and cos at no float.
     """
-    lo, hi = min(a, b), max(a, b)
     return (lo if lo == 0.0 else _libm(lo, _NEG)), (hi if hi == 0.0 else _libm(hi, _POS))
 
 
 def iarctan(x: Interval) -> Interval:
-    return Interval(*_libm_hull(math.atan(x.lo), math.atan(x.hi)))
+    return Interval(*_libm_out(math.atan(x.lo), math.atan(x.hi)))
 
 
 def iabs(x: Interval) -> Interval:
@@ -275,7 +267,8 @@ def imax(x: Interval, y: Interval) -> Interval:
 
 def _trig_range(x: Interval, fn, crest_phase: float, trough_phase: float) -> Interval:
     """Range of sin/cos over x: endpoint values plus any interior extrema."""
-    lo, hi = _libm_hull(fn(x.lo), fn(x.hi))
+    a, b = fn(x.lo), fn(x.hi)
+    lo, hi = _libm_out(a, b) if a <= b else _libm_out(b, a)
     # k*2pi + phase inside [x.lo, x.hi] pins the extremum at +-1
     if _phase_inside(x, crest_phase):
         hi = 1.0
@@ -289,10 +282,11 @@ def _phase_inside(x: Interval, phase: float) -> bool:
 
     x is widened on both sides by more than the rounding error of
     phase + k * _TWO_PI against the real extremum, so a miss is certain
-    and a near miss reports a hit, which only widens the range.
+    and a near miss reports a hit, which only widens the range.  The widened
+    lower end stops at -_MAXF, so k stays finite for a saturated x.
     """
     slack = 1e-15 * (8.0 + max(-x.lo, x.hi))
-    k = math.ceil((x.lo - slack - phase) / _TWO_PI)
+    k = math.ceil((max(x.lo - slack, -_MAXF) - phase) / _TWO_PI)
     return phase + k * _TWO_PI <= x.hi + slack
 
 

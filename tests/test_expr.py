@@ -119,6 +119,14 @@ class TestEvaluation:
         vals = pts[:, 0] ** 2 - pts[:, 0] * pts[:, 1]
         assert enc.lo <= vals.min() and vals.max() <= enc.hi
 
+    def test_trig_of_saturated_box(self):
+        e = parse_expr("sin(x1) + cos(x2)", XY)
+        fmax = 1.7976931348623157e308
+        for box in (Box.from_pairs([(-fmax, fmax), (-fmax, -fmax)]),
+                    Box.from_pairs([(-fmax, 0.0), (fmax, fmax)])):
+            enc = eval_interval(e, box)
+            assert -2.0 <= enc.lo <= enc.hi <= 2.0
+
     def test_overflow_yields_signed_infinity_not_error(self):
         e = parse_expr("exp(x1)^3", ["x1"])
         v = eval_point(e, [1e5])

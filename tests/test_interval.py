@@ -139,6 +139,14 @@ class TestElementary:
         v = icos(Interval(0.0, 7.0))
         assert v == Interval(-1.0, 1.0)
 
+    @pytest.mark.parametrize("fn", [isin, icos])
+    @pytest.mark.parametrize("lo,hi", [(-FMAX, FMAX), (-FMAX, -FMAX), (-FMAX, 0.0),
+                                       (FMAX, FMAX), (0.0, FMAX)])
+    def test_trig_of_saturated_interval(self, fn, lo, hi):
+        # a blown-up propagation saturates to +-FMAX and must stay propagatable
+        v = fn(Interval(lo, hi))
+        assert -1.0 <= v.lo <= v.hi <= 1.0
+
     @given(finite.filter(lambda x: abs(x) < 50), finite.filter(lambda x: abs(x) < 50),
            st.floats(0, 1))
     @settings(max_examples=200, deadline=None)
