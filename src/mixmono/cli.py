@@ -39,6 +39,7 @@ from .inclusion import (
 )
 from .interval import Box, Interval, hausdorff_q
 from .model import (
+    _parse_box,
     load_bundled,
     load_measurements,
     load_model,
@@ -60,16 +61,14 @@ def _resolve_model(name_or_path: str):
 
 
 def _parse_domain(text: str) -> Box:
+    """A box given as [lo,hi], [lo,hi]^n or [[lo,hi],...]."""
     text = text.strip()
     m = re.fullmatch(r"(\[[^\[\]]+\])\s*\^\s*(\d+)", text)
     if m:
-        pair = [float(v) for v in m.group(1)[1:-1].split(",")]
-        return Box.from_pairs([pair] * int(m.group(2)))
-    if text.startswith("[["):
-        rows = re.findall(r"\[([^\[\]]+)\]", text[1:-1])
-        return Box.from_pairs([[float(v) for v in r.split(",")] for r in rows])
-    pair = [float(v) for v in text[1:-1].split(",")]
-    return Box.from_pairs([pair])
+        text = "[" + ",".join([m.group(1)] * int(m.group(2))) + "]"
+    elif not text.startswith("[["):
+        text = f"[{text}]"
+    return _parse_box(text, 1)
 
 
 def _parse_vector(text: str) -> list[float]:
@@ -205,6 +204,8 @@ def cmd_invert(args) -> int:
     if (args.model is None) == (args.expr is None):
         raise ValidationError("give exactly one of --model or --expr")
     if args.expr is not None:
+        if args.prior is None:
+            raise ValidationError("--expr requires --prior")
         prior = _parse_domain(args.prior)
         names = _expr_vars(len(prior), " ".join(args.expr))
         nu = [parse_expr(e, names) for e in args.expr]

@@ -8,6 +8,7 @@ remainder form, and uniform-subdivision refinement.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -164,7 +165,8 @@ def apply_method(
     if jac_provider is None:
         jac_provider = default_jac_provider(f)
     if method.kind == "best_of":
-        return best_of([apply_method(m, f, box, jac_provider) for m in method.members])
+        once = functools.cache(jac_provider)  # the members share each box's Jacobian
+        return best_of([apply_method(m, f, box, once) for m in method.members])
     if method.kind == "natural":
         return t_n_inclusion(f, box)
     if method.kind == "centered":

@@ -317,7 +317,7 @@ class Box:
 
     @staticmethod
     def from_pairs(pairs: Sequence[Sequence[float]]) -> "Box":
-        return Box(Interval(p[0], p[1]) for p in pairs)
+        return Box(Interval(*p) for p in pairs)
 
     @staticmethod
     def point(p: Sequence[float]) -> "Box":

@@ -31,6 +31,7 @@ from typing import Sequence
 
 from .decomp import TimeSemantics
 from .errors import (
+    DomainError,
     ExprSyntaxError,
     IoError,
     ModelSyntaxError,
@@ -430,15 +431,20 @@ def read_tube_json(path: str | Path) -> ReachTube:
         payload = json.loads(Path(path).read_text())
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
+    except ValueError as exc:  # not JSON, or not text
+        raise ValidationError(f"{path} is not a JSON tube file: {exc}") from exc
     tube = ReachTube()
-    for rec in payload["steps"]:
-        tube.steps.append(
-            StepRecord(
-                t=rec["t"],
-                propagated=Box.from_pairs(rec["propagated"]),
-                updated=Box.from_pairs(rec["updated"]) if rec["updated"] else None,
+    try:
+        for rec in payload["steps"]:
+            tube.steps.append(
+                StepRecord(
+                    t=float(rec["t"]),
+                    propagated=Box.from_pairs(rec["propagated"]),
+                    updated=Box.from_pairs(rec["updated"]) if rec["updated"] else None,
+                )
             )
-        )
+    except (KeyError, IndexError, TypeError, ValueError, DomainError) as exc:
+        raise ValidationError(f"malformed tube file {path}: {exc!r}") from exc
     return tube
 
 
@@ -466,6 +472,8 @@ def load_measurements(path: str | Path) -> list[Measurement]:
                 out.append(Measurement(t=values[0], y=tuple(values[1:])))
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise ValidationError(f"{path} is not a measurement CSV: {exc}") from exc
     return out
 
 

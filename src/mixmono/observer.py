@@ -1,9 +1,11 @@
 """Interval observer: measurement-driven refinement of reach tubes.
 
 A noisy measurement y = nu(x) + V v with v in a known box is turned into an
-interval constraint nu(x) in [y - s_hi, y - s_lo]; each constraint is then
-enforced on the propagated box by set inversion, producing an updated box
-that still contains every state consistent with the model and the noise.
+interval constraint nu(x) in [y - s_hi, y - s_lo].  `observe` hands one such
+constraint per measured step to the predict/update loop that constrained
+reachability uses too: each enforces its constraint on the propagated box by
+set inversion, producing an updated box that still contains every state
+consistent with the model and the noise.
 """
 
 from __future__ import annotations
@@ -13,11 +15,10 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import DimensionMismatch, ValidationError
-from .expr import clarke_jacobian_bounds
 from .inclusion import MethodId
 from .interval import Box, Interval
-from .reach import ReachTube, StepRecord, SystemModel, embed_step
-from .setinv import InversionConfig, set_invert
+from .reach import ReachTube, SystemModel, _predict_update
+from .setinv import InversionConfig
 
 
 @dataclass(frozen=True)
@@ -26,23 +27,13 @@ class Measurement:
     y: tuple[float, ...]
 
 
-@dataclass(frozen=True)
-class ConstraintInterval:
-    lo: tuple[float, ...]
-    hi: tuple[float, ...]
-
-    def __post_init__(self):
-        if any(a > b for a, b in zip(self.lo, self.hi)):
-            raise ValidationError(f"constraint interval inverted: {self}")
-
-
 def measurement_to_constraint(
     y: Sequence[float],
     V: Sequence[Sequence[float]],
     v_lo: Sequence[float],
     v_hi: Sequence[float],
-) -> ConstraintInterval:
-    """Interval on nu(x) implied by y = nu(x) + V v, v in [v_lo, v_hi].
+) -> Box:
+    """Box on nu(x) implied by y = nu(x) + V v, v in [v_lo, v_hi].
 
     Row r is y_r - sum_j V_rj * [v_lo_j, v_hi_j] in outward-rounded interval
     arithmetic, so it contains the exact real interval.
@@ -62,7 +53,7 @@ def measurement_to_constraint(
         for c, v in zip(V_r, noise):
             row = row - v.scale(float(c))
         rows.append(row)
-    return ConstraintInterval(lo=tuple(r.lo for r in rows), hi=tuple(r.hi for r in rows))
+    return Box(rows)
 
 
 def observe(
@@ -76,12 +67,10 @@ def observe(
 
     Prediction uses one embedding step per model dt; at steps whose time
     matches a measurement timestamp the propagated box is shrunk by set
-    inversion against the measurement's constraint interval.
+    inversion against the measurement's constraint box.
     """
     if model.observation is None:
         raise ValidationError("model declares no observation block")
-    if cfg is None:
-        cfg = InversionConfig()
     obs = model.observation
     for m in measurements:
         if not all(math.isfinite(v) for v in (m.t, *m.y)):
@@ -89,33 +78,18 @@ def observe(
     for a, b in zip(measurements, measurements[1:]):
         if b.t <= a.t:
             raise ValidationError("measurement timestamps must be strictly increasing")
-    by_step: dict[int, Measurement] = {}
+    updates = {}
     for m in measurements:
         k = round(m.t / model.dt)
-        if abs(k * model.dt - m.t) > 1e-9 * max(1.0, abs(m.t)):
+        if k < 0 or abs(k * model.dt - m.t) > 1e-9 * max(1.0, abs(m.t)):
             raise ValidationError(
-                f"measurement time {m.t} is not a multiple of dt={model.dt}"
+                f"measurement time {m.t} is not a non-negative multiple of dt={model.dt}"
             )
         if len(m.y) != len(obs.exprs):
             raise DimensionMismatch(
                 f"measurement has {len(m.y)} outputs, model declares {len(obs.exprs)}"
             )
-        by_step[k] = m
-    last = max(by_step) if by_step else 0
-
-    tube = ReachTube()
-    current = model.init
-    for k in range(last + 1):
-        propagated = current if k == 0 else embed_step(model, method, current, substeps)
-        updated = None
-        if k in by_step:
-            c = measurement_to_constraint(
-                by_step[k].y, obs.V, obs.noise.lo, obs.noise.hi
-            )
-            jac = clarke_jacobian_bounds(obs.exprs, propagated)
-            updated = set_invert(obs.exprs, jac, propagated, c.lo, c.hi, cfg)
-        tube.steps.append(
-            StepRecord(t=k * model.dt, propagated=propagated, updated=updated)
-        )
-        current = updated if updated is not None else propagated
-    return tube
+        c = measurement_to_constraint(m.y, obs.V, obs.noise.lo, obs.noise.hi)
+        updates[k] = (obs.exprs, c.lo, c.hi)
+    return _predict_update(model, method, max(updates, default=0), updates,
+                           cfg or InversionConfig(), substeps)

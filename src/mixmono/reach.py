@@ -3,14 +3,16 @@
 Doubles the state into coupled upper/lower bound trajectories and propagates
 them forward: one decomposition evaluation per discrete step, or fixed-step
 RK4 integration of the 2n-dimensional embedding vector field in continuous
-time.  Optional per-step refinement shrinks each propagated box by set
-inversion against declared algebraic constraints.
+time.  One predict/update loop serves both constrained reachability and the
+interval observer: at the steps given to it, the propagated box is shrunk by
+set inversion against an interval constraint on some output expressions.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from .decomp import SELECTORS, TimeSemantics, decompose
 from .errors import (
@@ -19,13 +21,16 @@ from .errors import (
     NonFiniteState,
     ValidationError,
 )
-from .expr import ClarkeInterval, Expr, clarke_jacobian_bounds, max_var_index
-from .inclusion import (
-    MethodId,
-    apply_method,
-    default_jac_provider,
+from .expr import (
+    ClarkeInterval,
+    Expr,
+    JacobianBounds,
+    clarke_jacobian_bounds,
+    max_var_index,
 )
+from .inclusion import MethodId, apply_method, default_jac_provider
 from .interval import Box, Interval
+from .setinv import InversionConfig, set_invert
 
 
 @dataclass(frozen=True)
@@ -79,8 +84,8 @@ class SystemModel:
         for e in self.dynamics:
             if max_var_index(e) >= n_z:
                 raise ValidationError("dynamics reference an undeclared variable")
-        if self.dt <= 0:
-            raise ValidationError("dt must be positive")
+        if not 0 < self.dt < math.inf:
+            raise ValidationError(f"dt must be positive and finite, got {self.dt}")
 
     def jac_provider(self):
         return default_jac_provider(self.dynamics, self.jacobian_overrides)
@@ -153,13 +158,14 @@ def _embedding_derivative(
             TimeSemantics.CONTINUOUS,
         )
         return [du for du, _ in rows], [dl for _, dl in rows]
-    # interval-only engines: bound f_i over the hull with coordinate i pinned
+    # interval-only engines: bound f_i over the hull with coordinate i pinned,
+    # reading row i of the Jacobian as the slopes of the one-row map [f_i]
+    jac = model.jac_provider()
     du, dl = [], []
     for i, f_i in enumerate(model.dynamics):
-        enc_u = apply_method(method, [f_i], hull.replace(i, Interval.point(xu[i])),
-                             model.jac_provider())
-        enc_l = apply_method(method, [f_i], hull.replace(i, Interval.point(xl[i])),
-                             model.jac_provider())
+        row_i = lambda box, i=i: JacobianBounds(jac(box).entries[i:i + 1])
+        enc_u = apply_method(method, [f_i], hull.replace(i, Interval.point(xu[i])), row_i)
+        enc_l = apply_method(method, [f_i], hull.replace(i, Interval.point(xl[i])), row_i)
         du.append(enc_u[0].hi)
         dl.append(enc_l[0].lo)
     return du, dl
@@ -177,34 +183,26 @@ def embed_integrate_continuous(
         raise ValidationError("model does not have continuous-time semantics")
     if substeps < 1:
         raise ValidationError("substeps must be >= 1")
-    xu = list(current.hi)
-    xl = list(current.lo)
+    n = len(current)
+
+    def deriv(y: list[float]) -> list[float]:
+        du, dl = _embedding_derivative(model, method, y[:n], y[n:])
+        return du + dl
+
+    y = list(current.hi) + list(current.lo)  # upper bounds, then lower bounds
     h = dt / substeps
     for _ in range(substeps):
-        k1u, k1l = _embedding_derivative(model, method, xu, xl)
-        y2u = [x + 0.5 * h * k for x, k in zip(xu, k1u)]
-        y2l = [x + 0.5 * h * k for x, k in zip(xl, k1l)]
-        k2u, k2l = _embedding_derivative(model, method, y2u, y2l)
-        y3u = [x + 0.5 * h * k for x, k in zip(xu, k2u)]
-        y3l = [x + 0.5 * h * k for x, k in zip(xl, k2l)]
-        k3u, k3l = _embedding_derivative(model, method, y3u, y3l)
-        y4u = [x + h * k for x, k in zip(xu, k3u)]
-        y4l = [x + h * k for x, k in zip(xl, k3l)]
-        k4u, k4l = _embedding_derivative(model, method, y4u, y4l)
-        xu = [
-            x + (h / 6.0) * (a + 2 * b + 2 * c + d)
-            for x, a, b, c, d in zip(xu, k1u, k2u, k3u, k4u)
-        ]
-        xl = [
-            x + (h / 6.0) * (a + 2 * b + 2 * c + d)
-            for x, a, b, c, d in zip(xl, k1l, k2l, k3l, k4l)
-        ]
-        if any(not math.isfinite(v) for v in xu + xl):
+        k1 = deriv(y)
+        k2 = deriv([x + 0.5 * h * k for x, k in zip(y, k1)])
+        k3 = deriv([x + 0.5 * h * k for x, k in zip(y, k2)])
+        k4 = deriv([x + h * k for x, k in zip(y, k3)])
+        y = [x + (h / 6.0) * (a + 2 * b + 2 * c + d) for x, a, b, c, d in zip(y, k1, k2, k3, k4)]
+        if not all(map(math.isfinite, y)):
             raise NonFiniteState("embedding integration produced a non-finite value")
-    for i, (a, b) in enumerate(zip(xl, xu)):
+    for i, (a, b) in enumerate(zip(y[n:], y[:n])):
         if a > b:
             raise InvertedBounds(f"state {i}: lower bound {a} exceeds upper bound {b}")
-    return Box(Interval(a, b) for a, b in zip(xl, xu))
+    return Box(Interval(a, b) for a, b in zip(y[n:], y[:n]))
 
 
 def embed_step(model: SystemModel, method: MethodId, current: Box,
@@ -214,14 +212,29 @@ def embed_step(model: SystemModel, method: MethodId, current: Box,
     return embed_integrate_continuous(model, method, current, model.dt, substeps)
 
 
-def _refine_with_constraints(model: SystemModel, box: Box, inv_cfg) -> Box:
-    from .setinv import set_invert
-
-    exprs = [c.expr for c in model.constraints]
-    jac = clarke_jacobian_bounds(exprs, box)
-    y_lo = [c.bounds.lo for c in model.constraints]
-    y_hi = [c.bounds.hi for c in model.constraints]
-    return set_invert(exprs, jac, box, y_lo, y_hi, inv_cfg)
+def _predict_update(
+    model: SystemModel,
+    method: MethodId,
+    steps: int,
+    updates: dict[int, tuple[Sequence[Expr], Sequence[float], Sequence[float]]],
+    cfg: InversionConfig,
+    substeps: int,
+) -> ReachTube:
+    """Predict with one embedding step per dt for `steps` steps; at each step k
+    in updates, with updates[k] = (exprs, y_lo, y_hi), shrink the propagated
+    box by set inversion toward {x : y_lo <= exprs(x) <= y_hi}."""
+    tube = ReachTube()
+    current = model.init
+    for k in range(steps + 1):
+        propagated = current if k == 0 else embed_step(model, method, current, substeps)
+        updated = None
+        if k in updates:
+            exprs, y_lo, y_hi = updates[k]
+            jac = clarke_jacobian_bounds(exprs, propagated)
+            updated = set_invert(exprs, jac, propagated, y_lo, y_hi, cfg)
+        tube.steps.append(StepRecord(t=k * model.dt, propagated=propagated, updated=updated))
+        current = updated if updated is not None else propagated
+    return tube
 
 
 def reach_tube(
@@ -229,30 +242,23 @@ def reach_tube(
     method: MethodId,
     steps: int,
     refine: bool = False,
-    inv_cfg=None,
+    inv_cfg: InversionConfig | None = None,
     substeps: int = 10,
 ) -> ReachTube:
     """Propagate the initial box for `steps` steps of length dt.
 
-    With refine=True each propagated box is additionally shrunk by set
-    inversion against the model's constraint block before being used as the
-    next step's starting box.
+    With refine=True every box, the initial one included, is shrunk by set
+    inversion against the model's constraint block before it starts the next
+    step.
     """
     if steps < 0:
         raise ValidationError("steps must be >= 0")
     if refine and not model.constraints:
         raise ValidationError("refine requested but the model declares no constraints")
-    if inv_cfg is None:
-        from .setinv import InversionConfig
-
-        inv_cfg = InversionConfig()
-    tube = ReachTube()
-    current = model.init
-    for k in range(steps + 1):
-        propagated = current if k == 0 else embed_step(model, method, current, substeps)
-        updated = None
-        if refine:
-            updated = _refine_with_constraints(model, propagated, inv_cfg)
-        tube.steps.append(StepRecord(t=k * model.dt, propagated=propagated, updated=updated))
-        current = updated if updated is not None else propagated
-    return tube
+    block = (
+        [c.expr for c in model.constraints],
+        [c.bounds.lo for c in model.constraints],
+        [c.bounds.hi for c in model.constraints],
+    )
+    updates = dict.fromkeys(range(steps + 1), block) if refine else {}
+    return _predict_update(model, method, steps, updates, inv_cfg or InversionConfig(), substeps)

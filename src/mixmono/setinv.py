@@ -22,17 +22,14 @@ from .interval import Box, Interval
 class InversionConfig:
     """Knobs for the bisection sweep.
 
-    epsilon is the stop width for each edge search (absolute by default;
-    relative=True scales it by the prior width of each dimension).  passes
-    repeats the whole sweep with the previous output as the new prior, and
-    dimension_order overrides the default ascending-index sweep.
+    epsilon is the absolute stop width for each edge search, and passes
+    repeats the whole sweep, in ascending dimension order, with the previous
+    output as the new prior.
     """
 
     epsilon: float = 1e-3
     passes: int = 1
-    dimension_order: tuple[int, ...] | None = None
     method: MethodId = field(default=REMAINDER)
-    relative: bool = False
 
     def __post_init__(self):
         if self.epsilon <= 0:
@@ -75,21 +72,14 @@ def set_invert(
     if ruled_out(prior):
         raise EmptySolution("the full prior box is inconsistent with the constraint")
 
-    order = cfg.dimension_order or tuple(range(len(prior)))
-    if sorted(order) != list(range(len(prior))):
-        raise ValidationError(f"dimension_order {order} is not a permutation")
-    eps = [
-        cfg.epsilon * prior[i].width if cfg.relative else cfg.epsilon
-        for i in range(len(prior))
-    ]
-
+    eps = cfg.epsilon
     current = prior
     for _ in range(cfg.passes):
-        for i in order:
+        for i in range(len(prior)):
             d = current[i]
             # raise the lower edge: discard certified-inconsistent lower halves
             a, b = d.lo, d.hi
-            while b - a > eps[i]:
+            while b - a > eps:
                 m = 0.5 * (a + b)
                 if not a < m < b:
                     break  # epsilon is below the local float resolution
@@ -100,7 +90,7 @@ def set_invert(
             new_lo = a
             # lower the upper edge symmetrically, within what survived
             a, b = new_lo, d.hi
-            while b - a > eps[i]:
+            while b - a > eps:
                 m = 0.5 * (a + b)
                 if not a < m < b:
                     break

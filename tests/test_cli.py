@@ -81,6 +81,14 @@ class TestRange:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize("domain", ["[1,2,3]", "[2,1]", "[[0,1],[1,2,3]]"])
+    def test_malformed_domain_is_validation_error(self, capsys, domain):
+        # a row of three numbers is not cut to two, and an inverted row is bad
+        # input (exit 2), not a computation error (exit 3)
+        code, out, err = run(capsys, "range", "--expr", "x1", "--domain", domain)
+        assert code == 2
+        assert out == "" and err.startswith("error:")
+
 
 class TestReach:
     def test_csv_output(self, capsys, tmp_path):
@@ -136,6 +144,13 @@ class TestInvert:
                 .replace(",", " ").split()]
         assert nums[0] == pytest.approx(0.5, abs=2e-3)
         assert nums[1] == pytest.approx(1.0, abs=2e-3)
+
+    def test_expr_without_prior_is_validation_error(self, capsys):
+        code, _, err = run(
+            capsys, "invert", "--expr", "x1+x2", "--ylo", "1", "--yhi", "2"
+        )
+        assert code == 2
+        assert "--prior" in err
 
     def test_empty_solution_is_reported_not_fatal(self, capsys):
         code, out, _ = run(

@@ -102,6 +102,23 @@ class TestApplyMethodAndBestOf:
             enc = apply_method(member, [CUBIC], CUBIC_BOX)
             assert box_subset(combined, enc, slack=1e-12)
 
+    def test_best_of_members_share_each_jacobian(self):
+        f = [parse_expr("x1*x2 - abs(x1)^2", ["x1", "x2"])]
+        box = Box.from_pairs([(-1, 2), (0, 1)])
+        provider = default_jac_provider(f)
+        boxes = []
+
+        def counting(b):
+            boxes.append(b)
+            return provider(b)
+
+        members = [CENTERED, MIXED_CENTERED, JACOBIAN_SIGN, REMAINDER]
+        combined = apply_method(best_of_method(members), f, box, counting)
+        # one Jacobian per distinct box: the full box, and the sub-box of
+        # mixed_centered that pins x2 at its midpoint
+        assert len(boxes) == len(set(boxes)) == 2
+        assert combined == best_of([apply_method(m, f, box) for m in members])
+
     @given(st.integers(0, 10_000))
     @settings(max_examples=60, deadline=None)
     def test_all_methods_sound_on_random_instances(self, seed):

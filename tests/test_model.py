@@ -51,6 +51,11 @@ class TestParseModel:
         assert m.observation is None
         assert m.constraints == ()
 
+    @pytest.mark.parametrize("dt", ["nan", "inf", "-inf", "0"])
+    def test_non_finite_or_non_positive_dt_rejected(self, dt):
+        with pytest.raises(ValidationError, match="dt"):
+            parse_model(MINIMAL.replace("dt=0.1", f"dt={dt}"))
+
     def test_comments_are_ignored(self):
         m = parse_model(MINIMAL.replace("state: a, b;", "state: a, b; # names"))
         assert m.state_names == ("a", "b")
@@ -158,6 +163,20 @@ class TestTubeIo:
     def test_unknown_format(self, tmp_path):
         with pytest.raises(ValidationError):
             write_tube(self.tube, "yaml", tmp_path / "t.yaml")
+
+    @pytest.mark.parametrize("text", [
+        "{not json", "[1, 2]", '{"states": []}', '{"steps": 3}',
+        '{"steps": [{"t": 0, "propagated": [[0, 1]]}]}',
+        '{"steps": [{"t": 0, "propagated": [[0]], "updated": null}]}',
+        '{"steps": [{"t": 0, "propagated": [[0, 1, 2]], "updated": null}]}',
+        '{"steps": [{"t": 0, "propagated": [[1, 0]], "updated": null}]}',
+        b'\xff\xfe',
+    ])
+    def test_malformed_json_is_validation_error(self, tmp_path, text):
+        p = tmp_path / "tube.json"
+        p.write_bytes(text if isinstance(text, bytes) else text.encode())
+        with pytest.raises(ValidationError):
+            read_tube_json(p)
 
     def test_svg_plot(self, tmp_path):
         p = tmp_path / "plot.svg"

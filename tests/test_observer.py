@@ -120,6 +120,13 @@ class TestObserve:
         with pytest.raises(ValidationError):
             observe(model, REMAINDER, [Measurement(t=0.123, y=(0.0,))])
 
+    def test_timestamp_before_start_rejected(self):
+        # the loop never reaches step -1, so the measurement would be dropped
+        # silently (and alone it would leave an empty tube)
+        model = load_bundled("scott_example")
+        with pytest.raises(ValidationError):
+            observe(model, REMAINDER, [Measurement(t=-1.0, y=(0.0,))])
+
     def test_model_without_observation_rejected(self, rng):
         model = load_bundled("vanderpol")
         with pytest.raises(ValidationError):

@@ -10,6 +10,7 @@ import pytest
 from mixmono import (
     CENTERED,
     JACOBIAN_SIGN,
+    MIXED_CENTERED,
     NATURAL,
     REMAINDER,
     TIGHT_VERTEX,
@@ -168,6 +169,22 @@ class TestContinuousReach:
             vertex = _embedding_derivative(model, TIGHT_VERTEX, xu, xl)
             assert vertex == expected
             assert vertex == _embedding_derivative(model, JACOBIAN_SIGN, xu, xl)
+
+    @pytest.mark.parametrize("method", [CENTERED, MIXED_CENTERED])
+    def test_centered_forms_read_their_own_jacobian_row(self, method):
+        # row 0 (x1' = 0.5) has zero slopes; read for row 1 (x2' = 5*x1),
+        # they collapse x2 to a point
+        model = parse_model("""
+        system "shear" {
+          time: continuous(dt=0.1);
+          state: x1, x2;
+          dynamics { x1' = 0.5; x2' = 5*x1; }
+          init: [[-1, 1], [0, 0]];
+        }
+        """)
+        x2 = reach_tube(model, method, 1).final[1]
+        # x2(0.1) = 0.5*x1(0) + 0.0125 with x1(0) in [-1, 1]
+        assert x2.lo <= -0.4875 and x2.hi >= 0.5125
 
     def test_inverted_final_box_raises(self, monkeypatch):
         # the lower bound's derivative runs 1e-12 above the upper one's, so

@@ -66,13 +66,6 @@ class TestConfig:
         with pytest.raises(ValidationError):
             InversionConfig(passes=0)
 
-    def test_bad_dimension_order(self):
-        with pytest.raises(ValidationError):
-            invert(
-                ["x1"], ["x1"], Box.from_pairs([(0, 1)]), [0.0], [1.0],
-                dimension_order=(1,),
-            )
-
     def test_bound_length_mismatch(self):
         e = [parse_expr("x1", ["x1"])]
         prior = Box.from_pairs([(0, 1)])
@@ -95,14 +88,6 @@ class TestConfig:
             passes=3,
         )
         assert box_subset(three, one, slack=1e-12)
-
-    def test_relative_epsilon(self):
-        out = invert(
-            ["x1"], ["x1"], Box.from_pairs([(0, 1000)]), [10.0], [20.0],
-            epsilon=1e-3, relative=True,
-        )
-        assert out[0].lo == pytest.approx(10.0, abs=2.0)
-        assert out[0].hi == pytest.approx(20.0, abs=2.0)
 
     def test_tiny_epsilon_terminates(self):
         # requested resolution below float spacing must not loop forever
