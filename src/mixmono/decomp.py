@@ -31,7 +31,7 @@ from .errors import (
     NotSignStable,
     UnboundedBothSides,
 )
-from .expr import ClarkeInterval, Expr, JacobianBounds, eval_point
+from .expr import ClarkeInterval, Expr, JacobianBounds, _fsum, eval_point
 from .interval import Box, Interval, saturate
 
 
@@ -185,7 +185,7 @@ def corner_points(
 
 
 def _dot_diff(m: Sequence[float], u: Sequence[float], v: Sequence[float]) -> float:
-    return math.fsum(mj * (uj - vj) for mj, uj, vj in zip(m, u, v))
+    return _fsum([mj * (uj - vj) for mj, uj, vj in zip(m, u, v)])
 
 
 def eval_remainder_upper(

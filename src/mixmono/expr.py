@@ -356,9 +356,6 @@ class ClarkeInterval:
         return f"[{self.lo:g}, {self.hi:g}]"
 
 
-_ZERO_X = ClarkeInterval(0.0, 0.0)
-
-
 @dataclass(frozen=True)
 class JacobianBounds:
     """Per-entry extended-real bounds on Clarke partial derivatives.
@@ -374,10 +371,6 @@ class JacobianBounds:
     @property
     def rows(self) -> int:
         return len(self.entries)
-
-    @property
-    def cols(self) -> int:
-        return len(self.entries[0]) if self.entries else 0
 
     def row(self, i: int) -> tuple[ClarkeInterval, ...]:
         return self.entries[i]
@@ -423,7 +416,7 @@ def clarke_jacobian_bounds(
 # The tape: each tree lowered once, interpreted four ways
 # ---------------------------------------------------------------------------
 
-def _fsum(terms: tuple[float, ...]) -> float:
+def _fsum(terms: Sequence[float]) -> float:
     try:
         return math.fsum(terms)
     except (OverflowError, ValueError):

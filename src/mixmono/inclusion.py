@@ -1,9 +1,12 @@
 """Interval enclosure engines and combinators.
 
-Provides the natural, centered, and mixed-centered inclusion functions, a
-uniform method dispatcher covering the decomposition-based engines as well,
-componentwise best-of intersection, a-priori/measured error bounds for the
-remainder form, and uniform-subdivision refinement.
+Provides the natural, centered, and mixed-centered inclusion functions; one
+method dispatcher over every engine, the decomposition-based ones included,
+that gives each row's raw upper and lower bound either over a box (discrete
+time) or with the row's own coordinate pinned (the continuous-time embedding
+derivative), and whose best_of intersects the members' bounds in both;
+a-priori/measured error bounds for the remainder form; and uniform-subdivision
+refinement.
 """
 
 from __future__ import annotations
@@ -16,7 +19,9 @@ from typing import Callable, Sequence
 
 from .decomp import (
     SELECTORS,
+    TimeSemantics,
     corner_points,
+    decompose,
     supporting_vectors,
     t_l_inclusion,
     t_o_vertex_inclusion,
@@ -26,11 +31,13 @@ from .errors import (
     CellBudgetExceeded,
     EmptyIntersection,
     InfiniteJacobianEntry,
+    ValidationError,
 )
 from .expr import (
     ClarkeInterval,
     Expr,
     JacobianBounds,
+    _fsum,
     clarke_jacobian_bounds,
     eval_interval,
     eval_point,
@@ -142,17 +149,64 @@ def t_m_inclusion(f: Sequence[Expr], jac_provider: JacProvider, box: Box) -> Box
     return _centered(f, box, lambda i: [sub_jacs[j][i, j] for j in range(n)])
 
 
+def _enclose(kind: str, f: Sequence[Expr], box: Box, jac_provider: JacProvider) -> Box:
+    """The enclosure of f over box by the single engine `kind`."""
+    if kind == "natural":
+        return t_n_inclusion(f, box)
+    if kind == "mixed_centered":
+        return t_m_inclusion(f, jac_provider, box)
+    engine = {"centered": t_c_inclusion, "remainder": t_r_inclusion,
+              "jacobian_sign": t_l_inclusion, "tight_vertex": t_o_vertex_inclusion}.get(kind)
+    if engine is None:
+        raise ValueError(f"unknown method {kind!r}")
+    return engine(f, jac_provider(box), box)
+
+
+def _bounds(method: MethodId, f: Sequence[Expr], hi: Sequence[float], lo: Sequence[float],
+            jac_provider: JacProvider, pinned: bool = False) -> list[tuple[float, float]]:
+    """Raw (upper, lower) bounds of each row of f for the arguments (hi, lo).
+
+    Unpinned, hi/lo are a box's corners and each engine gives its usual
+    enclosure.  Pinned, they are the continuous-time embedding's upper and
+    lower states, which need not be ordered, and row i pins its own
+    coordinate: decomposition engines evaluate decompose(..., CONTINUOUS),
+    interval engines enclose f_i over the hull's faces at hi[i] and lo[i]
+    with row i of the Jacobian as slopes.  best_of keeps each row's tightest
+    member bound; the members share each distinct box's Jacobian.
+    """
+    jac = functools.cache(jac_provider) if method.members else jac_provider
+    hull = Box(Interval(min(a, b), max(a, b)) for a, b in zip(lo, hi))
+    members = []
+    for m in method.members or (method,):
+        if not pinned:
+            members.append([(d.hi, d.lo) for d in _enclose(m.kind, f, hull, jac)])
+        elif m.kind in SELECTORS:
+            members.append(decompose(f, jac(hull), m.kind, hi, lo, TimeSemantics.CONTINUOUS))
+        else:
+            def face(i, x, kind=m.kind):
+                return _enclose(kind, [f[i]], hull.replace(i, Interval.point(x[i])),
+                                lambda box: JacobianBounds(jac(box).entries[i:i + 1]))[0]
+            members.append([(face(i, hi).hi, face(i, lo).lo) for i in range(len(f))])
+    return _meet(members) if method.members else members[0]
+
+
+def _meet(members) -> list[tuple[float, float]]:
+    """Per row, the least upper and the greatest lower bound of the members."""
+    return [(min(u for u, _ in row), max(l for _, l in row)) for row in zip(*members)]
+
+
+def _box(rows: Sequence[tuple[float, float]]) -> Box:
+    disjoint = [i for i, (upper, lower) in enumerate(rows) if lower > upper]
+    if disjoint:
+        raise EmptyIntersection(f"enclosures disjoint in dimensions {disjoint}; some input was unsound")
+    return Box(Interval(lower, upper) for upper, lower in rows)
+
+
 def best_of(results: Sequence[Box]) -> Box:
     """Componentwise intersection of sound enclosures."""
-    out = results[0]
     for r in results[1:]:
-        nxt = out.intersect(r)
-        if nxt is None:
-            raise EmptyIntersection(
-                f"enclosures {out} and {r} are disjoint; some input was unsound"
-            )
-        out = nxt
-    return out
+        r._check_dim(len(results[0]))
+    return _box(_meet([zip(r.hi, r.lo) for r in results]))
 
 
 def apply_method(
@@ -165,29 +219,12 @@ def apply_method(
     if jac_provider is None:
         jac_provider = default_jac_provider(f)
     if method.kind == "best_of":
-        once = functools.cache(jac_provider)  # the members share each box's Jacobian
-        return best_of([apply_method(m, f, box, once) for m in method.members])
-    if method.kind == "natural":
-        return t_n_inclusion(f, box)
-    if method.kind == "centered":
-        return t_c_inclusion(f, jac_provider(box), box)
-    if method.kind == "mixed_centered":
-        return t_m_inclusion(f, jac_provider, box)
-    if method.kind in SELECTORS:
-        wrapper = {"remainder": t_r_inclusion, "jacobian_sign": t_l_inclusion,
-                   "tight_vertex": t_o_vertex_inclusion}[method.kind]
-        return wrapper(f, jac_provider(box), box)
-    raise ValueError(f"unknown method {method.kind!r}")
+        return _box(_bounds(method, f, box.hi, box.lo, jac_provider))
+    return _enclose(method.kind, f, box, jac_provider)
 
 
-METHOD_NAMES = {
-    "natural": NATURAL,
-    "centered": CENTERED,
-    "mixed_centered": MIXED_CENTERED,
-    "jacobian_sign": JACOBIAN_SIGN,
-    "remainder": REMAINDER,
-    "tight_vertex": TIGHT_VERTEX,
-}
+METHOD_NAMES = {m.kind: m for m in (NATURAL, CENTERED, MIXED_CENTERED, JACOBIAN_SIGN,
+                                    REMAINDER, TIGHT_VERTEX)}
 
 
 def sampled_range(
@@ -207,6 +244,8 @@ def sampled_range(
 
     from .expr import eval_vec
 
+    if not all(map(math.isfinite, box.widths())):
+        raise ValidationError(f"sampling needs a box of finite widths, got {box}")
     if rng is None:
         rng = np.random.default_rng(0)
     n = len(box)
@@ -254,7 +293,7 @@ def error_bounds(
     d3, d3p4, d1, d2 = [], [], [], []
     for cand in cands:
         zp, zm = corner_points(cand, a, b)
-        delta3 = math.fsum(mj * (u - v) for mj, u, v in zip(cand.m, zm, zp))
+        delta3 = _fsum([mj * (u - v) for mj, u, v in zip(cand.m, zm, zp)])
         fzp = eval_point(f_i, zp)
         fzm = eval_point(f_i, zm)
         d3.append(delta3)

@@ -14,21 +14,15 @@ import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .decomp import SELECTORS, TimeSemantics, decompose
+from .decomp import TimeSemantics
 from .errors import (
     DimensionMismatch,
     InvertedBounds,
     NonFiniteState,
     ValidationError,
 )
-from .expr import (
-    ClarkeInterval,
-    Expr,
-    JacobianBounds,
-    clarke_jacobian_bounds,
-    max_var_index,
-)
-from .inclusion import MethodId, apply_method, default_jac_provider
+from .expr import ClarkeInterval, Expr, clarke_jacobian_bounds, max_var_index
+from .inclusion import MethodId, _bounds, apply_method, default_jac_provider
 from .interval import Box, Interval
 from .setinv import InversionConfig, set_invert
 
@@ -128,47 +122,13 @@ def embed_step_discrete(model: SystemModel, method: MethodId, current: Box) -> B
     return apply_method(method, model.dynamics, z, model.jac_provider())
 
 
-def _embedding_derivative(
-    model: SystemModel,
-    method: MethodId,
-    xu: list[float],
-    xl: list[float],
-) -> tuple[list[float], list[float]]:
-    """Time derivatives of the upper and lower bound trajectories."""
-    if method.kind == "best_of":
-        dus, dls = [], []
-        for m in method.members:
-            du, dl = _embedding_derivative(model, method=m, xu=xu, xl=xl)
-            dus.append(du)
-            dls.append(dl)
-        return (
-            [min(v) for v in zip(*dus)],
-            [max(v) for v in zip(*dls)],
-        )
-    hull = Box(
-        Interval(min(a, b), max(a, b)) for a, b in zip(xl, xu)
-    ).concat(model.disturbance)
-    if method.kind in SELECTORS:
-        rows = decompose(
-            model.dynamics,
-            model.jac_provider()(hull),
-            method.kind,
-            tuple(xu) + model.disturbance.hi,
-            tuple(xl) + model.disturbance.lo,
-            TimeSemantics.CONTINUOUS,
-        )
-        return [du for du, _ in rows], [dl for _, dl in rows]
-    # interval-only engines: bound f_i over the hull with coordinate i pinned,
-    # reading row i of the Jacobian as the slopes of the one-row map [f_i]
-    jac = model.jac_provider()
-    du, dl = [], []
-    for i, f_i in enumerate(model.dynamics):
-        row_i = lambda box, i=i: JacobianBounds(jac(box).entries[i:i + 1])
-        enc_u = apply_method(method, [f_i], hull.replace(i, Interval.point(xu[i])), row_i)
-        enc_l = apply_method(method, [f_i], hull.replace(i, Interval.point(xl[i])), row_i)
-        du.append(enc_u[0].hi)
-        dl.append(enc_l[0].lo)
-    return du, dl
+def _embedding_derivative(model: SystemModel, method: MethodId, xu: list[float],
+                          xl: list[float]) -> tuple[list[float], list[float]]:
+    """Time derivatives of the upper and lower bound trajectories: the
+    method's bounds of the dynamics with each row's own coordinate pinned."""
+    rows = _bounds(method, model.dynamics, tuple(xu) + model.disturbance.hi,
+                   tuple(xl) + model.disturbance.lo, model.jac_provider(), pinned=True)
+    return [du for du, _ in rows], [dl for _, dl in rows]
 
 
 def embed_integrate_continuous(

@@ -89,6 +89,23 @@ class TestRange:
         assert code == 2
         assert out == "" and err.startswith("error:")
 
+    def test_overflowing_slope_sum_saturates(self, capsys):
+        code, out, _ = run(
+            capsys,
+            "range", "--expr", "1e298*x1 + 1e298*x2 + abs(x3)",
+            "--domain", "[[0,1e10],[0,1e10],[-1,1]]",
+        )
+        assert code == 0
+        assert "[0, 1.79769e+308]" in out
+
+    def test_infinite_width_with_bounds_is_validation_error(self, capsys):
+        # --bounds samples the box, whose width 2e308 overflows
+        code, out, err = run(
+            capsys, "range", "--expr", "x1", "--domain", "[[-1e308,1e308]]", "--bounds"
+        )
+        assert code == 2
+        assert out == "" and err.startswith("error:")
+
 
 class TestReach:
     def test_csv_output(self, capsys, tmp_path):

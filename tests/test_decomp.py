@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -135,6 +136,20 @@ class TestScalarAnchors:
         jac = JacobianBounds(((ClarkeInterval(0.0, 0.0),),))
         with pytest.raises(InvertedBounds):
             t_r_inclusion([parse_expr("x1", ["x1"])], jac, Box.from_pairs([(0, 1)]))
+
+
+class TestOverflow:
+    """Slope sums past the largest float degrade to an infinite bound."""
+
+    EXPR = parse_expr("1e298*x1 + 1e298*x2 + abs(x3)", ["x1", "x2", "x3"])
+    BOX = Box.from_pairs([(0, 1e10), (0, 1e10), (-1, 1)])
+
+    def test_remainder_saturates_instead_of_raising(self):
+        # m . (zeta_plus - zeta_minus) = 1e308 + 1e308 + 2 overflows an exact sum
+        jac = clarke_jacobian_bounds([self.EXPR], self.BOX)
+        enc = t_r_inclusion([self.EXPR], jac, self.BOX)
+        assert enc[0].lo == 0.0
+        assert enc[0].hi == sys.float_info.max
 
 
 class TestDecompositionFunction:

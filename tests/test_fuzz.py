@@ -1,14 +1,20 @@
-"""Seeded fuzzing of the readers: malformed input raises MixmonoError only.
+"""Seeded fuzzing: malformed input raises MixmonoError only.
 
-Each case applies a few random byte edits (delete, duplicate or overwrite a
-span, insert a token) to a well-formed sample: the bundled model files, a
-measurement CSV and a tube JSON written by the library itself.
+Each reader case applies a few random byte edits (delete, duplicate or
+overwrite a span, insert a token) to a well-formed sample: the bundled model
+files, a measurement CSV and a tube JSON written by the library itself.  The
+CLI cases run `mixmono range` on random expressions over domains scaled up to
+the edge of the float range, where it must exit with a code, not raise.
 """
 
 from __future__ import annotations
 
 import random
 from importlib import resources
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mixmono import (
     REMAINDER,
@@ -22,6 +28,9 @@ from mixmono import (
     write_measurements,
     write_tube,
 )
+from mixmono.cli import main
+
+from conftest import rand_instance
 
 CASES = 1000
 TOKENS = (
@@ -92,3 +101,32 @@ def test_read_tube_json(tmp_path):
         samples.append(path.read_bytes())
     read = lambda data: read_tube_json(overwrite(path, data))
     assert not escapes(read, samples, 3)
+
+
+SCALES = (0, 100, 200, 300, 306, 307, 308)  # domains are scaled by 10^k
+ENGINES = ("natural", "centered", "mixed_centered", "jacobian_sign", "remainder",
+           "tight_vertex", "best")
+
+
+def range_argv(seed: int) -> list[str]:
+    """A `mixmono range` call on a seeded random expression and scaled domain."""
+    rng = np.random.default_rng(seed)
+    inst = rand_instance(rng)
+    scale = 10.0 ** int(rng.choice(SCALES))
+    domain = [[float(d.lo) * scale, float(d.hi) * scale] for d in inst.box]
+    argv = ["range", "--expr", inst.text, "--domain", repr(domain),
+            "--methods", str(rng.choice(ENGINES)),
+            "--subdivide", str(rng.integers(1, 3)), "--samples", "50"]
+    return argv + ["--bounds"] * int(rng.integers(2))
+
+
+@given(st.integers(0, 2**32 - 1).map(range_argv))
+# the exact sum of the slope terms overflows
+@example(["range", "--expr", "1e298*x1 + 1e298*x2 + abs(x3)",
+          "--domain", "[[0,1e10],[0,1e10],[-1,1]]"])
+# the sampled box's width overflows
+@example(["range", "--expr", "x1", "--domain", "[[-1e308,1e308]]", "--bounds"])
+@settings(max_examples=200, deadline=None)
+def test_cli_range(argv):
+    with np.errstate(all="ignore"):
+        main(argv)  # returns an exit code; anything raised escaped it

@@ -171,6 +171,14 @@ class TestErrorBounds:
         assert eb.q_lower_estimate <= eb.q_upper + 1e-12
         assert eb.q_upper <= eb.q_upper_hat + 1e-12
 
+    def test_overflowing_slope_sum(self):
+        # the candidates with slope 1e298 in x1 and x2 sum to more than the
+        # largest float; the abs(x3) candidates still give a finite gap of 2
+        f = parse_expr("1e298*x1 + 1e298*x2 + abs(x3)", ["x1", "x2", "x3"])
+        box = Box.from_pairs([(0, 1e10), (0, 1e10), (-1, 1)])
+        eb = error_bounds(f, clarke_jacobian_bounds([f], box).row(0), box)
+        assert eb.q_upper_hat == eb.q_upper == 2.0
+
 
 class TestSampledRange:
     def test_inner_estimate_inside_truth(self):
@@ -186,6 +194,11 @@ class TestSampledRange:
         a = sampled_range([e], box, np.random.default_rng(42))
         b = sampled_range([e], box, np.random.default_rng(42))
         assert a == b
+
+    def test_infinite_width_is_validation_error(self):
+        # each endpoint is finite, the width 2e308 is not
+        with pytest.raises(ValidationError):
+            sampled_range([parse_expr("x1", X)], Box.from_pairs([(-1e308, 1e308)]))
 
 
 class TestSubdivision:

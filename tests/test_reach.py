@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -17,13 +18,14 @@ from mixmono import (
     Box,
     SystemModel,
     TimeSemantics,
+    best_of_method,
     clarke_jacobian_bounds,
     load_bundled,
     parse_expr,
     parse_model,
     reach_tube,
 )
-from mixmono import reach
+from mixmono import inclusion, reach
 from mixmono.errors import InvertedBounds, ValidationError
 from mixmono.reach import _embedding_derivative, embed_integrate_continuous
 
@@ -67,6 +69,18 @@ class TestDiscreteReach:
         tube = reach_tube(model, REMAINDER, 15)
         widths = [max(rec.box.widths()) for rec in tube]
         assert widths[0] < widths[5] < widths[15]
+
+    def test_overflowing_slope_sum_saturates(self):
+        model = parse_model("""
+        system "overflow" {
+          time: discrete(dt=1);
+          state: x1, x2, x3;
+          dynamics { x1' = x1; x2' = x2; x3' = 1e298*x1 + 1e298*x2 + abs(x3); }
+          init: [[0, 1e10], [0, 1e10], [-1, 1]];
+        }
+        """)
+        x3 = reach_tube(model, REMAINDER, 1).final[2]
+        assert x3.lo == 0.0 and x3.hi == sys.float_info.max
 
 
 class TestRefinement:
@@ -185,6 +199,26 @@ class TestContinuousReach:
         x2 = reach_tube(model, method, 1).final[1]
         # x2(0.1) = 0.5*x1(0) + 0.0125 with x1(0) in [-1, 1]
         assert x2.lo <= -0.4875 and x2.hi >= 0.5125
+
+    @pytest.mark.parametrize("first", [NATURAL, CENTERED])
+    @pytest.mark.parametrize("widen", [0.0, 0.1])
+    def test_best_of_derivative_shares_each_jacobian(self, monkeypatch, first, widen):
+        # widen 0 keeps the unicycle's initial point, where the hull and all
+        # of centered's faces are one box
+        model = load_bundled("unicycle")
+        boxes = []
+        real = inclusion.clarke_jacobian_bounds
+
+        def counting(exprs, box, overrides=None):
+            boxes.append(box)
+            return real(exprs, box, overrides)
+
+        monkeypatch.setattr(inclusion, "clarke_jacobian_bounds", counting)
+        method = best_of_method([first, JACOBIAN_SIGN, REMAINDER])
+        xu = [v + widen for v in model.init.hi]
+        xl = [v - widen for v in model.init.lo]
+        _embedding_derivative(model, method, xu, xl)
+        assert boxes and len(boxes) == len(set(boxes))
 
     def test_inverted_final_box_raises(self, monkeypatch):
         # the lower bound's derivative runs 1e-12 above the upper one's, so

@@ -11,7 +11,9 @@ import numpy as np
 import pytest
 
 from mixmono import (
+    CENTERED,
     JACOBIAN_SIGN,
+    MIXED_CENTERED,
     NATURAL,
     REMAINDER,
     TIGHT_VERTEX,
@@ -42,8 +44,9 @@ EVALUATION_DIGEST = "6f8d5d520253bbea897b5e9d66e1838bab97775cddab2efb89f8fe5c8ca
 # recursive numpy walker that the tape's numpy interpretation replaced
 VECTOR_DIGEST = "811b50954bac4f352b5f0627cdcf68f4579509d5d64fbc230eb7ebc21c8d21fe"
 # sha256 of every continuous-time embedding derivative below, recorded
-# when the interval operators began to round outward
-EMBEDDING_DIGEST = "7db6374695d676362ab552bfd03a8d1dacb546105e194cc9b81dfa2f6d0c749e"
+# (with the interval engines among the methods) before the embedding
+# derivative moved into the inclusion module's one method dispatcher
+EMBEDDING_DIGEST = "c2f9c47f03499fa4ee340519bb496bc0fba5a9ec8cdc5b24894238ede9ed7b1d"
 
 # signed zeros, division by intervals holding 0, kinks at ties, and every
 # operator the random instances leave out
@@ -238,8 +241,9 @@ def _stages(model, rng):
 def test_embedding_derivative_is_bit_identical():
     models = [load_bundled("ct_abate"), load_bundled("unicycle")]
     models += [parse_model(text) for text in _EMBEDDING_MODELS]
-    methods = (REMAINDER, JACOBIAN_SIGN, TIGHT_VERTEX,
-               best_of_method([NATURAL, JACOBIAN_SIGN, REMAINDER]))
+    methods = (REMAINDER, JACOBIAN_SIGN, TIGHT_VERTEX, NATURAL, CENTERED, MIXED_CENTERED,
+               best_of_method([NATURAL, JACOBIAN_SIGN, REMAINDER]),
+               best_of_method([CENTERED, MIXED_CENTERED, REMAINDER]))
     h = hashlib.sha256()
     rng = np.random.default_rng(5)
     for model in models:
