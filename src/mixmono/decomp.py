@@ -2,19 +2,22 @@
 
 The remainder, sign-selected and tight vertex forms are one decomposition
 function, min over supporting vectors m of f(zeta_plus) + m . (zeta_minus -
-zeta_plus), and differ only in which vectors m a row may use:
+zeta_plus), and differ only in which vectors m a row may use.  Each m picks
+one branch of each coordinate's derivative bound, so a row's candidates are
+the Cartesian product of per-coordinate (slope, branch) choices, and
+`RowCandidates` keeps them as those choices:
 
 * remainder: every candidate of `supporting_vectors` (the tightest
   tractable form);
-* jacobian_sign: the single sign-selected candidate (cheaper, always looser
-  or equal);
+* jacobian_sign: the single sign-selected candidate, each coordinate's
+  smallest-magnitude choice (cheaper, always looser or equal);
 * tight_vertex: the sign-selected candidate after a sign-stability check;
   there it is all zeros, so each bound is one exact corner value.
 
 `decompose` evaluates that function row by row for discrete-time enclosures
-and for the continuous-time embedding alike, and is the only function here
-that knows about time: the embedding's row i is the same function with
-coordinate i pinned, a zero slope in column i and equal arguments there.
+and, with `pinned`, for the continuous-time embedding: there row i is the
+same function with coordinate i pinned, a zero slope in column i and equal
+arguments there.
 """
 
 from __future__ import annotations
@@ -38,11 +41,6 @@ from .interval import Box, Interval, saturate
 class Branch(Enum):
     UPPER = "upper"
     LOWER = "lower"
-
-
-class TimeSemantics(Enum):
-    DISCRETE = "discrete"
-    CONTINUOUS = "continuous"
 
 
 CANDIDATE_CAP = 2**16
@@ -82,18 +80,23 @@ def _coordinate_choices(
     return choices
 
 
-class RowCandidates(tuple):
-    """A row's supporting vectors, with the index of the all-zero one.
+class RowCandidates:
+    """A row's supporting vectors, kept as per-coordinate (slope, branch)
+    choices and built as SupportingVectors only on iteration; zero holds the
+    branches of the all-zero vector, None when there is none."""
 
-    zero is None when no candidate is all zeros.
-    """
+    def __init__(self, choices: Sequence[Sequence[tuple[float, Branch]]]):
+        self.choices = tuple(map(tuple, choices))
+        self.count = math.prod(map(len, self.choices))
+        zero = [next((tag for v, tag in c if v == 0.0), None) for c in self.choices]
+        self.zero = None if None in zero else tuple(zero)
 
-    def __new__(cls, vectors):
-        self = super().__new__(cls, vectors)
-        self.zero = next(
-            (k for k, c in enumerate(self) if all(v == 0.0 for v in c.m)), None
-        )
-        return self
+    def __len__(self) -> int:
+        return self.count
+
+    def __iter__(self):
+        for combo in itertools.product(*self.choices):
+            yield SupportingVector(tuple(v for v, _ in combo), tuple(t for _, t in combo))
 
 
 def supporting_vectors(
@@ -110,13 +113,7 @@ def supporting_vectors(
             raise CandidateExplosion(
                 f"{count}+ supporting-vector candidates exceed cap {cap}"
             )
-    return RowCandidates(
-        SupportingVector(
-            m=tuple(v for v, _ in combo),
-            branches=tuple(tag for _, tag in combo),
-        )
-        for combo in itertools.product(*per_coord)
-    )
+    return RowCandidates(per_coord)
 
 
 def _row(jac: JacobianBounds, i: int, pinned: bool) -> tuple[ClarkeInterval, ...]:
@@ -140,27 +137,11 @@ def row_candidates(
         row = _row(jac, i, pinned)
         if kind == "remainder":
             cands = supporting_vectors(row)
-        else:
-            cands = RowCandidates((_sign_selected_vector(row),))
+        else:  # each coordinate's smallest-magnitude choice, the lower branch on a tie
+            cands = RowCandidates(
+                [min(reversed(_coordinate_choices(e)), key=lambda c: abs(c[0]))] for e in row)
         jac.derived[key] = cands
     return cands
-
-
-def _sign_selected_vector(jac_row: Sequence[ClarkeInterval]) -> SupportingVector:
-    """The single smallest-magnitude branch choice per coordinate."""
-    values, tags = [], []
-    for entry in jac_row:
-        lower = min(entry.lo, 0.0)  # -inf when unbounded below
-        upper = max(entry.hi, 0.0)  # +inf when unbounded above
-        if abs(lower) <= abs(upper):
-            if not math.isfinite(lower):
-                raise UnboundedBothSides(f"derivative bound {entry} has no finite side")
-            values.append(lower)
-            tags.append(Branch.LOWER)
-        else:
-            values.append(upper)
-            tags.append(Branch.UPPER)
-    return SupportingVector(tuple(values), tuple(tags))
 
 
 def corner_points(
@@ -184,12 +165,8 @@ def corner_points(
     return tuple(zp), tuple(zm)
 
 
-def _dot_diff(m: Sequence[float], u: Sequence[float], v: Sequence[float]) -> float:
-    return _fsum([mj * (uj - vj) for mj, uj, vj in zip(m, u, v)])
-
-
 def eval_remainder_upper(
-    candidates: Sequence[SupportingVector],
+    candidates: RowCandidates,
     f_i: Expr,
     a: Sequence[float],
     b: Sequence[float],
@@ -199,7 +176,7 @@ def eval_remainder_upper(
 
 
 def eval_remainder_lower(
-    candidates: Sequence[SupportingVector],
+    candidates: RowCandidates,
     f_i: Expr,
     a: Sequence[float],
     b: Sequence[float],
@@ -209,22 +186,27 @@ def eval_remainder_lower(
     return _extremum(candidates, f_i, b, a, -1.0)
 
 
-def _extremum(candidates, f_i, a, b, sign: float) -> float:
-    """sign * min over candidates of sign * (f_i(zeta_plus) + m . (zeta_minus - zeta_plus))."""
-    if not isinstance(candidates, RowCandidates):
-        candidates = RowCandidates(candidates)
+def _extremum(candidates: RowCandidates, f_i, a, b, sign: float) -> float:
+    """sign * min over candidates of sign * (f_i(zeta_plus) + m . (zeta_minus - zeta_plus)),
+    each term m_j * (zeta_minus_j - zeta_plus_j) taken as |m_j| * (a_j - b_j): the
+    same bits up to the sign of a zero term, which fsum ignores."""
     # an all-zero slope vector exists only when every coordinate is
     # sign-stable; its corner value is then the exact extremum, so no other
     # candidate can be mathematically better (only spuriously, by rounding)
     if candidates.zero is not None:
-        zp, _ = corner_points(candidates[candidates.zero], a, b)
+        zp = [bj if tag is Branch.UPPER else aj for aj, bj, tag in zip(a, b, candidates.zero)]
         val = eval_point(f_i, zp)
         if not math.isnan(val):
             return val
+    # per coordinate, each choice's (zeta_plus_j, remainder term)
+    per_coord = [
+        [(bj if tag is Branch.UPPER else aj, abs(m) * (aj - bj)) for m, tag in choices]
+        for aj, bj, choices in zip(a, b, candidates.choices)
+    ]
     best = math.inf  # NaN values never compare below it
-    for cand in candidates:
-        zp, zm = corner_points(cand, a, b)
-        val = sign * (eval_point(f_i, zp) + _dot_diff(cand.m, zm, zp))
+    for combo in itertools.product(*per_coord):
+        zp, terms = zip(*combo)
+        val = sign * (eval_point(f_i, zp) + _fsum(terms))
         if val < best:
             best = val
     return sign * best
@@ -236,18 +218,17 @@ def decompose(
     kind: str,
     a: Sequence[float],
     b: Sequence[float],
-    semantics: TimeSemantics = TimeSemantics.DISCRETE,
+    pinned: bool = False,
 ) -> list[tuple[float, float]]:
     """Raw (upper, lower) decomposition values of each row of f.
 
     kind is one of SELECTORS; a/b are the two evaluation arguments
-    (box.hi/box.lo for an enclosure).  Under CONTINUOUS semantics row i is
-    pinned: its slope in column i is zero, its upper value is taken at
-    (a, b with b[i] = a[i]) and its lower value at (a with a[i] = b[i], b).
-    The tight_vertex stability check reads the same pinned rows, so the
-    pinned entry never fails it.
+    (box.hi/box.lo for an enclosure).  With pinned set (the continuous-time
+    embedding) row i is pinned: its slope in column i is zero, its upper
+    value is taken at (a, b with b[i] = a[i]) and its lower value at (a with
+    a[i] = b[i], b).  The tight_vertex stability check reads the same pinned
+    rows, so the pinned entry never fails it.
     """
-    pinned = semantics is TimeSemantics.CONTINUOUS
     if kind == "tight_vertex":
         bad = [
             (i, j)

@@ -19,7 +19,6 @@ from typing import Callable, Sequence
 
 from .decomp import (
     SELECTORS,
-    TimeSemantics,
     corner_points,
     decompose,
     supporting_vectors,
@@ -169,7 +168,7 @@ def _bounds(method: MethodId, f: Sequence[Expr], hi: Sequence[float], lo: Sequen
     Unpinned, hi/lo are a box's corners and each engine gives its usual
     enclosure.  Pinned, they are the continuous-time embedding's upper and
     lower states, which need not be ordered, and row i pins its own
-    coordinate: decomposition engines evaluate decompose(..., CONTINUOUS),
+    coordinate: decomposition engines evaluate decompose(..., pinned=True),
     interval engines enclose f_i over the hull's faces at hi[i] and lo[i]
     with row i of the Jacobian as slopes.  best_of keeps each row's tightest
     member bound; the members share each distinct box's Jacobian.
@@ -181,7 +180,7 @@ def _bounds(method: MethodId, f: Sequence[Expr], hi: Sequence[float], lo: Sequen
         if not pinned:
             members.append([(d.hi, d.lo) for d in _enclose(m.kind, f, hull, jac)])
         elif m.kind in SELECTORS:
-            members.append(decompose(f, jac(hull), m.kind, hi, lo, TimeSemantics.CONTINUOUS))
+            members.append(decompose(f, jac(hull), m.kind, hi, lo, pinned=True))
         else:
             def face(i, x, kind=m.kind):
                 return _enclose(kind, [f[i]], hull.replace(i, Interval.point(x[i])),
@@ -232,11 +231,11 @@ def sampled_range(
     box: Box,
     rng=None,
     n_samples: int = 10**5,
-    grid_per_dim: int = 10,
 ) -> Box:
     """Inner estimate of the true image box from dense sampling.
 
-    Combines uniform random samples, a regular grid, and all box vertices.
+    Combines uniform random samples, a regular grid of at most 10 points per
+    dimension, and all box vertices.
     The result is contained in the true image, so it lower-bounds every sound
     enclosure's tightness.
     """
@@ -252,7 +251,7 @@ def sampled_range(
     lo = np.asarray(box.lo)
     hi = np.asarray(box.hi)
     pts = [rng.uniform(lo, hi, size=(n_samples, n)).T]
-    g = min(grid_per_dim, max(2, int(round(n_samples ** (1.0 / n)))))
+    g = min(10, max(2, int(round(n_samples ** (1.0 / n)))))
     axes = [np.linspace(lo[j], hi[j], g) for j in range(n)]
     mesh = np.meshgrid(*axes, indexing="ij")
     pts.append(np.stack([m.ravel() for m in mesh]))
@@ -289,32 +288,30 @@ def error_bounds(
 ) -> ErrorBounds:
     """Error bounds of the remainder-form enclosure of f_i over box."""
     a, b = box.hi, box.lo
-    cands = supporting_vectors(jac_row)
-    d3, d3p4, d1, d2 = [], [], [], []
-    for cand in cands:
+    d3, d3p4 = [], []
+    for cand in supporting_vectors(jac_row):
         zp, zm = corner_points(cand, a, b)
         delta3 = _fsum([mj * (u - v) for mj, u, v in zip(cand.m, zm, zp)])
-        fzp = eval_point(f_i, zp)
-        fzm = eval_point(f_i, zm)
         d3.append(delta3)
-        d3p4.append(delta3 + (fzp - fzm))
-        d1.append(fzp + delta3)
-        d2.append(fzm - delta3)
+        d3p4.append(delta3 + (eval_point(f_i, zp) - eval_point(f_i, zm)))
     q_upper_hat = min(d3)
     q_upper = min(q_upper_hat, min(d3p4))
     q_lower = None
     if oracle_range is not None:
-        q_lower = max(min(d1) - oracle_range.hi, oracle_range.lo - max(d2))
+        # the saturated enclosure, so an image past the largest float
+        # compares like the saturated oracle
+        enc = t_r_inclusion([f_i], JacobianBounds((tuple(jac_row),)), box)[0]
+        q_lower = max(enc.hi - oracle_range.hi, oracle_range.lo - enc.lo)
     return ErrorBounds(q_lower_estimate=q_lower, q_upper=q_upper, q_upper_hat=q_upper_hat)
 
 
-def subdivide_box(box: Box, k: int, cap: int = CELL_BUDGET) -> list[Box]:
+def subdivide_box(box: Box, k: int) -> list[Box]:
     """Split box into k^n congruent cells (k divisions per dimension)."""
     n = len(box)
     if k < 1:
         raise ValueError("k must be >= 1")
-    if k**n > cap:
-        raise CellBudgetExceeded(f"{k}^{n} cells exceed budget {cap}")
+    if k**n > CELL_BUDGET:
+        raise CellBudgetExceeded(f"{k}^{n} cells exceed budget {CELL_BUDGET}")
     per_dim = []
     for d in box:
         edges = [d.lo + (d.hi - d.lo) * t / k for t in range(k + 1)]
@@ -329,10 +326,9 @@ def subdivide_apply(
     jac_provider: JacProvider | None,
     box: Box,
     k: int,
-    cap: int = CELL_BUDGET,
 ) -> tuple[list[Box], list[Box], Box]:
     """Apply method per subdivision cell; returns (cells, enclosures, hull)."""
-    cells = subdivide_box(box, k, cap)
+    cells = subdivide_box(box, k)
     enclosures = [apply_method(method, f, cell, jac_provider) for cell in cells]
     hull = enclosures[0]
     for enc in enclosures[1:]:

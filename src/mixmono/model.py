@@ -29,7 +29,6 @@ from importlib import resources
 from pathlib import Path
 from typing import Sequence
 
-from .decomp import TimeSemantics
 from .errors import (
     DomainError,
     ExprSyntaxError,
@@ -41,7 +40,7 @@ from .errors import (
 from .expr import ClarkeInterval, Expr, parse_expr, to_string
 from .interval import Box, Interval
 from .observer import Measurement
-from .reach import Constraint, Observation, ReachTube, StepRecord, SystemModel
+from .reach import Constraint, Observation, ReachTube, StepRecord, SystemModel, TimeSemantics
 
 _IDENT = r"[A-Za-z_][A-Za-z_0-9]*"
 _HEADER_RE = re.compile(r'\s*system\s+"([^"]+)"\s*\{')

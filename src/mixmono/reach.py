@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from enum import Enum
 from typing import Sequence
 
-from .decomp import TimeSemantics
 from .errors import (
     DimensionMismatch,
     InvertedBounds,
@@ -43,6 +43,11 @@ class Constraint:
 
     expr: Expr  # over the n_x state variables
     bounds: Interval
+
+
+class TimeSemantics(Enum):
+    DISCRETE = "discrete"
+    CONTINUOUS = "continuous"
 
 
 @dataclass(frozen=True)

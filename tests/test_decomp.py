@@ -91,6 +91,21 @@ class TestSupportingVectors:
     def test_cap_constant(self):
         assert CANDIDATE_CAP == 2**16
 
+    def test_sign_selected_choice_per_coordinate(self):
+        # the smallest-magnitude branch value of each coordinate, the lower
+        # branch on a tie; an exact zero bound has the upper branch only
+        table = [
+            ((-1.0, 1.0), (-1.0, Branch.LOWER)),
+            ((-0.1875, 0.0), (0.0, Branch.UPPER)),
+            ((0.0, 0.25), (0.0, Branch.LOWER)),
+            ((0.25, math.inf), (0.0, Branch.LOWER)),
+            ((-math.inf, 2.0), (2.0, Branch.UPPER)),
+            ((0.0, 0.0), (0.0, Branch.UPPER)),
+        ]
+        jac = JacobianBounds((tuple(ClarkeInterval(*entry) for entry, _ in table),))
+        (cand,) = row_candidates(jac, "jacobian_sign", 0)
+        assert list(zip(cand.m, cand.branches)) == [choice for _, choice in table]
+
 
 class TestCornerPoints:
     def test_branch_to_corner_mapping(self):
@@ -134,8 +149,9 @@ class TestScalarAnchors:
     def test_unsound_jacobian_raises_inverted_bounds(self):
         # d/dx1 of x1 is 1, not 0: the corners come out swapped
         jac = JacobianBounds(((ClarkeInterval(0.0, 0.0),),))
-        with pytest.raises(InvertedBounds):
-            t_r_inclusion([parse_expr("x1", ["x1"])], jac, Box.from_pairs([(0, 1)]))
+        for engine in (t_r_inclusion, t_l_inclusion, t_o_vertex_inclusion):
+            with pytest.raises(InvertedBounds):
+                engine([parse_expr("x1", ["x1"])], jac, Box.from_pairs([(0, 1)]))
 
 
 class TestOverflow:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from mixmono import (
     REMAINDER,
     TIGHT_VERTEX,
     Box,
+    Interval,
     MethodId,
     apply_method,
     best_of,
@@ -178,6 +181,16 @@ class TestErrorBounds:
         box = Box.from_pairs([(0, 1e10), (0, 1e10), (-1, 1)])
         eb = error_bounds(f, clarke_jacobian_bounds([f], box).row(0), box)
         assert eb.q_upper_hat == eb.q_upper == 2.0
+
+    def test_estimate_past_the_largest_float(self):
+        # the enclosure [0, MAXF] saturates like the oracle, so the
+        # estimate compares lower endpoints and stays below q_upper
+        f = parse_expr("1e298*x1 + 1e298*x2 + abs(x3)", ["x1", "x2", "x3"])
+        box = Box.from_pairs([(0, 1e10), (0, 1e10), (-1, 1)])
+        oracle = Interval(0.5, sys.float_info.max)
+        eb = error_bounds(f, clarke_jacobian_bounds([f], box).row(0), box, oracle)
+        assert eb.q_lower_estimate == 0.5
+        assert eb.q_lower_estimate <= eb.q_upper == 2.0
 
 
 class TestSampledRange:

@@ -21,7 +21,7 @@ from mixmono import (
     write_plot,
     write_tube,
 )
-from mixmono.decomp import TimeSemantics
+from mixmono.reach import TimeSemantics
 from mixmono.errors import IoError, ModelSyntaxError, ValidationError
 from mixmono.model import bundled_models
 

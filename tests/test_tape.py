@@ -22,10 +22,14 @@ from mixmono import (
     clarke_jacobian_bounds,
     eval_interval,
     eval_point,
+    error_bounds,
     eval_vec,
     load_bundled,
     parse_expr,
     parse_model,
+    t_l_inclusion,
+    t_o_vertex_inclusion,
+    t_r_inclusion,
 )
 from mixmono.errors import NotSignStable
 from mixmono.expr import ClarkeInterval
@@ -47,6 +51,10 @@ VECTOR_DIGEST = "811b50954bac4f352b5f0627cdcf68f4579509d5d64fbc230eb7ebc21c8d21f
 # (with the interval engines among the methods) before the embedding
 # derivative moved into the inclusion module's one method dispatcher
 EMBEDDING_DIGEST = "c2f9c47f03499fa4ee340519bb496bc0fba5a9ec8cdc5b24894238ede9ed7b1d"
+# sha256 of every discrete decomposition enclosure and remainder-form error
+# bound below, recorded while each row's candidates were still built as a
+# tuple of supporting-vector objects
+DECOMPOSITION_DIGEST = "5362c6d505a484353eede6dc152c02b4216e9e9262a158084e62842a7299f320"
 
 # signed zeros, division by intervals holding 0, kinks at ties, and every
 # operator the random instances leave out
@@ -119,6 +127,31 @@ def test_evaluations_are_bit_identical():
             _put(h, _outcome(lambda: _endpoints(eval_interval(e, box))))
         _put(h, _jacobian_outcome(exprs, box))
     assert h.hexdigest() == EVALUATION_DIGEST
+
+
+def _enclosure_outcome(engine, exprs, jac, box):
+    try:
+        enc = engine(exprs, jac, box)
+    except NotSignStable as exc:
+        return f"NotSignStable{exc.entries}"
+    except Exception as exc:  # the error type is part of the pinned behaviour
+        return type(exc).__name__
+    return [x for d in enc for x in _endpoints(d)]
+
+
+def test_decompositions_are_bit_identical():
+    h = hashlib.sha256()
+    for exprs, box in _cases():
+        jac = _outcome(clarke_jacobian_bounds, exprs, box)
+        if isinstance(jac, str):
+            _put(h, jac)
+            continue
+        for engine in (t_r_inclusion, t_l_inclusion, t_o_vertex_inclusion):
+            _put(h, _enclosure_outcome(engine, exprs, jac, box))
+        for i, e in enumerate(exprs):
+            eb = _outcome(error_bounds, e, jac.row(i), box)
+            _put(h, eb if isinstance(eb, str) else [eb.q_upper, eb.q_upper_hat])
+    assert h.hexdigest() == DECOMPOSITION_DIGEST
 
 
 def test_clarke_of_constant_and_variable_roots():
