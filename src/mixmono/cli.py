@@ -10,12 +10,14 @@ Exit codes: 0 success, 2 input/validation error, 3 computation error.
 from __future__ import annotations
 
 import argparse
+import math
 import re
 import sys
 from pathlib import Path
 
 import numpy as np
 
+from .decomp import error_bounds
 from .errors import (
     DimensionMismatch,
     EmptySolution,
@@ -33,7 +35,6 @@ from .inclusion import (
     apply_method,
     best_of_method,
     default_jac_provider,
-    error_bounds,
     sampled_range,
     subdivide_apply,
 )
@@ -165,9 +166,10 @@ def cmd_range(args) -> int:
 def _steps_for(args, model) -> int:
     if args.steps is not None:
         return args.steps
-    if args.horizon is not None:
-        return round(args.horizon / model.dt)
-    raise ValidationError("give --steps or --horizon")
+    steps = math.nan if args.horizon is None else args.horizon / model.dt
+    if math.isfinite(steps):
+        return round(steps)
+    raise ValidationError("give --steps or a finite --horizon")
 
 
 def cmd_reach(args) -> int:

@@ -17,7 +17,8 @@ the Cartesian product of per-coordinate (slope, branch) choices, and
 `decompose` evaluates that function row by row for discrete-time enclosures
 and, with `pinned`, for the continuous-time embedding: there row i is the
 same function with coordinate i pinned, a zero slope in column i and equal
-arguments there.
+arguments there.  `error_bounds` bounds the remainder form's error from the
+same candidates; its a-priori q_upper_hat is the sign-selected remainder.
 """
 
 from __future__ import annotations
@@ -52,18 +53,6 @@ _PINNED = ClarkeInterval(0.0, 0.0)
 SELECTORS = ("remainder", "jacobian_sign", "tight_vertex")
 
 
-@dataclass(frozen=True)
-class SupportingVector:
-    """Slope vector selecting a linear remainder and a corner assignment."""
-
-    m: tuple[float, ...]
-    branches: tuple[Branch, ...]
-
-    def __post_init__(self):
-        if any(not math.isfinite(v) for v in self.m):
-            raise UnboundedBothSides(f"non-finite supporting vector {self.m}")
-
-
 def _coordinate_choices(
     entry: ClarkeInterval,
 ) -> list[tuple[float, Branch]]:
@@ -82,36 +71,28 @@ def _coordinate_choices(
 
 class RowCandidates:
     """A row's supporting vectors, kept as per-coordinate (slope, branch)
-    choices and built as SupportingVectors only on iteration; zero holds the
-    branches of the all-zero vector, None when there is none."""
+    choices; zero holds the branches of the all-zero vector, None when there
+    is none."""
 
     def __init__(self, choices: Sequence[Sequence[tuple[float, Branch]]]):
         self.choices = tuple(map(tuple, choices))
-        self.count = math.prod(map(len, self.choices))
         zero = [next((tag for v, tag in c if v == 0.0), None) for c in self.choices]
         self.zero = None if None in zero else tuple(zero)
 
     def __len__(self) -> int:
-        return self.count
-
-    def __iter__(self):
-        for combo in itertools.product(*self.choices):
-            yield SupportingVector(tuple(v for v, _ in combo), tuple(t for _, t in combo))
+        return math.prod(map(len, self.choices))
 
 
-def supporting_vectors(
-    jac_row: Sequence[ClarkeInterval],
-    cap: int = CANDIDATE_CAP,
-) -> RowCandidates:
+def supporting_vectors(jac_row: Sequence[ClarkeInterval]) -> RowCandidates:
     """Cartesian product of per-coordinate branch choices for one row."""
     per_coord: list[list[tuple[float, Branch]]] = []
     count = 1
     for entry in jac_row:
         per_coord.append(_coordinate_choices(entry))
         count *= len(per_coord[-1])
-        if count > cap:
+        if count > CANDIDATE_CAP:
             raise CandidateExplosion(
-                f"{count}+ supporting-vector candidates exceed cap {cap}"
+                f"{count}+ supporting-vector candidates exceed cap {CANDIDATE_CAP}"
             )
     return RowCandidates(per_coord)
 
@@ -144,25 +125,16 @@ def row_candidates(
     return cands
 
 
-def corner_points(
-    m: SupportingVector,
-    a: Sequence[float],
-    b: Sequence[float],
-) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Corner pair (zeta_plus, zeta_minus) for one candidate.
-
-    a/b are the two evaluation arguments (a >= b componentwise when the
-    caller wants the upper bound).
-    """
-    zp, zm = [], []
-    for j, tag in enumerate(m.branches):
-        if tag is Branch.UPPER:
-            zp.append(b[j])
-            zm.append(a[j])
-        else:
-            zp.append(a[j])
-            zm.append(b[j])
-    return tuple(zp), tuple(zm)
+def _corners(candidates: RowCandidates, a, b) -> list[list[tuple[float, float]]]:
+    """Per coordinate, each choice's (zeta_plus_j, |m_j| * (a_j - b_j)): the
+    term is m_j * (zeta_minus_j - zeta_plus_j) up to the sign of a zero, which
+    fsum ignores, and zero for a zero slope even where a_j - b_j overflows.
+    With a and b swapped the first entries are zeta_minus_j."""
+    return [
+        [(bj if tag is Branch.UPPER else aj, abs(m) * (aj - bj) if m else 0.0)
+         for m, tag in choices]
+        for aj, bj, choices in zip(a, b, candidates.choices)
+    ]
 
 
 def eval_remainder_upper(
@@ -188,8 +160,7 @@ def eval_remainder_lower(
 
 def _extremum(candidates: RowCandidates, f_i, a, b, sign: float) -> float:
     """sign * min over candidates of sign * (f_i(zeta_plus) + m . (zeta_minus - zeta_plus)),
-    each term m_j * (zeta_minus_j - zeta_plus_j) taken as |m_j| * (a_j - b_j): the
-    same bits up to the sign of a zero term, which fsum ignores."""
+    the remainder summed from the terms of `_corners`."""
     # an all-zero slope vector exists only when every coordinate is
     # sign-stable; its corner value is then the exact extremum, so no other
     # candidate can be mathematically better (only spuriously, by rounding)
@@ -198,13 +169,8 @@ def _extremum(candidates: RowCandidates, f_i, a, b, sign: float) -> float:
         val = eval_point(f_i, zp)
         if not math.isnan(val):
             return val
-    # per coordinate, each choice's (zeta_plus_j, remainder term)
-    per_coord = [
-        [(bj if tag is Branch.UPPER else aj, abs(m) * (aj - bj)) for m, tag in choices]
-        for aj, bj, choices in zip(a, b, candidates.choices)
-    ]
     best = math.inf  # NaN values never compare below it
-    for combo in itertools.product(*per_coord):
+    for combo in itertools.product(*_corners(candidates, a, b)):
         zp, terms = zip(*combo)
         val = sign * (eval_point(f_i, zp) + _fsum(terms))
         if val < best:
@@ -286,3 +252,49 @@ def t_o_vertex_inclusion(f: Sequence[Expr], jac: JacobianBounds, box: Box) -> Bo
     vertex optimum is attained at a single directly-selected corner.
     """
     return enclose(f, jac, box, "tight_vertex")
+
+
+@dataclass(frozen=True)
+class ErrorBounds:
+    """Tightness-gap bounds for the remainder-form enclosure of one row.
+
+    q_upper_hat is the cheap a-priori bound, q_upper refines it with corner
+    evaluations, and q_lower_estimate (present only when a sampled range
+    estimate is supplied) estimates the actually-achieved gap.
+    """
+
+    q_lower_estimate: float | None
+    q_upper: float
+    q_upper_hat: float
+
+
+def error_bounds(
+    f_i: Expr,
+    jac_row: Sequence[ClarkeInterval],
+    box: Box,
+    oracle_range: Interval | None = None,
+) -> ErrorBounds:
+    """Error bounds of the remainder-form enclosure of f_i over box.
+
+    A candidate's gap is its remainder m . (zeta_minus - zeta_plus) plus
+    f_i(zeta_plus) - f_i(zeta_minus); q_upper is the least gap, and
+    q_upper_hat the least remainder: the sign-selected vector's, since the
+    remainder sums non-negative per-coordinate terms.
+    """
+    jac = JacobianBounds((tuple(jac_row),))
+    cands = row_candidates(jac, "remainder", 0)
+    plus, minus = _corners(cands, box.hi, box.lo), _corners(cands, box.lo, box.hi)
+    q_upper_hat = _fsum([min(t for _, t in choices) for choices in plus])
+    gaps = []
+    for combo, combo_minus in zip(itertools.product(*plus), itertools.product(*minus)):
+        zp, terms = zip(*combo)
+        zm = [z for z, _ in combo_minus]
+        gaps.append(_fsum(terms) + (eval_point(f_i, zp) - eval_point(f_i, zm)))
+    q_upper = min(q_upper_hat, min(gaps))
+    q_lower = None
+    if oracle_range is not None:
+        # the saturated enclosure, so an image past the largest float
+        # compares like the saturated oracle
+        enc = t_r_inclusion([f_i], jac, box)[0]
+        q_lower = max(enc.hi - oracle_range.hi, oracle_range.lo - enc.lo)
+    return ErrorBounds(q_lower_estimate=q_lower, q_upper=q_upper, q_upper_hat=q_upper_hat)

@@ -338,8 +338,8 @@ class ClarkeInterval:
     hi: float
 
     def __post_init__(self):
-        if self.lo > self.hi:
-            raise DomainError(f"Clarke interval lower bound exceeds upper: {self}")
+        if not self.lo <= self.hi:
+            raise DomainError(f"Clarke interval bounds are NaN or inverted: {self}")
 
     @property
     def finite_both(self) -> bool:

@@ -4,9 +4,8 @@ Provides the natural, centered, and mixed-centered inclusion functions; one
 method dispatcher over every engine, the decomposition-based ones included,
 that gives each row's raw upper and lower bound either over a box (discrete
 time) or with the row's own coordinate pinned (the continuous-time embedding
-derivative), and whose best_of intersects the members' bounds in both;
-a-priori/measured error bounds for the remainder form; and uniform-subdivision
-refinement.
+derivative), and whose best_of intersects the members' bounds in both; and
+uniform-subdivision refinement.
 """
 
 from __future__ import annotations
@@ -19,9 +18,7 @@ from typing import Callable, Sequence
 
 from .decomp import (
     SELECTORS,
-    corner_points,
     decompose,
-    supporting_vectors,
     t_l_inclusion,
     t_o_vertex_inclusion,
     t_r_inclusion,
@@ -36,7 +33,6 @@ from .expr import (
     ClarkeInterval,
     Expr,
     JacobianBounds,
-    _fsum,
     clarke_jacobian_bounds,
     eval_interval,
     eval_point,
@@ -264,45 +260,6 @@ def sampled_range(
         vals = eval_vec(e, cols)
         dims.append(Interval(float(np.min(vals)), float(np.max(vals))))
     return Box(dims)
-
-
-@dataclass(frozen=True)
-class ErrorBounds:
-    """Tightness-gap bounds for the remainder-form enclosure of one row.
-
-    q_upper_hat is the cheap a-priori bound, q_upper refines it with corner
-    evaluations, and q_lower_estimate (present only when a sampled range
-    estimate is supplied) estimates the actually-achieved gap.
-    """
-
-    q_lower_estimate: float | None
-    q_upper: float
-    q_upper_hat: float
-
-
-def error_bounds(
-    f_i: Expr,
-    jac_row: Sequence[ClarkeInterval],
-    box: Box,
-    oracle_range: Interval | None = None,
-) -> ErrorBounds:
-    """Error bounds of the remainder-form enclosure of f_i over box."""
-    a, b = box.hi, box.lo
-    d3, d3p4 = [], []
-    for cand in supporting_vectors(jac_row):
-        zp, zm = corner_points(cand, a, b)
-        delta3 = _fsum([mj * (u - v) for mj, u, v in zip(cand.m, zm, zp)])
-        d3.append(delta3)
-        d3p4.append(delta3 + (eval_point(f_i, zp) - eval_point(f_i, zm)))
-    q_upper_hat = min(d3)
-    q_upper = min(q_upper_hat, min(d3p4))
-    q_lower = None
-    if oracle_range is not None:
-        # the saturated enclosure, so an image past the largest float
-        # compares like the saturated oracle
-        enc = t_r_inclusion([f_i], JacobianBounds((tuple(jac_row),)), box)[0]
-        q_lower = max(enc.hi - oracle_range.hi, oracle_range.lo - enc.lo)
-    return ErrorBounds(q_lower_estimate=q_lower, q_upper=q_upper, q_upper_hat=q_upper_hat)
 
 
 def subdivide_box(box: Box, k: int) -> list[Box]:

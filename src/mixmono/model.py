@@ -86,6 +86,17 @@ def _parse_box(body: str, line: int) -> Box:
         raise ValidationError(f"malformed box at line {line}: {exc}") from exc
 
 
+def _parse_bounds(kind, text: str, what: str, line: int):
+    """kind(lo, hi) from the "lo, hi" text of a bounds literal."""
+    parts = text.split(",")
+    if len(parts) != 2:
+        raise ModelSyntaxError(f"{what} bounds need exactly two entries", line)
+    try:
+        return kind(*(_parse_float(p, line) for p in parts))
+    except DomainError as exc:
+        raise ValidationError(f"malformed {what} bounds at line {line}: {exc}") from exc
+
+
 def _parse_expr_here(text: str, names: Sequence[str], line: int) -> Expr:
     try:
         return parse_expr(text, names)
@@ -226,11 +237,8 @@ def parse_model(text: str) -> SystemModel:
             cm = re.match(r"^(.*?)\s+in\s+\[([^\]]+)\]$", stmt, re.S)
             if cm is None:
                 raise ModelSyntaxError(f"expected \"<expr> in [lo,hi]\", found {stmt!r}", line)
-            parts = cm.group(2).split(",")
-            if len(parts) != 2:
-                raise ModelSyntaxError("constraint bounds need exactly two entries", line)
+            bounds = _parse_bounds(Interval, cm.group(2), "constraint", line)
             expr = _parse_expr_here(cm.group(1), state_names, line)
-            bounds = Interval(_parse_float(parts[0], line), _parse_float(parts[1], line))
             constraints.append(Constraint(expr=expr, bounds=bounds))
 
     overrides = None
@@ -243,15 +251,11 @@ def parse_model(text: str) -> SystemModel:
                 raise ModelSyntaxError(
                     f"expected \"f_i/d_j in [lo,hi]\", found {stmt!r}", line
                 )
-            parts = om.group(3).split(",")
-            if len(parts) != 2:
-                raise ModelSyntaxError("override bounds need exactly two entries", line)
+            bounds = _parse_bounds(ClarkeInterval, om.group(3), "override", line)
             i, j = int(om.group(1)) - 1, int(om.group(2)) - 1
             if not (0 <= i < len(state_names) and 0 <= j < len(z_names)):
                 raise ValidationError(f"override f_{i+1}/d_{j+1} out of range (line {line})")
-            overrides[(i, j)] = ClarkeInterval(
-                _parse_float(parts[0], line), _parse_float(parts[1], line)
-            )
+            overrides[(i, j)] = bounds
 
     return SystemModel(
         name=name,

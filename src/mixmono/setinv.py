@@ -32,7 +32,7 @@ class InversionConfig:
     method: MethodId = field(default=REMAINDER)
 
     def __post_init__(self):
-        if self.epsilon <= 0:
+        if not self.epsilon > 0:
             raise ValidationError("epsilon must be positive")
         if self.passes < 1:
             raise ValidationError("passes must be >= 1")
@@ -58,8 +58,8 @@ def set_invert(
     if len(y_lo) != n_y or len(y_hi) != n_y:
         raise DimensionMismatch("constraint bound length does not match output count")
     for lo, hi in zip(y_lo, y_hi):
-        if lo > hi:
-            raise ValidationError(f"constraint bounds inverted: [{lo}, {hi}]")
+        if not lo <= hi:
+            raise ValidationError(f"constraint bounds NaN or inverted: [{lo}, {hi}]")
 
     provider = lambda _box: jac  # sound: bounds over the prior cover sub-boxes
 

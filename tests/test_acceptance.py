@@ -7,6 +7,7 @@ so the gate is deterministic.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 
@@ -21,6 +22,7 @@ from mixmono import (
     REMAINDER,
     TIGHT_VERTEX,
     Box,
+    Branch,
     InversionConfig,
     Measurement,
     apply_method,
@@ -42,7 +44,6 @@ from mixmono import (
     t_o_vertex_inclusion,
     t_r_inclusion,
 )
-from mixmono.decomp import corner_points
 from mixmono.errors import MixmonoError, NotSignStable, UnboundedBothSides
 from mixmono.inclusion import default_jac_provider
 
@@ -178,10 +179,11 @@ def test_criterion_04_tight_vertex_equivalence():
 
 def _decomposition_value(f_i, candidates, x, xhat):
     best = math.inf
-    for cand in candidates:
-        zp, zm = corner_points(cand, x, xhat)
+    for combo in itertools.product(*candidates.choices):
+        zp = [b if tag is Branch.UPPER else a for (_, tag), a, b in zip(combo, x, xhat)]
+        zm = [a if tag is Branch.UPPER else b for (_, tag), a, b in zip(combo, x, xhat)]
         val = eval_point(f_i, zp) + math.fsum(
-            m * (a - b) for m, a, b in zip(cand.m, zm, zp)
+            m * (a - b) for (m, _), a, b in zip(combo, zm, zp)
         )
         best = min(best, val)
     return best

@@ -137,6 +137,15 @@ class TestReach:
         assert code == 0
         assert "<svg" in p.read_text()
 
+    @pytest.mark.parametrize("command", ["reach", "compare"])
+    @pytest.mark.parametrize("horizon", ["inf", "nan"])
+    def test_non_finite_horizon_is_validation_error(self, capsys, command, horizon):
+        code, out, err = run(
+            capsys, command, "--model", "vanderpol", "--horizon", horizon
+        )
+        assert code == 2
+        assert out == "" and "--horizon" in err
+
     def test_refine_without_constraints(self, capsys):
         code, _, err = run(
             capsys, "reach", "--model", "vanderpol", "--steps", "3", "--refine"
@@ -168,6 +177,16 @@ class TestInvert:
         )
         assert code == 2
         assert "--prior" in err
+
+    @pytest.mark.parametrize("arg", ["--epsilon", "--ylo", "--yhi"])
+    def test_nan_argument_is_validation_error(self, capsys, arg):
+        argv = {"--epsilon": "0.001", "--ylo": "0.2", "--yhi": "0.3", arg: "nan"}
+        code, out, err = run(
+            capsys, "invert", "--expr", "x1", "--prior", "[0,1]",
+            *(tok for item in argv.items() for tok in item),
+        )
+        assert code == 2
+        assert out == "" and err.startswith("error:")
 
     def test_empty_solution_is_reported_not_fatal(self, capsys):
         code, out, _ = run(

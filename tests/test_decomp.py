@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 
@@ -14,8 +15,8 @@ from mixmono import (
     Box,
     Branch,
     JacobianBounds,
-    SupportingVector,
     clarke_jacobian_bounds,
+    error_bounds,
     eval_point,
     parse_expr,
     supporting_vectors,
@@ -23,7 +24,12 @@ from mixmono import (
     t_o_vertex_inclusion,
     t_r_inclusion,
 )
-from mixmono.decomp import CANDIDATE_CAP, corner_points, row_candidates
+from mixmono.decomp import (
+    CANDIDATE_CAP,
+    RowCandidates,
+    eval_remainder_upper,
+    row_candidates,
+)
 from mixmono.errors import (
     CandidateExplosion,
     InvertedBounds,
@@ -42,10 +48,12 @@ def decomposition_value(f_i, candidates, x, xhat) -> float:
     arguments swapped it is the lower bound up to the min/max dual.
     """
     best = math.inf
-    for cand in candidates:
-        zp, zm = corner_points(cand, x, xhat)
+    for combo in itertools.product(*candidates.choices):
+        # the upper branch takes zeta_plus_j = xhat_j and zeta_minus_j = x_j
+        zp = [b if tag is Branch.UPPER else a for (_, tag), a, b in zip(combo, x, xhat)]
+        zm = [a if tag is Branch.UPPER else b for (_, tag), a, b in zip(combo, x, xhat)]
         val = eval_point(f_i, zp) + math.fsum(
-            m * (a - b) for m, a, b in zip(cand.m, zm, zp)
+            m * (a - b) for (m, _), a, b in zip(combo, zm, zp)
         )
         best = min(best, val)
     return best
@@ -55,18 +63,18 @@ class TestSupportingVectors:
     def test_sign_stable_entry_gives_two_branches(self):
         row = (ClarkeInterval(1.0, 3.0),)
         cands = supporting_vectors(row)
-        values = sorted(c.m[0] for c in cands)
+        values = sorted(v for v, _ in cands.choices[0])
         assert values == [0.0, 3.0]
 
     def test_straddling_entry(self):
         row = (ClarkeInterval(-2.0, 5.0),)
         cands = supporting_vectors(row)
-        assert sorted(c.m[0] for c in cands) == [-2.0, 5.0]
+        assert sorted(v for v, _ in cands.choices[0]) == [-2.0, 5.0]
 
     def test_one_sided_infinite_entry_drops_that_branch(self):
         row = (ClarkeInterval(0.25, math.inf),)
         cands = supporting_vectors(row)
-        assert [c.m[0] for c in cands] == [0.0]
+        assert [v for v, _ in cands.choices[0]] == [0.0]
 
     def test_two_sided_infinite_entry_rejected(self):
         row = (ClarkeInterval(-math.inf, math.inf),)
@@ -81,12 +89,12 @@ class TestSupportingVectors:
         assert len(row_candidates(jac, "remainder", 0)) == 4
         cands = row_candidates(jac, "remainder", 0, pinned=True)
         assert len(cands) == 2
-        assert all(c.m[0] == 0.0 for c in cands)
+        assert [v for v, _ in cands.choices[0]] == [0.0]
 
     def test_candidate_cap(self):
         row = tuple(ClarkeInterval(-1.0, 1.0) for _ in range(17))
         with pytest.raises(CandidateExplosion):
-            supporting_vectors(row, cap=2**16)
+            supporting_vectors(row)
 
     def test_cap_constant(self):
         assert CANDIDATE_CAP == 2**16
@@ -103,17 +111,17 @@ class TestSupportingVectors:
             ((0.0, 0.0), (0.0, Branch.UPPER)),
         ]
         jac = JacobianBounds((tuple(ClarkeInterval(*entry) for entry, _ in table),))
-        (cand,) = row_candidates(jac, "jacobian_sign", 0)
-        assert list(zip(cand.m, cand.branches)) == [choice for _, choice in table]
+        cands = row_candidates(jac, "jacobian_sign", 0)
+        assert [choice for (choice,) in cands.choices] == [choice for _, choice in table]
 
 
 class TestCornerPoints:
     def test_branch_to_corner_mapping(self):
-        cand = SupportingVector((2.0, -1.0), (Branch.UPPER, Branch.LOWER))
-        a, b = (1.0, 1.0), (0.0, 0.0)
-        zp, zm = corner_points(cand, a, b)
-        assert zp == (0.0, 1.0)
-        assert zm == (1.0, 0.0)
+        # the upper branch puts zeta_plus_1 at b_1 = 0 and the lower branch
+        # zeta_plus_2 at a_2 = 1: f(0, 1) + 2 * (1 - 0) + 1 * (1 - 0) = 4
+        cands = RowCandidates([[(2.0, Branch.UPPER)], [(-1.0, Branch.LOWER)]])
+        f = parse_expr("x1 + x2", ["x1", "x2"])
+        assert eval_remainder_upper(cands, f, (1.0, 1.0), (0.0, 0.0)) == 4.0
 
 
 class TestScalarAnchors:
@@ -166,6 +174,18 @@ class TestOverflow:
         enc = t_r_inclusion([self.EXPR], jac, self.BOX)
         assert enc[0].lo == 0.0
         assert enc[0].hi == sys.float_info.max
+
+    def test_zero_slope_over_overflowing_width(self):
+        # 0*x1 has the slope bound [0, 0]: its remainder term is zero, where
+        # 0 * (1e308 - -1e308) = 0 * inf would make every candidate NaN
+        f = parse_expr("0*x1 + abs(x2)", ["x1", "x2"])
+        box = Box.from_pairs([(-1e308, 1e308), (-1, 1)])
+        jac = clarke_jacobian_bounds([f], box)
+        for engine in (t_r_inclusion, t_l_inclusion):
+            enc = engine([f], jac, box)
+            assert (enc[0].lo, enc[0].hi) == (-1.0, 3.0)
+        eb = error_bounds(f, jac.row(0), box)
+        assert eb.q_upper_hat == eb.q_upper == 2.0
 
 
 class TestDecompositionFunction:

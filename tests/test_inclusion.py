@@ -33,6 +33,7 @@ from mixmono import (
     t_m_inclusion,
     t_n_inclusion,
 )
+from mixmono import decomp
 from mixmono.errors import (
     CellBudgetExceeded,
     EmptyIntersection,
@@ -173,6 +174,22 @@ class TestErrorBounds:
         eb = error_bounds(CUBIC, jac.row(0), CUBIC_BOX, oracle[0])
         assert eb.q_lower_estimate <= eb.q_upper + 1e-12
         assert eb.q_upper <= eb.q_upper_hat + 1e-12
+
+    def test_one_candidate_build(self, monkeypatch):
+        # the bounds and the remainder-form estimate share one build of the
+        # row's candidates
+        builds = []
+
+        class Counted(decomp.RowCandidates):
+            def __init__(self, choices):
+                builds.append(choices)
+                super().__init__(choices)
+
+        monkeypatch.setattr(decomp, "RowCandidates", Counted)
+        jac = clarke_jacobian_bounds([CUBIC], CUBIC_BOX)
+        oracle = sampled_range([CUBIC], CUBIC_BOX, np.random.default_rng(0))
+        error_bounds(CUBIC, jac.row(0), CUBIC_BOX, oracle[0])
+        assert len(builds) == 1
 
     def test_overflowing_slope_sum(self):
         # the candidates with slope 1e298 in x1 and x2 sum to more than the

@@ -94,6 +94,19 @@ class TestParseModel:
         assert key == (0, 1)
         assert entry.lo == 0.05 and math.isinf(entry.hi)
 
+    @pytest.mark.parametrize("block", [
+        "constraint { a in [nan, 1]; }",
+        "constraint { a in [2, 1]; }",
+        "jac_override { f_1/d_2 in [nan, 1]; }",
+        "jac_override { f_1/d_2 in [2, 1]; }",
+    ])
+    def test_nan_or_inverted_bounds_rejected_with_line(self, block):
+        text = MINIMAL.replace(
+            "init: [[0, 1], [0, 1]];", f"init: [[0, 1], [0, 1]];\n  {block}"
+        )
+        with pytest.raises(ValidationError, match="line 11"):
+            parse_model(text)
+
 
 class TestBundledModels:
     def test_catalog(self):
