@@ -112,6 +112,8 @@ def _fmt_iv(iv: Interval) -> str:
 def cmd_range(args) -> int:
     if (args.model is None) == (args.expr is None):
         raise ValidationError("give exactly one of --model or --expr")
+    if args.subdivide < 1:
+        raise ValidationError(f"--subdivide must be at least 1, got {args.subdivide}")
     if args.expr is not None:
         if args.domain is None:
             raise ValidationError("--expr requires --domain")

@@ -19,6 +19,8 @@ and, with `pinned`, for the continuous-time embedding: there row i is the
 same function with coordinate i pinned, a zero slope in column i and equal
 arguments there.  `error_bounds` bounds the remainder form's error from the
 same candidates; its a-priori q_upper_hat is the sign-selected remainder.
+`enclose_lanes` is `enclose` over many boxes at once (the lanes of lanes.py),
+with each box's candidates taken from its bounds by the same rules.
 """
 
 from __future__ import annotations
@@ -29,6 +31,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
+import numpy as np
+
 from .errors import (
     CandidateExplosion,
     InvertedBounds,
@@ -37,6 +41,7 @@ from .errors import (
 )
 from .expr import ClarkeInterval, Expr, JacobianBounds, _fsum, eval_point
 from .interval import Box, Interval, saturate
+from .lanes import point_lanes
 
 
 class Branch(Enum):
@@ -233,6 +238,92 @@ def enclose(f: Sequence[Expr], jac: JacobianBounds, box: Box, kind: str) -> Box:
             )
         dims.append(Interval(lower, upper))
     return Box(dims)
+
+
+# a lane with more candidates in a row than this runs through the scalar
+# code; it is below CANDIDATE_CAP, so a lane the scalar code refuses is one
+LANE_CANDIDATES = 2**10
+
+
+def _lane_candidates(entries: np.ndarray, kind: str, bad: np.ndarray):
+    """One row's candidates in every clean lane, by the rules of
+    `row_candidates`: entries is the row's (n, 2, K) array of bounds.
+
+    Returns (slopes, branch, shortcut, cell): per candidate, its slope
+    vector, which coordinates take the lower branch, whether it is the all-zero
+    vector that `_extremum` evaluates alone, and its lane, with each lane's
+    candidates in itertools.product order.  A lane that the scalar code
+    would refuse (CandidateExplosion) or that has more than LANE_CANDIDATES
+    candidates is added to bad and given one placeholder candidate.
+    """
+    upper = np.where(0.0 > entries[:, 1], 0.0, entries[:, 1])  # max(hi, 0.0)
+    lower = np.where(0.0 < entries[:, 0], 0.0, entries[:, 0])  # min(lo, 0.0)
+    two = ~(lower == upper)  # the lower branch survives deduplication
+    count = len(bad)
+    if kind == "remainder":
+        zero = ((upper == 0.0) | (lower == 0.0)).all(axis=0)
+        total = np.prod(1.0 + two, axis=0)
+        bad |= total > LANE_CANDIDATES
+        sizes = np.where(zero | bad, 1, total).astype(int)
+        cell = np.repeat(np.arange(count), sizes)
+        rank = np.arange(len(cell)) - (np.cumsum(sizes) - sizes)[cell]
+        branch = np.empty((len(two), len(cell)), dtype=bool)
+        for j in reversed(range(len(two))):  # the last coordinate varies fastest
+            split = two[j, cell]
+            branch[j] = split & (rank % 2 == 1)
+            rank = np.where(split, rank // 2, rank)
+        shortcut = zero[cell]
+        # the all-zero vector takes each coordinate's first zero choice
+        branch = np.where(shortcut, ~(upper == 0.0)[:, cell], branch)
+    else:  # each coordinate's smallest-magnitude choice, the lower branch on a tie
+        cell = np.arange(count)
+        branch = two & (np.abs(lower) <= np.abs(upper))
+        shortcut = (np.where(branch, lower, upper) == 0.0).all(axis=0)
+    return np.where(branch, lower[:, cell], upper[:, cell]), branch, shortcut, cell
+
+
+def _lane_extremum(f_i: Expr, slopes, branch, shortcut, cell, a, b, sign: float):
+    """`_extremum` for every lane at once: a and b are the (n, K) arguments,
+    the other inputs those of `_lane_candidates`.  Returns each lane's value
+    and whether it is unclean."""
+    a, b = a[:, cell], b[:, cell]
+    values, bad = point_lanes(f_i.tape, np.where(branch, a, b))
+    rest = ~shortcut
+    if rest.any():
+        terms = np.where(slopes != 0.0, np.abs(slopes) * (a - b), 0.0)
+        sums = np.zeros(len(cell))
+        sums[rest] = list(map(_fsum, terms[:, rest].T.tolist()))
+        values = np.where(rest, values + sums, values)
+        bad |= ~np.isfinite(values)
+    # each lane's value is its first least candidate, in product order
+    key = np.where(bad, 0.0, sign * values)
+    starts = np.flatnonzero(np.diff(cell, prepend=-1))
+    hits = np.flatnonzero(key == np.minimum.reduceat(key, starts)[cell])
+    return values[hits[np.searchsorted(hits, starts)]], np.logical_or.reduceat(bad, starts)
+
+
+def enclose_lanes(f: Sequence[Expr], jac: np.ndarray, kind: str, lo: np.ndarray,
+                  hi: np.ndarray, bad: np.ndarray):
+    """`enclose` over K boxes at once, the lanes of lanes.py.
+
+    jac is the (rows, n, 2, K) array of the boxes' Clarke bounds and lo, hi
+    the (n, K) ends of the boxes; bad marks the unclean lanes.  Returns the
+    (rows, K) lower and upper bounds and the mask extended by every lane
+    that the scalar code computes from a non-finite value or refuses
+    (NotSignStable, CandidateExplosion, InvertedBounds).  On the other lanes
+    the bounds are bit-identical to `enclose`'s.
+    """
+    bad = bad.copy()
+    if kind == "tight_vertex":
+        bad |= ((jac[:, :, 0] < 0.0) & (0.0 < jac[:, :, 1])).any(axis=(0, 1))
+    lower, upper = np.empty((len(f), len(bad))), np.empty((len(f), len(bad)))
+    with np.errstate(all="ignore"):  # unclean lanes may hold inf and nan
+        for i, f_i in enumerate(f):
+            cands = _lane_candidates(jac[i], kind, bad)
+            upper[i], up_bad = _lane_extremum(f_i, *cands, hi, lo, 1.0)
+            lower[i], lo_bad = _lane_extremum(f_i, *cands, lo, hi, -1.0)
+            bad |= up_bad | lo_bad
+        return lower, upper, bad | (lower > upper).any(axis=0)
 
 
 def t_r_inclusion(f: Sequence[Expr], jac: JacobianBounds, box: Box) -> Box:

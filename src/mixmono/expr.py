@@ -6,9 +6,10 @@ ways, each as straight-line code compiled from it through one op->code
 table: point values, natural interval values, numpy values over many points
 (`eval_vec`), and Clarke-derivative bounds, which come from one forward pass
 that carries every node's interval value and all its partials at once
-(forward-mode interval differentiation).  Trees are immutable; sums and
-products are n-ary and flattened by the parser to keep natural-inclusion
-dependency pessimism deterministic.
+(forward-mode interval differentiation).  lanes.py binds the point and
+Clarke code a second time, to numpy operators that run many points or boxes
+at once.  Trees are immutable; sums and products are n-ary and flattened by
+the parser to keep natural-inclusion dependency pessimism deterministic.
 
 Grammar (see parse_expr):
     expr   := term (('+'|'-') term)*
@@ -22,6 +23,7 @@ Grammar (see parse_expr):
 from __future__ import annotations
 
 import math
+import operator
 import re
 import sys
 from dataclasses import dataclass, field
@@ -434,13 +436,13 @@ _POINT_CODE = {
     "const": "{arg}", "var": "z[{arg}]", "neg": "-{0}",
     "sin": "sin({0})", "cos": "cos({0})", "exp": "exp({0})", "sqrt": "sqrt({0})",
     "arctan": "atan({0})", "abs": "abs({0})", "pow": "pow_float({0}, {arg})",
-    "div": "{0} / {1}", "min": "min({0}, {1})", "max": "max({0}, {1})",
+    "div": "div({0}, {1})", "min": "min({0}, {1})", "max": "max({0}, {1})",
     "sum": "fsum(({kids},))",
     "prod": "1.0 * {prod}",  # from 1.0, so integer inputs give a float
 }
 _POINT_NAMES = {
     "sin": math.sin, "cos": math.cos, "exp": _exp_float, "sqrt": math.sqrt,
-    "atan": math.atan, "pow_float": _pow_float, "fsum": _fsum,
+    "atan": math.atan, "pow_float": _pow_float, "fsum": _fsum, "div": operator.truediv,
 }
 # the interval operators round each endpoint outward (see interval.py)
 _INTERVAL_CODE = {
@@ -698,6 +700,20 @@ def _xhull(a: _Pair, b: _Pair) -> _Pair:
     return (min(a[0], b[0]), max(a[1], b[1]))
 
 
+def _abs_rule(u: Interval):
+    """sign(u) * u'; the kink at 0 contributes conv{+-u'}."""
+    return _same if u.lo > 0.0 else _xneg if u.hi < 0.0 else _xkink
+
+
+def _min_rule(u: Interval, v: Interval):
+    """Where no branch wins outright they can tie: the hull of both."""
+    return _first if u.hi < v.lo else _second if v.hi < u.lo else _xhull
+
+
+def _max_rule(u: Interval, v: Interval):
+    return _first if u.lo > v.hi else _second if v.lo > u.hi else _xhull
+
+
 # op -> (factor, apply) code for the compiled Clarke pass.  The factor line
 # runs once per node and reads the children's interval values {0} and {1},
 # or {pairs}, all of them as (lo, hi) pairs; None means the rule reads no
@@ -705,9 +721,10 @@ def _xhull(a: _Pair, b: _Pair) -> _Pair:
 # its subtree reads; it reads the children's partials in that column, {0}
 # and {1} or all of them as {kids}, and the factor {f}.  A rule whose branch
 # depends on the values (abs, min, max) picks its apply function in the
-# factor line.  The interval values the factor lines read are rounded
-# outward; the pair arithmetic of the partials (_xadd, _xmul, _xdiv_pos)
-# still rounds to nearest.
+# factor line through a rule function, which the lane binding (lanes.py)
+# replaces by one that picks per lane.  The interval values the factor lines
+# read are rounded outward; the pair arithmetic of the partials (_xadd,
+# _xmul, _xdiv_pos) still rounds to nearest.
 _CLARKE_CODE = {
     "neg": (None, "xneg({0})"),
     "sum": (None, "xsum({kids})"),
@@ -716,23 +733,19 @@ _CLARKE_CODE = {
     "exp": ("xfrom(iexp({0}))", "xmul({f}, {0})"),
     "arctan": ("one + ipow({0}, 2)", "xdiv_pos({0}, {f})"),
     "sqrt": ("isqrt({0}).scale(2.0)", "xdiv_pos({0}, {f})"),
-    # sign(u) * u'; the kink at 0 contributes conv{+-u'}
-    "abs": ("same if {0}.lo > 0.0 else xneg if {0}.hi < 0.0 else xkink", "{f}({0})"),
+    "abs": ("abs_rule({0})", "{f}({0})"),
     "pow": ("xfrom(ipow({0}, {arg} - 1).scale({arg}.0))", "xmul({f}, {0})"),
     "pow0": (None, "Z"),  # x^0 is constant
     # (u'v - uv') / v^2, with v as a pair and v^2 as an interval
     "div": ("xfrom({0}), xfrom({1}), ipow({1}, 2)",
             "xdiv_pos(xadd(xmul({0}, {f}[1]), xneg(xmul({f}[0], {1}))), {f}[2])"),
-    # where no branch wins outright they can tie: the hull of both
-    "min": ("first if {0}.hi < {1}.lo else second if {1}.hi < {0}.lo else xhull",
-            "{f}({0}, {1})"),
-    "max": ("first if {0}.lo > {1}.hi else second if {1}.lo > {0}.hi else xhull",
-            "{f}({0}, {1})"),
+    "min": ("min_rule({0}, {1})", "{f}({0}, {1})"),
+    "max": ("max_rule({0}, {1})", "{f}({0}, {1})"),
     "prod": ("({pairs},)", "xprod({f}, ({kids},))"),
 }
 _CLARKE_NAMES = {
     **_INTERVAL_NAMES, "Z": _Z, "ONE": _ONE, "one": Interval(1.0, 1.0),
     "xneg": _xneg, "xsum": _xsum, "xmul": _xmul, "xadd": _xadd, "xfrom": _xfrom,
-    "xdiv_pos": _xdiv_pos, "xprod": _xprod, "xkink": _xkink, "same": _same,
-    "first": _first, "second": _second, "xhull": _xhull,
+    "xdiv_pos": _xdiv_pos, "xprod": _xprod, "abs_rule": _abs_rule,
+    "min_rule": _min_rule, "max_rule": _max_rule,
 }

@@ -16,9 +16,12 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
+import numpy as np
+
 from .decomp import (
     SELECTORS,
     decompose,
+    enclose_lanes,
     t_l_inclusion,
     t_o_vertex_inclusion,
     t_r_inclusion,
@@ -38,6 +41,7 @@ from .expr import (
     eval_point,
 )
 from .interval import Box, Interval
+from .lanes import jacobian_lanes
 
 JacProvider = Callable[[Box], JacobianBounds]
 
@@ -78,11 +82,27 @@ def best_of_method(members: Sequence[MethodId]) -> MethodId:
     return MethodId("best_of", tuple(members))
 
 
+class _ClarkeProvider:
+    """Clarke bounds of the rows f over a box, overrides replacing entries.
+
+    It keeps its rows and overrides, so that subdivide_apply can compute the
+    same bounds for many cells in one lane pass.
+    """
+
+    __slots__ = ("f", "overrides")
+
+    def __init__(self, f, overrides):
+        self.f, self.overrides = f, overrides
+
+    def __call__(self, box: Box) -> JacobianBounds:
+        return clarke_jacobian_bounds(self.f, box, self.overrides)
+
+
 def default_jac_provider(
     f: Sequence[Expr],
     overrides: dict[tuple[int, int], ClarkeInterval] | None = None,
 ) -> JacProvider:
-    return lambda box: clarke_jacobian_bounds(f, box, overrides)
+    return _ClarkeProvider(f, overrides)
 
 
 def _finite_jac(jac: JacobianBounds, context: str) -> None:
@@ -235,8 +255,6 @@ def sampled_range(
     The result is contained in the true image, so it lower-bounds every sound
     enclosure's tightness.
     """
-    import numpy as np
-
     from .expr import eval_vec
 
     if not all(map(math.isfinite, box.widths())):
@@ -277,6 +295,32 @@ def subdivide_box(box: Box, k: int) -> list[Box]:
     return [Box(combo) for combo in itertools.product(*per_dim)]
 
 
+# cells per lane pass, which bounds the size of its arrays
+_LANE_BLOCK = 64
+
+
+def _lane_enclosures(method: MethodId, f: Sequence[Expr], jac_provider: JacProvider,
+                     cells: Sequence[Box]) -> list[Box | None]:
+    """Each cell's enclosure from lane passes, or None where the cell must
+    go through apply_method: every cell unless method is a decomposition
+    engine and jac_provider default_jac_provider's for the rows f, and
+    otherwise the unclean cells (see lanes.py)."""
+    n = len(cells[0])
+    if (method.kind not in SELECTORS or not isinstance(jac_provider, _ClarkeProvider)
+            or tuple(jac_provider.f) != tuple(f) or any(e.tape.max_var >= n for e in f)):
+        return [None] * len(cells)
+    out = []
+    for start in range(0, len(cells), _LANE_BLOCK):
+        block = cells[start:start + _LANE_BLOCK]
+        lo = np.array([d.lo for c in block for d in c.dims], dtype=float).reshape(len(block), n).T
+        hi = np.array([d.hi for c in block for d in c.dims], dtype=float).reshape(len(block), n).T
+        jac, bad = jacobian_lanes(f, jac_provider.overrides, lo, hi)
+        lower, upper, bad = enclose_lanes(f, jac, method.kind, lo, hi, bad)
+        for lows, ups, unclean in zip(lower.T.tolist(), upper.T.tolist(), bad.tolist()):
+            out.append(None if unclean else Box(map(Interval, lows, ups)))
+    return out
+
+
 def subdivide_apply(
     method: MethodId,
     f: Sequence[Expr],
@@ -284,10 +328,21 @@ def subdivide_apply(
     box: Box,
     k: int,
 ) -> tuple[list[Box], list[Box], Box]:
-    """Apply method per subdivision cell; returns (cells, enclosures, hull)."""
+    """Apply method per subdivision cell; returns (cells, enclosures, hull).
+
+    The decomposition engines run the cells as the lanes of one Clarke pass
+    and one corner pass per row (lanes.py); the other engines, and the cells
+    whose lanes are unclean, go through apply_method in cell order, so the
+    enclosures and the first error are those of apply_method on each cell.
+    """
     cells = subdivide_box(box, k)
-    enclosures = [apply_method(method, f, cell, jac_provider) for cell in cells]
-    hull = enclosures[0]
-    for enc in enclosures[1:]:
-        hull = hull.hull(enc)
+    if jac_provider is None:
+        jac_provider = default_jac_provider(f)
+    enclosures = [
+        enc if enc is not None else apply_method(method, f, cell, jac_provider)
+        for cell, enc in zip(cells, _lane_enclosures(method, f, jac_provider, cells))
+    ]
+    # min and max keep the first least and greatest end, as a fold of Box.hull does
+    hull = Box(Interval(min(d.lo for d in dims), max(d.hi for d in dims))
+               for dims in zip(*enclosures))
     return cells, enclosures, hull

@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -61,6 +65,14 @@ class TestRange:
         assert code == 0
         assert "hull over 4 cells" in out
         assert "per-cell max error" in out
+
+    @pytest.mark.parametrize("k", ["0", "-2"])
+    def test_subdivide_below_one_is_validation_error(self, capsys, k):
+        code, out, err = run(
+            capsys, "range", "--expr", "x1", "--domain", "[0,1]", "--subdivide", k,
+        )
+        assert code == 2
+        assert out == "" and "--subdivide" in err
 
     def test_seed_determinism(self, capsys):
         argv = (
@@ -270,3 +282,17 @@ class TestObserveAndCompare:
         )
         assert code == 2
         assert "--seed" in err
+
+
+def test_python_dash_m_runs_the_cli_from_a_checkout():
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run(
+        [sys.executable, "-m", "mixmono", "range", "--expr", "x1^2", "--domain", "[-1,2]",
+         "--methods", "natural"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "natural" in done.stdout and "[0, 4]" in done.stdout
+    done = subprocess.run([sys.executable, "-m", "mixmono", "range", "--expr", "x1"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 2

@@ -10,6 +10,8 @@ import pickle
 import numpy as np
 import pytest
 
+import mixmono.decomp
+import mixmono.inclusion
 from mixmono import (
     CENTERED,
     JACOBIAN_SIGN,
@@ -18,8 +20,10 @@ from mixmono import (
     REMAINDER,
     TIGHT_VERTEX,
     Box,
+    apply_method,
     best_of_method,
     clarke_jacobian_bounds,
+    default_jac_provider,
     eval_interval,
     eval_point,
     error_bounds,
@@ -27,13 +31,16 @@ from mixmono import (
     load_bundled,
     parse_expr,
     parse_model,
+    subdivide_apply,
     t_l_inclusion,
     t_o_vertex_inclusion,
     t_r_inclusion,
 )
 from mixmono.errors import NotSignStable
 from mixmono.expr import ClarkeInterval
+from mixmono.inclusion import _lane_enclosures, subdivide_box
 from mixmono.interval import Interval, isin
+from mixmono.lanes import jacobian_lanes
 from mixmono.model import bundled_models
 from mixmono.reach import _embedding_derivative
 
@@ -292,3 +299,131 @@ def test_embedding_derivative_is_bit_identical():
                     for x in du + dl:
                         h.update(float(x).hex().encode())
     assert h.hexdigest() == EMBEDDING_DIGEST
+
+
+# models whose Jacobian providers carry overrides: finite ones, which the
+# lanes use, and an infinite one, whose cells go through apply_method
+_OVERRIDE_MODELS = (
+    """system "finite" {
+      time: discrete(dt=0.1);
+      state: x1, x2;
+      dynamics { x1' = x1*x2 + abs(x1); x2' = sin(x1) - x2^2; }
+      init: [[-0.5, 0.5], [0.1, 0.3]];
+      jac_override { f_1/d_1 in [-0.8, 1.6]; f_2/d_1 in [-1, 1]; f_2/d_2 in [-0.6, -0.2]; }
+    }""",
+    """system "infinite" {
+      time: discrete(dt=0.1);
+      state: x1, x2;
+      dynamics { x1' = x1*x2; x2' = -x2; }
+      init: [[-0.5, 0.5], [0.1, 0.3]];
+      jac_override { f_1/d_2 in [-0.1, inf]; }
+    }""",
+)
+# cases whose lanes are unclean, so that their cells take the scalar path:
+# exp saturates, and with tight_vertex a cell that fails in decomposition
+# (the slope of (x1 + 1.5)^2 spans 0 over [-2, -1]) comes before one that
+# fails in Clarke (sqrt of [-1, 0])
+_FALLBACK_CASES = (
+    ("0.5*exp(x1)", [(709.5, 710)]),
+    ("(x1 + 1.5)^2 + sqrt(-x1)", [(-2, 1)]),
+)
+
+
+# on top of EDGE_EXPRESSIONS: divisions whose value a parent reads, signed
+# zeros from min, max and products, and both product sign cases
+LANE_EXPRESSIONS = (
+    "sin(1/x1) + x2", "min(x1, -x1) - max(x2, -x2)", "-(x1*x2) + 0.5*x2^2",
+    "abs(x1)*x2 - cos(x1*x2)", "exp(x1)/(x2^2 - 0.25)", "x1*x2*x1 - arctan(x2)*x1",
+    "min(-0, x1)", "max(-0, x2)",
+)
+# a box whose cells meet at 0 in some coordinate for k = 2 and for k = 3
+_ZERO_EDGE_BOX = Box.from_pairs([(-1.0, 0.5), (-1.5, 1.5)])
+
+
+def _lane_cases():
+    """(rows, box, provider): the bundled models through their providers,
+    every _cases() input, the lane expressions and EDGE_EXPRESSIONS over a
+    box whose cells meet at 0, and the fallback cases."""
+    models = [load_bundled(name) for name in bundled_models()]
+    models += [parse_model(text) for text in _OVERRIDE_MODELS]
+    for model in models:
+        yield list(model.dynamics), model.init.concat(model.disturbance), model.jac_provider()
+    for exprs, box in _cases():
+        yield exprs, box, default_jac_provider(exprs)
+    for text in LANE_EXPRESSIONS + EDGE_EXPRESSIONS:
+        exprs = [parse_expr(text, ["x1", "x2"])]
+        yield exprs, _ZERO_EDGE_BOX, default_jac_provider(exprs)
+    for text, pairs in _FALLBACK_CASES:
+        exprs = [parse_expr(text, ["x1"])]
+        yield exprs, Box.from_pairs(pairs), default_jac_provider(exprs)
+
+
+def _cells_outcome(fn):
+    """The endpoints of every cell's enclosure as float.hex, or the name of
+    the first error."""
+    try:
+        return [[float(x).hex() for d in enc for x in _endpoints(d)] for enc in fn()]
+    except Exception as exc:  # the error type is part of the pinned behaviour
+        return type(exc).__name__
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("method", [REMAINDER, JACOBIAN_SIGN, TIGHT_VERTEX], ids=str)
+def test_subdivision_lanes_match_apply_method(method, k):
+    for exprs, box, provider in _lane_cases():
+        cells = subdivide_box(box, k)
+        lanes = _cells_outcome(lambda: subdivide_apply(method, exprs, provider, box, k)[1])
+        scalar = _cells_outcome(lambda: [apply_method(method, exprs, c, provider) for c in cells])
+        assert lanes == scalar, (method, k, exprs, box)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_jacobian_lanes_match_clarke_on_clean_cells(k):
+    # the enclosures read Clarke bounds only through comparisons and abs,
+    # so the bounds themselves are compared, signed zeros included
+    clean = 0
+    for exprs, box, provider in _lane_cases():
+        if max(e.tape.max_var for e in exprs) >= len(box):
+            continue
+        cells = subdivide_box(box, k)
+        lo, hi = np.array([c.lo for c in cells]).T, np.array([c.hi for c in cells]).T
+        entries, bad = jacobian_lanes(exprs, provider.overrides, lo, hi)
+        for cell, lanes, unclean in zip(cells, np.moveaxis(entries, -1, 0), bad):
+            if not unclean:
+                clean += 1
+                scalar = [x for row in provider(cell).entries for c in row for x in (c.lo, c.hi)]
+                assert list(map(float.hex, lanes.ravel().tolist())) == list(map(float.hex, scalar))
+    assert clean > 1000
+
+
+def test_unclean_lanes_take_apply_method_in_cell_order():
+    box = Box.from_pairs([(709.5, 710)])
+    e = parse_expr("0.5*exp(x1)", ["x1"])
+    lanes = _lane_enclosures(REMAINDER, [e], default_jac_provider([e]), subdivide_box(box, 2))
+    assert [enc is None for enc in lanes] == [False, True]  # exp(710) overflows
+    # cell 0 fails in decomposition, cell 2 in Clarke: the first error wins
+    e = parse_expr("(x1 + 1.5)^2 + sqrt(-x1)", ["x1"])
+    cells = subdivide_box(Box.from_pairs([(-2, 1)]), 3)
+    assert _cells_outcome(lambda: [apply_method(TIGHT_VERTEX, [e], cells[2])]) == "DomainError"
+    outcome = _cells_outcome(lambda: subdivide_apply(TIGHT_VERTEX, [e], None, Box.from_pairs([(-2, 1)]), 3)[1])
+    assert outcome == "NotSignStable"
+
+
+def test_clean_subdivision_takes_the_lane_path(monkeypatch):
+    e = parse_expr("x1*x2 - abs(x3 - 0.2) + sin(x1)*x3^2 + min(x2, x3)", ["x1", "x2", "x3"])
+    box = Box.from_pairs([(-1, 0.5), (0.2, 1.5), (-0.4, 0.9)])
+    scalar = [apply_method(REMAINDER, [e], c) for c in subdivide_box(box, 3)]
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(mixmono.inclusion, "clarke_jacobian_bounds",
+                        counted(mixmono.inclusion.clarke_jacobian_bounds))
+    monkeypatch.setattr(mixmono.decomp, "eval_point", counted(mixmono.decomp.eval_point))
+    _, encs, _ = subdivide_apply(REMAINDER, [e], None, box, 3)
+    assert calls == []
+    assert encs == scalar
