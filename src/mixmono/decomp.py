@@ -5,7 +5,10 @@ function, min over supporting vectors m of f(zeta_plus) + m . (zeta_minus -
 zeta_plus), and differ only in which vectors m a row may use.  Each m picks
 one branch of each coordinate's derivative bound, so a row's candidates are
 the Cartesian product of per-coordinate (slope, branch) choices, and
-`RowCandidates` keeps them as those choices:
+`RowCandidates` keeps them as those choices.  One scan of a row's bounds
+finds its all-zero vector and its candidate count; the choices are built
+only where they are read, since a sign-stable row evaluates the all-zero
+vector alone:
 
 * remainder: every candidate of `supporting_vectors` (the tightest
   tractable form);
@@ -29,6 +32,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -76,30 +80,55 @@ def _coordinate_choices(
 
 class RowCandidates:
     """A row's supporting vectors, kept as per-coordinate (slope, branch)
-    choices; zero holds the branches of the all-zero vector, None when there
-    is none."""
+    choices; with selected, only the sign-selected vector: each
+    coordinate's smallest-magnitude choice, the lower branch on a tie.
 
-    def __init__(self, choices: Sequence[Sequence[tuple[float, Branch]]]):
-        self.choices = tuple(map(tuple, choices))
-        zero = [next((tag for v, tag in c if v == 0.0), None) for c in self.choices]
+    One scan of the row's bounds gives zero, the branches of the all-zero
+    vector (None when there is none), and the candidate count, and raises
+    UnboundedBothSides or CandidateExplosion at the entry where the choices
+    would.  `choices` is built when first read, which only a row without an
+    all-zero vector, or with a NaN value at its corner, and error_bounds do.
+    """
+
+    def __init__(self, row: Sequence[ClarkeInterval], selected: bool = False):
+        self.row, self.selected = row, selected
+        zero, count = [], 1
+        for entry in row:
+            lo, hi = entry.lo, entry.hi
+            upper, lower = math.isfinite(hi), math.isfinite(lo)
+            if upper and hi <= 0.0:  # the upper choice is 0.0; lo >= 0 would repeat it
+                zero.append(Branch.UPPER)
+                size = 1 + (lower and lo < 0.0)
+            elif lower and lo >= 0.0:  # the lower choice is 0.0, the upper one hi > 0
+                zero.append(Branch.LOWER)
+                size = 1 + upper
+            else:
+                zero.append(None)
+                size = upper + lower
+                if not size:
+                    raise UnboundedBothSides(f"derivative bound {entry} has no finite side")
+            if not selected:
+                count *= size
+                if count > CANDIDATE_CAP:
+                    raise CandidateExplosion(
+                        f"{count}+ supporting-vector candidates exceed cap {CANDIDATE_CAP}")
         self.zero = None if None in zero else tuple(zero)
+        self.count = count
+
+    @cached_property
+    def choices(self) -> tuple[tuple[tuple[float, Branch], ...], ...]:
+        per_coord = map(_coordinate_choices, self.row)
+        if self.selected:
+            return tuple((min(reversed(c), key=lambda c: abs(c[0])),) for c in per_coord)
+        return tuple(map(tuple, per_coord))
 
     def __len__(self) -> int:
-        return math.prod(map(len, self.choices))
+        return self.count
 
 
 def supporting_vectors(jac_row: Sequence[ClarkeInterval]) -> RowCandidates:
     """Cartesian product of per-coordinate branch choices for one row."""
-    per_coord: list[list[tuple[float, Branch]]] = []
-    count = 1
-    for entry in jac_row:
-        per_coord.append(_coordinate_choices(entry))
-        count *= len(per_coord[-1])
-        if count > CANDIDATE_CAP:
-            raise CandidateExplosion(
-                f"{count}+ supporting-vector candidates exceed cap {CANDIDATE_CAP}"
-            )
-    return RowCandidates(per_coord)
+    return RowCandidates(jac_row)
 
 
 def _row(jac: JacobianBounds, i: int, pinned: bool) -> tuple[ClarkeInterval, ...]:
@@ -123,9 +152,8 @@ def row_candidates(
         row = _row(jac, i, pinned)
         if kind == "remainder":
             cands = supporting_vectors(row)
-        else:  # each coordinate's smallest-magnitude choice, the lower branch on a tie
-            cands = RowCandidates(
-                [min(reversed(_coordinate_choices(e)), key=lambda c: abs(c[0]))] for e in row)
+        else:
+            cands = RowCandidates(row, selected=True)
         jac.derived[key] = cands
     return cands
 

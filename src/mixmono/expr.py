@@ -381,6 +381,13 @@ class JacobianBounds:
         return self.entries[ij[0]][ij[1]]
 
 
+def _row_overrides(overrides: dict | None, i: int, n: int) -> dict:
+    """Row i's overridden entries of an n-column Jacobian, {column: bound}."""
+    if not overrides:
+        return {}
+    return {j: overrides[(i, j)] for j in range(n) if (i, j) in overrides}
+
+
 def clarke_jacobian_bounds(
     exprs: Sequence[Expr],
     box: Box,
@@ -400,15 +407,22 @@ def clarke_jacobian_bounds(
     for i, e in enumerate(exprs):
         if e.tape.max_var >= n_z:
             raise DimensionMismatch(f"row {i} references variable outside box")
-        fixed = {j: overrides[(i, j)] for j in range(n_z) if (i, j) in (overrides or ())}
+        fixed = _row_overrides(overrides, i, n_z)
         if len(fixed) < n_z:
             default, partials = e.tape.clarke(box.dims)
-        row = tuple(
-            fixed[j] if j in fixed else ClarkeInterval(*partials.get(j, default))
-            for j in range(n_z)
-        )
+        row = []
+        shared = None  # the default's entry, built where a column first reads it
+        for j in range(n_z):
+            if j in fixed:
+                row.append(fixed[j])
+            elif j in partials:
+                row.append(ClarkeInterval(*partials[j]))
+            else:
+                if shared is None:
+                    shared = ClarkeInterval(*default)
+                row.append(shared)
         bad += [(i, j) for j, entry in enumerate(row) if entry.unbounded_both]
-        rows.append(row)
+        rows.append(tuple(row))
     if bad:
         raise UnboundedBothSides(f"Clarke bounds unbounded on both sides at {bad}")
     return JacobianBounds(tuple(rows))
@@ -563,6 +577,12 @@ class Tape:
         interval values the rules read, then per node one factor line from
         them (see _CLARKE_CODE) and one line each for its default and for
         every column its subtree reads.
+
+        Partials that are zero by construction are folded here rather than
+        computed (see _VANISH): a line whose result is exactly Z is left
+        out, a zero term is left out of a sum and passed to a product as Z,
+        and a line that no other line reads is dropped unless it evaluates
+        an interval, so every interval value, and every error, stays.
         """
         nodes = self.nodes
         # A node's interval value is computed only below an op that reads
@@ -574,9 +594,11 @@ class Tape:
             for c in kids:
                 needed[c] = needed[k] or _CLARKE_CODE[op][0] is not None
         # local[k][j] names the local holding node k's partial in column j,
-        # and local[k][None] the one holding its default
+        # and local[k][None] the one holding its default; zero holds the
+        # names certain to hold a (signed) zero pair
         local: list[dict] = []
-        lines = []
+        zero = {"Z"}
+        lines = []  # (name, code, whether it stays when no line reads it)
         for k, (op, arg, kids) in enumerate(nodes):
             if op == "const":
                 local.append({None: "Z"})
@@ -587,19 +609,38 @@ class Tape:
             factor, apply = _CLARKE_CODE["pow0" if op == "pow" and arg == 0 else op]
             if factor is not None:
                 values = [f"t{c}" for c in kids]
-                lines.append(f"f{k} = " + factor.format(
-                    *values, arg=arg, pairs=", ".join(f"xfrom({v})" for v in values)))
+                lines.append((f"f{k}", factor.format(
+                    *values, arg=arg, pairs=", ".join(f"xfrom({v})" for v in values)),
+                    op not in _PACKAGING))
             here = {}
             for j in [None, *sorted(set().union(*(local[c] for c in kids)) - {None})]:
                 a = [local[c].get(j, local[c][None]) for c in kids]
-                here[j] = f"d{k}" if j is None else f"p{k}_{j}"
-                lines.append(f"{here[j]} = " + apply.format(*a, f=f"f{k}", kids=", ".join(a)))
+                if op == "sum":
+                    a = [x for x in a if x not in zero]
+                elif op == "prod":
+                    a = ["Z" if x in zero else x for x in a]
+                code = apply.format(*a, f=f"f{k}", kids=", ".join(a))
+                if op in _VANISH and zero.issuperset(a) or code == "Z":  # Z: x^0's rule
+                    here[j] = "Z"
+                elif op == "sum" and a == ["ONE"]:
+                    here[j] = "ONE"  # _xadd(Z, ONE) is exactly ONE
+                else:
+                    here[j] = f"d{k}" if j is None else f"p{k}_{j}"
+                    lines.append((here[j], code, False))
+                    if zero.issuperset(a):
+                        zero.add(here[j])
             local.append(here)
         root = local[-1]
         partials = ", ".join(f"{j}: {name}" for j, name in root.items() if j is not None)
-        lines.append(f"return {root[None]}, {{{partials}}}")
+        ret = f"return {root[None]}, {{{partials}}}"
+        live, kept = set(_LOCAL.findall(ret)), []
+        for name, code, stays in reversed(lines):
+            if stays or name in live:
+                live.update(_LOCAL.findall(code))
+                kept.append(f"{name} = {code}")
         slots = [k for k in range(len(nodes)) if needed[k]]
-        return self._compile(_INTERVAL_CODE, Interval.point, _CLARKE_NAMES, slots, lines)
+        return self._compile(_INTERVAL_CODE, Interval.point, _CLARKE_NAMES, slots,
+                             [*reversed(kept), ret])
 
 
 # A Clarke partial during the forward pass: (lo, hi) in the extended reals.
@@ -743,6 +784,22 @@ _CLARKE_CODE = {
     "max": ("max_rule({0}, {1})", "{f}({0}, {1})"),
     "prod": ("({pairs},)", "xprod({f}, ({kids},))"),
 }
+# Statically-zero partials are folded by Tape.clarke, on two facts about the
+# pair operators that any change to them must keep:
+# - _corner gives an exact 0.0 for any zero operand, so _xmul with a (signed)
+#   zero pair is exactly Z; so is every rule of _VANISH whose partials are
+#   all zero (div: _xdiv_pos of _xadd(Z, _xneg(Z)) over v^2 >= 0);
+# - _xsum and _xprod skip +-0 terms, so a zero term can be left out of a
+#   sum, and passed to a product as Z.
+# The rules of the other ops map zero partials to a zero pair whose signs
+# they decide (_xneg(Z) is (-0.0, -0.0)), so those lines stay where the
+# root reads them.  A factor line of _PACKAGING only packages values the
+# pass already has, so it goes when no line reads it; every other one
+# evaluates an interval, which could raise, and stays.
+_VANISH = {"sin", "cos", "exp", "pow", "div", "sum", "prod"}
+_PACKAGING = {"abs", "min", "max", "prod"}
+_LOCAL = re.compile(r"\b(?:[fd]\d+|p\d+_\d+)\b")
+
 _CLARKE_NAMES = {
     **_INTERVAL_NAMES, "Z": _Z, "ONE": _ONE, "one": Interval(1.0, 1.0),
     "xneg": _xneg, "xsum": _xsum, "xmul": _xmul, "xadd": _xadd, "xfrom": _xfrom,

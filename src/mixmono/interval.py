@@ -309,15 +309,19 @@ class Box:
     def __setattr__(self, name, value):
         raise AttributeError("Box is immutable")
 
+    # The constructors store float ends, so a box given as ints computes
+    # and prints like one given as floats; 1.0 * x keeps a -0.0 and, unlike
+    # float(x), still rejects a string.
+
     @staticmethod
     def from_bounds(lo: Sequence[float], hi: Sequence[float]) -> "Box":
         if len(lo) != len(hi):
             raise DimensionMismatch("lo/hi length mismatch")
-        return Box(Interval(a, b) for a, b in zip(lo, hi))
+        return Box(Interval(1.0 * a, 1.0 * b) for a, b in zip(lo, hi))
 
     @staticmethod
     def from_pairs(pairs: Sequence[Sequence[float]]) -> "Box":
-        return Box(Interval(*p) for p in pairs)
+        return Box(Interval(*(1.0 * x for x in p)) for p in pairs)
 
     @staticmethod
     def point(p: Sequence[float]) -> "Box":

@@ -44,7 +44,7 @@ import types
 
 import numpy as np
 
-from .expr import _CLARKE_NAMES, _POINT_NAMES, Tape, _fsum, _same
+from .expr import _CLARKE_NAMES, _POINT_NAMES, Tape, _fsum, _same, _row_overrides
 from .interval import _MAXF, _SPLIT, _TINY, _TWO_PI, Interval, _exp_float, _pow_float
 
 # the direction each row of a (2, K) array rounds to: lower ends down, upper up
@@ -418,7 +418,7 @@ def jacobian_lanes(f, overrides, lo: np.ndarray, hi: np.ndarray) -> tuple[np.nda
     entries = np.empty((len(f), n, 2, count))
     bad = np.zeros(count, dtype=bool)
     for i, e in enumerate(f):
-        fixed = {j: overrides[(i, j)] for j in range(n) if (i, j) in (overrides or ())}
+        fixed = _row_overrides(overrides, i, n)
         if len(fixed) < n:
             lanes = _ClarkePass(count)
             constants = {f"c{k}": lanes.constant(arg) for k, arg in _constants(e.tape)}

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -59,6 +60,42 @@ def decomposition_value(f_i, candidates, x, xhat) -> float:
     return best
 
 
+def eager_candidates(row, selected):
+    """(choices, zero, count) of a row, built the way RowCandidates did
+    before its one scan: every coordinate's choices first, then the all-zero
+    vector and the count from them."""
+    per_coord, count = [], 1
+    for entry in row:
+        choices = []
+        if math.isfinite(entry.hi):
+            choices.append((max(entry.hi, 0.0), Branch.UPPER))
+        if math.isfinite(entry.lo):
+            lower = min(entry.lo, 0.0)
+            if not (choices and choices[0][0] == lower):
+                choices.append((lower, Branch.LOWER))
+        if not choices:
+            raise UnboundedBothSides(entry)
+        if selected:
+            choices = [min(reversed(choices), key=lambda c: abs(c[0]))]
+        per_coord.append(tuple(choices))
+        count *= len(choices)
+        if count > CANDIDATE_CAP:
+            raise CandidateExplosion(count)
+    zero = [next((tag for v, tag in c if v == 0.0), None) for c in per_coord]
+    return tuple(per_coord), None if None in zero else tuple(zero), count
+
+
+SCAN_ENTRIES = [(0.0, 0.0), (-0.0, 0.0), (1.0, 1.0), (-2.0, 3.0),
+                (-math.inf, 0.0), (0.0, math.inf), (-math.inf, math.inf)]
+SCAN_ROWS = [
+    *([entry] for entry in SCAN_ENTRIES),
+    SCAN_ENTRIES[:-1],
+    [(1.0, 1.0), (-math.inf, 0.0), (0.0, math.inf)],
+    # the cap is passed at the 17th column, before the unbounded 18th
+    [(-2.0, 3.0)] * 17 + [(-math.inf, math.inf)],
+]
+
+
 class TestSupportingVectors:
     def test_sign_stable_entry_gives_two_branches(self):
         row = (ClarkeInterval(1.0, 3.0),)
@@ -99,6 +136,39 @@ class TestSupportingVectors:
     def test_cap_constant(self):
         assert CANDIDATE_CAP == 2**16
 
+    @pytest.mark.parametrize("selected", [False, True])
+    @pytest.mark.parametrize("pairs", SCAN_ROWS, ids=str)
+    def test_one_scan_matches_eager_build(self, pairs, selected):
+        row = tuple(ClarkeInterval(*p) for p in pairs)
+        try:
+            want = eager_candidates(row, selected)
+        except (UnboundedBothSides, CandidateExplosion) as exc:
+            with pytest.raises(type(exc)):
+                RowCandidates(row, selected)
+            return
+        cands = RowCandidates(row, selected)
+        assert (cands.zero, len(cands)) == want[1:]
+        assert cands.choices == want[0]
+        if not selected:
+            assert len(supporting_vectors(row)) == want[2]
+
+    def test_zero_vector_reads_no_choices(self):
+        f = parse_expr("x1 - x2", ["x1", "x2"])
+        cands = supporting_vectors((ClarkeInterval(1.0, 1.0), ClarkeInterval(-1.0, -1.0)))
+        assert eval_remainder_upper(cands, f, (2.0, 1.0), (0.0, -1.0)) == 3.0
+        assert "choices" not in vars(cands)
+
+    def test_nan_zero_corner_takes_the_full_product(self):
+        # the all-zero vector's corner x1 = -1000 gives inf - inf; the other
+        # candidate, slope -1 at x1 = 0, gives 0 + 1 * 1000
+        f = parse_expr("exp(-x1) - exp(-x1)", ["x1"])
+        row = (ClarkeInterval(-1.0, 0.0),)
+        cands = supporting_vectors(row)
+        assert cands.zero == (Branch.UPPER,)
+        eager = types.SimpleNamespace(choices=eager_candidates(row, False)[0])
+        upper = eval_remainder_upper(cands, f, (0.0,), (-1000.0,))
+        assert upper == decomposition_value(f, eager, (0.0,), (-1000.0,)) == 1000.0
+
     def test_sign_selected_choice_per_coordinate(self):
         # the smallest-magnitude branch value of each coordinate, the lower
         # branch on a tie; an exact zero bound has the upper branch only
@@ -119,7 +189,8 @@ class TestCornerPoints:
     def test_branch_to_corner_mapping(self):
         # the upper branch puts zeta_plus_1 at b_1 = 0 and the lower branch
         # zeta_plus_2 at a_2 = 1: f(0, 1) + 2 * (1 - 0) + 1 * (1 - 0) = 4
-        cands = RowCandidates([[(2.0, Branch.UPPER)], [(-1.0, Branch.LOWER)]])
+        cands = RowCandidates([ClarkeInterval(-math.inf, 2.0), ClarkeInterval(-1.0, math.inf)])
+        assert cands.choices == (((2.0, Branch.UPPER),), ((-1.0, Branch.LOWER),))
         f = parse_expr("x1 + x2", ["x1", "x2"])
         assert eval_remainder_upper(cands, f, (1.0, 1.0), (0.0, 0.0)) == 4.0
 

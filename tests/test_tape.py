@@ -185,6 +185,44 @@ def test_overridden_rows_are_never_evaluated():
     assert jac[0, 0] == override
 
 
+def test_clarke_pass_folds_zero_partials(monkeypatch):
+    # the folds leave every value as it was, so watch what the compiled
+    # pass gives the pair operators: no product with a zero pair, and no sum
+    # or product rule whose terms are all zero
+    calls = []
+
+    def counted(name):
+        fn = mixmono.expr._CLARKE_NAMES[name]
+        return lambda *args: calls.append((name, args)) or fn(*args)
+
+    for name in ("xmul", "xsum", "xprod"):
+        monkeypatch.setitem(mixmono.expr._CLARKE_NAMES, name, counted(name))
+    model = load_bundled("unicycle")  # fresh trees, compiled with the wrappers
+    clarke_jacobian_bounds(model.dynamics, model.init.concat(model.disturbance))
+    e = parse_expr("x1*abs(x2)*min(x1, x3) - x3", ["x1", "x2", "x3"])
+    clarke_jacobian_bounds([e], Box.from_pairs([(0.5, 1.0), (-1.0, 1.0), (0.2, 2.0)]))
+    assert {name for name, _ in calls} == {"xmul", "xsum", "xprod"}
+    zero = (0.0, 0.0)  # == holds for either signed zero
+    for name, args in calls:
+        if name == "xmul":
+            assert zero not in args, args
+        else:
+            assert any(t != zero for t in (args[1] if name == "xprod" else args)), (name, args)
+
+
+def test_integer_box_ends_come_out_as_floats():
+    # a box given as ints computes like one given as floats: through the
+    # scalar engines as through the lanes
+    e = parse_expr("-x1", ["x1", "x2"])
+    box = Box.from_pairs([(0.5, 2), (-0.3, -0.1)])
+    cells = [box, *subdivide_box(box, 2)]
+    lanes = _lane_enclosures(REMAINDER, [e], default_jac_provider([e]), cells)
+    for cell, lane in zip(cells, lanes):
+        ends = [x for d in apply_method(REMAINDER, [e], cell) for x in (d.lo, d.hi)]
+        assert all(type(x) is float for x in ends)
+        assert [x.hex() for x in ends] == [float.hex(x) for d in lane for x in (d.lo, d.hi)]
+
+
 def test_tape_results_round_outward():
     e = parse_expr("0.3*cos(x3) + x1*x2", ["x1", "x2", "x3"])
     box = Box.from_pairs([(0.1, 0.7), (-0.4, 0.3), (0.2, 1.1)])
