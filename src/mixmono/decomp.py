@@ -8,7 +8,7 @@ the Cartesian product of per-coordinate (slope, branch) choices, and
 `RowCandidates` keeps them as those choices.  One scan of a row's bounds
 finds its all-zero vector and its candidate count; the choices are built
 only where they are read, since a sign-stable row evaluates the all-zero
-vector alone:
+vector alone, at a corner gathered straight from the arguments:
 
 * remainder: every candidate of `supporting_vectors` (the tightest
   tractable form);
@@ -33,18 +33,20 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from operator import itemgetter
 from typing import Sequence
 
 import numpy as np
 
 from .errors import (
     CandidateExplosion,
+    DimensionMismatch,
     InvertedBounds,
     NotSignStable,
     UnboundedBothSides,
 )
-from .expr import ClarkeInterval, Expr, JacobianBounds, _fsum, eval_point
-from .interval import Box, Interval, saturate
+from .expr import ZERO_PARTIAL, ClarkeInterval, Expr, JacobianBounds, _fsum, eval_point
+from .interval import _MAXF, Box, Interval, saturate
 from .lanes import point_lanes
 
 
@@ -56,7 +58,7 @@ class Branch(Enum):
 CANDIDATE_CAP = 2**16
 
 # the slope bound of a pinned coordinate: one candidate value, 0.0
-_PINNED = ClarkeInterval(0.0, 0.0)
+_PINNED = ZERO_PARTIAL
 
 # the decomposition engines, named as their MethodId kinds
 SELECTORS = ("remainder", "jacobian_sign", "tight_vertex")
@@ -86,14 +88,19 @@ class RowCandidates:
     One scan of the row's bounds gives zero, the branches of the all-zero
     vector (None when there is none), and the candidate count, and raises
     UnboundedBothSides or CandidateExplosion at the entry where the choices
-    would.  `choices` is built when first read, which only a row without an
-    all-zero vector, or with a NaN value at its corner, and error_bounds do.
+    would; the shared ZERO_PARTIAL entry, one upper choice 0.0, is passed
+    over by identity.  `choices` is built when first read, which only a row
+    without an all-zero vector, or with a NaN value at its corner, and
+    error_bounds do; `corner` when first read too.
     """
 
     def __init__(self, row: Sequence[ClarkeInterval], selected: bool = False):
         self.row, self.selected = row, selected
         zero, count = [], 1
         for entry in row:
+            if entry is ZERO_PARTIAL:
+                zero.append(Branch.UPPER)
+                continue
             lo, hi = entry.lo, entry.hi
             upper, lower = math.isfinite(hi), math.isfinite(lo)
             if upper and hi <= 0.0:  # the upper choice is 0.0; lo >= 0 would repeat it
@@ -114,6 +121,17 @@ class RowCandidates:
                         f"{count}+ supporting-vector candidates exceed cap {CANDIDATE_CAP}")
         self.zero = None if None in zero else tuple(zero)
         self.count = count
+
+    @cached_property
+    def corner(self):
+        """(*a, *b) -> the all-zero vector's zeta_plus, as a tuple: b_j where
+        its branch is the upper one, a_j where it is the lower one."""
+        n = len(self.zero)
+        index = [j + n if tag is Branch.UPPER else j for j, tag in enumerate(self.zero)]
+        if n > 1:
+            return itemgetter(*index)
+        # itemgetter takes at least one index, and with one returns no tuple
+        return lambda ab: tuple(ab[k] for k in index)
 
     @cached_property
     def choices(self) -> tuple[tuple[tuple[float, Branch], ...], ...]:
@@ -198,8 +216,7 @@ def _extremum(candidates: RowCandidates, f_i, a, b, sign: float) -> float:
     # sign-stable; its corner value is then the exact extremum, so no other
     # candidate can be mathematically better (only spuriously, by rounding)
     if candidates.zero is not None:
-        zp = [bj if tag is Branch.UPPER else aj for aj, bj, tag in zip(a, b, candidates.zero)]
-        val = eval_point(f_i, zp)
+        val = eval_point(f_i, candidates.corner((*a, *b)))
         if not math.isnan(val):
             return val
     best = math.inf  # NaN values never compare below it
@@ -226,7 +243,8 @@ def decompose(
     embedding) row i is pinned: its slope in column i is zero, its upper
     value is taken at (a, b with b[i] = a[i]) and its lower value at (a with
     a[i] = b[i], b).  The tight_vertex stability check reads the same pinned
-    rows, so the pinned entry never fails it.
+    rows, so the pinned entry never fails it.  A row of jac whose column
+    count is not the length of a raises DimensionMismatch.
     """
     if kind == "tight_vertex":
         bad = [
@@ -240,6 +258,9 @@ def decompose(
     rows = []
     for i, f_i in enumerate(f):
         cands = row_candidates(jac, kind, i, pinned)
+        if len(cands.row) != len(a):
+            raise DimensionMismatch(
+                f"row {i} of the bounds has {len(cands.row)} columns, the box {len(a)} dims")
         a_lo, b_up = a, b
         if pinned:
             a_lo = (*a[:i], b[i], *a[i + 1:])
@@ -251,21 +272,28 @@ def decompose(
     return rows
 
 
-def enclose(f: Sequence[Expr], jac: JacobianBounds, box: Box, kind: str) -> Box:
-    """Decomposition enclosure of f over box by the engine `kind`.
+def saturated(rows: Sequence[tuple[float, float]], kind: str) -> list[tuple[float, float]]:
+    """(lower, upper) of each of decompose's (upper, lower) rows, each end
+    clamped to the finite floats as an Interval clamps it.
 
     Raises InvertedBounds when a row's lower bound comes out above its upper
     bound (unsound derivative bounds, for example) instead of swapping them.
     """
-    dims = []
-    for i, (upper, lower) in enumerate(decompose(f, jac, kind, box.hi, box.lo)):
-        upper, lower = saturate(upper, upper=True), saturate(lower, upper=False)
-        if lower > upper:
-            raise InvertedBounds(
-                f"{kind} row {i}: lower bound {lower} exceeds upper bound {upper}"
-            )
-        dims.append(Interval(lower, upper))
-    return Box(dims)
+    out = []
+    for i, (upper, lower) in enumerate(rows):
+        if not -_MAXF <= lower <= upper <= _MAXF:  # else saturate keeps both ends
+            upper, lower = saturate(upper, upper=True), saturate(lower, upper=False)
+            if lower > upper:
+                raise InvertedBounds(
+                    f"{kind} row {i}: lower bound {lower} exceeds upper bound {upper}"
+                )
+        out.append((lower, upper))
+    return out
+
+
+def enclose(f: Sequence[Expr], jac: JacobianBounds, box: Box, kind: str) -> Box:
+    """Decomposition enclosure of f over box by the engine `kind` (see saturated)."""
+    return Box(itertools.starmap(Interval, saturated(decompose(f, jac, kind, box.hi, box.lo), kind)))
 
 
 # a lane with more candidates in a row than this runs through the scalar

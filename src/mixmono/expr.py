@@ -358,6 +358,13 @@ class ClarkeInterval:
         return f"[{self.lo:g}, {self.hi:g}]"
 
 
+# The one entry for a partial that is exactly zero by construction: the
+# pair object Z of the Clarke pass, or a pinned coordinate's slope (decomp).
+# Code that reads bounds may skip it by identity; an equal entry built
+# elsewhere (an override, a computed zero pair) is read like any other.
+ZERO_PARTIAL = ClarkeInterval(0.0, 0.0)
+
+
 @dataclass(frozen=True)
 class JacobianBounds:
     """Per-entry extended-real bounds on Clarke partial derivatives.
@@ -388,6 +395,10 @@ def _row_overrides(overrides: dict | None, i: int, n: int) -> dict:
     return {j: overrides[(i, j)] for j in range(n) if (i, j) in overrides}
 
 
+def _entry(pair: tuple[float, float]) -> ClarkeInterval:
+    return ZERO_PARTIAL if pair is _Z else ClarkeInterval(*pair)
+
+
 def clarke_jacobian_bounds(
     exprs: Sequence[Expr],
     box: Box,
@@ -399,7 +410,8 @@ def clarke_jacobian_bounds(
     the box.  overrides replaces individual (row, col) entries, e.g. with
     tighter analytically-known bounds from a model file.  A row whose
     entries are all overridden is never evaluated.  A row that reads a
-    variable outside the box raises DimensionMismatch.
+    variable outside the box raises DimensionMismatch.  Every entry that the
+    pass gives as the pair Z is the shared ZERO_PARTIAL.
     """
     n_z = len(box)
     rows = []
@@ -416,12 +428,13 @@ def clarke_jacobian_bounds(
             if j in fixed:
                 row.append(fixed[j])
             elif j in partials:
-                row.append(ClarkeInterval(*partials[j]))
+                row.append(_entry(partials[j]))
             else:
                 if shared is None:
-                    shared = ClarkeInterval(*default)
+                    shared = _entry(default)
                 row.append(shared)
-        bad += [(i, j) for j, entry in enumerate(row) if entry.unbounded_both]
+        bad += [(i, j) for j, entry in enumerate(row)
+                if entry is not ZERO_PARTIAL and entry.unbounded_both]
         rows.append(tuple(row))
     if bad:
         raise UnboundedBothSides(f"Clarke bounds unbounded on both sides at {bad}")
@@ -581,8 +594,9 @@ class Tape:
         Partials that are zero by construction are folded here rather than
         computed (see _VANISH): a line whose result is exactly Z is left
         out, a zero term is left out of a sum and passed to a product as Z,
-        and a line that no other line reads is dropped unless it evaluates
-        an interval, so every interval value, and every error, stays.
+        the quotient rule drops its product with a zero partial, and a line
+        that no other line reads is dropped unless it evaluates an interval,
+        so every interval value, and every error, stays.
         """
         nodes = self.nodes
         # A node's interval value is computed only below an op that reads
@@ -615,11 +629,14 @@ class Tape:
             here = {}
             for j in [None, *sorted(set().union(*(local[c] for c in kids)) - {None})]:
                 a = [local[c].get(j, local[c][None]) for c in kids]
+                rule = apply
                 if op == "sum":
                     a = [x for x in a if x not in zero]
                 elif op == "prod":
                     a = ["Z" if x in zero else x for x in a]
-                code = apply.format(*a, f=f"f{k}", kids=", ".join(a))
+                elif op == "div":
+                    rule = _DIV_FOLDS.get((a[0] in zero, a[1] in zero), apply)
+                code = rule.format(*a, f=f"f{k}", kids=", ".join(a))
                 if op in _VANISH and zero.issuperset(a) or code == "Z":  # Z: x^0's rule
                     here[j] = "Z"
                 elif op == "sum" and a == ["ONE"]:
@@ -784,13 +801,15 @@ _CLARKE_CODE = {
     "max": ("max_rule({0}, {1})", "{f}({0}, {1})"),
     "prod": ("({pairs},)", "xprod({f}, ({kids},))"),
 }
-# Statically-zero partials are folded by Tape.clarke, on two facts about the
-# pair operators that any change to them must keep:
+# Statically-zero partials are folded by Tape.clarke, on three facts about
+# the pair operators that any change to them must keep:
 # - _corner gives an exact 0.0 for any zero operand, so _xmul with a (signed)
 #   zero pair is exactly Z; so is every rule of _VANISH whose partials are
 #   all zero (div: _xdiv_pos of _xadd(Z, _xneg(Z)) over v^2 >= 0);
 # - _xsum and _xprod skip +-0 terms, so a zero term can be left out of a
-#   sum, and passed to a product as Z.
+#   sum, and passed to a product as Z;
+# - _xadd(X, (-0.0, -0.0)) is X bit for bit, so the quotient rule with a
+#   zero denominator partial is u'v / v^2 alone (_DIV_FOLDS).
 # The rules of the other ops map zero partials to a zero pair whose signs
 # they decide (_xneg(Z) is (-0.0, -0.0)), so those lines stay where the
 # root reads them.  A factor line of _PACKAGING only packages values the
@@ -798,6 +817,11 @@ _CLARKE_CODE = {
 # evaluates an interval, which could raise, and stays.
 _VANISH = {"sin", "cos", "exp", "pow", "div", "sum", "prod"}
 _PACKAGING = {"abs", "min", "max", "prod"}
+# the quotient rule with one zero partial, keyed by (u' is zero, v' is zero)
+_DIV_FOLDS = {
+    (True, False): "xdiv_pos(xadd(Z, xneg(xmul({f}[0], {1}))), {f}[2])",
+    (False, True): "xdiv_pos(xmul({0}, {f}[1]), {f}[2])",
+}
 _LOCAL = re.compile(r"\b(?:[fd]\d+|p\d+_\d+)\b")
 
 _CLARKE_NAMES = {

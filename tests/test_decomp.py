@@ -28,16 +28,19 @@ from mixmono import (
 from mixmono.decomp import (
     CANDIDATE_CAP,
     RowCandidates,
+    decompose,
+    eval_remainder_lower,
     eval_remainder_upper,
     row_candidates,
 )
 from mixmono.errors import (
     CandidateExplosion,
+    DimensionMismatch,
     InvertedBounds,
     NotSignStable,
     UnboundedBothSides,
 )
-from mixmono.expr import ClarkeInterval
+from mixmono.expr import ZERO_PARTIAL, ClarkeInterval
 
 from conftest import box_subset, rand_instance
 
@@ -152,6 +155,22 @@ class TestSupportingVectors:
         if not selected:
             assert len(supporting_vectors(row)) == want[2]
 
+    @pytest.mark.parametrize("selected", [False, True])
+    @pytest.mark.parametrize("pairs", SCAN_ROWS, ids=str)
+    def test_shared_zero_entry_scans_like_an_equal_one(self, pairs, selected):
+        # the shared entry is passed over by identity; zero and len() are an
+        # eager scan's of the same row with an equal entry built anew
+        row = [ZERO_PARTIAL if p == (0.0, 0.0) else ClarkeInterval(*p) for p in pairs]
+        row = (ZERO_PARTIAL, *row, ZERO_PARTIAL)
+        try:
+            want = eager_candidates(tuple(ClarkeInterval(e.lo, e.hi) for e in row), selected)
+        except (UnboundedBothSides, CandidateExplosion) as exc:
+            with pytest.raises(type(exc)):
+                RowCandidates(row, selected)
+            return
+        cands = RowCandidates(row, selected)
+        assert (cands.zero, len(cands)) == want[1:]
+
     def test_zero_vector_reads_no_choices(self):
         f = parse_expr("x1 - x2", ["x1", "x2"])
         cands = supporting_vectors((ClarkeInterval(1.0, 1.0), ClarkeInterval(-1.0, -1.0)))
@@ -183,6 +202,68 @@ class TestSupportingVectors:
         jac = JacobianBounds((tuple(ClarkeInterval(*entry) for entry, _ in table),))
         cands = row_candidates(jac, "jacobian_sign", 0)
         assert [choice for (choice,) in cands.choices] == [choice for _, choice in table]
+
+
+def zip_corner(zero, a, b) -> list[float]:
+    """The all-zero vector's zeta_plus, zipped the way _extremum built it
+    before it gathered the corner."""
+    return [bj if tag is Branch.UPPER else aj for aj, bj, tag in zip(a, b, zero)]
+
+
+class TestCornerGather:
+    ROWS = {
+        0: ((), "2.5"),
+        1: (((-1.0, 0.0),), "exp(-x1)"),
+        3: (((0.0, 2.0), (-3.0, -1.0), (0.0, 0.0)), "x1 - x2^3 + 0*x3"),
+    }
+
+    @pytest.mark.parametrize("seq", [list, tuple])
+    @pytest.mark.parametrize("n", sorted(ROWS))
+    def test_gathered_corner_is_the_zipped_one(self, n, seq):
+        pairs, text = self.ROWS[n]
+        names = [f"x{j + 1}" for j in range(n)]
+        f = parse_expr(text, names)
+        cands = RowCandidates(seq(ClarkeInterval(*p) for p in pairs))
+        a, b = seq(0.5 + j for j in range(n)), seq(-0.25 * j for j in range(n))
+        for x, y in ((a, b), (b, a)):
+            got = cands.corner((*x, *y))
+            assert type(got) is tuple and list(got) == zip_corner(cands.zero, x, y)
+        assert eval_remainder_upper(cands, f, a, b) == eval_point(f, zip_corner(cands.zero, a, b))
+        assert eval_remainder_lower(cands, f, a, b) == eval_point(f, zip_corner(cands.zero, b, a))
+
+    @pytest.mark.parametrize("kind", ["remainder", "jacobian_sign", "tight_vertex"])
+    def test_pinned_rows(self, kind):
+        names = ["x1", "x2", "x3"]
+        f = [parse_expr(t, names) for t in ("x1 + x2 - x3", "x1*x2", "exp(x3) - x2")]
+        lo, hi = [0.5, 1.0, -1.0], [1.0, 2.0, 0.5]
+        jac = clarke_jacobian_bounds(f, Box.from_pairs(list(zip(lo, hi))))
+        got = decompose(f, jac, kind, tuple(hi), lo, pinned=True)
+        want = []
+        for i, f_i in enumerate(f):
+            zero = row_candidates(jac, kind, i, pinned=True).zero
+            b_up, a_lo = lo.copy(), hi.copy()
+            b_up[i], a_lo[i] = hi[i], lo[i]
+            want.append((eval_point(f_i, zip_corner(zero, hi, b_up)),
+                         eval_point(f_i, zip_corner(zero, lo, a_lo))))
+        assert [[x.hex() for x in row] for row in got] == [[x.hex() for x in r] for r in want]
+
+    def test_nan_corner_of_a_wide_row_takes_the_full_product(self):
+        # x1 = -1000 at the all-zero vector's corner makes inf - inf; the
+        # full product's value is the least finite candidate
+        f = parse_expr("exp(-x1) - exp(-x1) + x2", ["x1", "x2"])
+        row = [ClarkeInterval(-1.0, 0.0), ClarkeInterval(1.0, 1.0)]
+        cands = supporting_vectors(row)
+        assert cands.zero == (Branch.UPPER, Branch.LOWER)
+        eager = types.SimpleNamespace(choices=eager_candidates(row, False)[0])
+        a, b = [0.0, 2.0], [-1000.0, 1.0]
+        assert eval_remainder_upper(cands, f, a, b) == decomposition_value(f, eager, a, b)
+
+    def test_bounds_of_another_width_are_rejected(self):
+        # the corner is gathered by column, so the box must have as many
+        f = [parse_expr("x1", ["x1", "x2"])]
+        jac = clarke_jacobian_bounds(f, Box.from_pairs([(0, 1)] * 3))
+        with pytest.raises(DimensionMismatch):
+            t_r_inclusion(f, jac, Box.from_pairs([(0, 1), (0, 1)]))
 
 
 class TestCornerPoints:

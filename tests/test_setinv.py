@@ -5,17 +5,31 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import mixmono.setinv
 from mixmono import (
+    NATURAL,
+    REMAINDER,
+    TIGHT_VERTEX,
     Box,
+    Interval,
     InversionConfig,
+    apply_method,
+    best_of_method,
     clarke_jacobian_bounds,
     eval_vec,
     parse_expr,
     set_invert,
 )
-from mixmono.errors import DimensionMismatch, EmptySolution, ValidationError
+from mixmono.errors import (
+    DimensionMismatch,
+    DomainError,
+    EmptySolution,
+    InvertedBounds,
+    ValidationError,
+)
+from mixmono.expr import ClarkeInterval, Const
 
-from conftest import box_subset
+from conftest import ALL_METHODS, box_subset
 
 
 def invert(texts, variables, prior, y_lo, y_hi, **kw):
@@ -65,6 +79,24 @@ class TestConfig:
             InversionConfig(epsilon=0.0)
         with pytest.raises(ValidationError):
             InversionConfig(passes=0)
+        with pytest.raises(ValidationError):
+            InversionConfig(passes=1.5)
+        assert InversionConfig(passes=np.int64(2)).passes == 2
+
+    def test_shape_mismatch_is_dimension_mismatch(self):
+        e = [parse_expr("x1 + x2", ["x1", "x2"])]
+        prior = Box.from_pairs([(0, 1), (0, 1)])
+        jac = clarke_jacobian_bounds(e, prior)
+        # a prior with fewer dimensions than the constraint reads
+        with pytest.raises(DimensionMismatch):
+            set_invert(e, jac, Box.from_pairs([(0, 1)]), [0.5], [1.0])
+        # Jacobian bounds with fewer rows than outputs, or other columns
+        two = e + [parse_expr("x1", ["x1", "x2"])]
+        with pytest.raises(DimensionMismatch):
+            set_invert(two, jac, prior, [0.5, 0.0], [1.0, 1.0])
+        wide = clarke_jacobian_bounds(e, Box.from_pairs([(0, 1)] * 3))
+        with pytest.raises(DimensionMismatch):
+            set_invert(e, wide, prior, [0.5], [1.0])
 
     def test_bound_length_mismatch(self):
         e = [parse_expr("x1", ["x1"])]
@@ -119,3 +151,118 @@ class TestSandwich:
         hi = np.asarray(out.hi)[:, None] + 1e-9
         inside = np.all((pts >= lo) & (pts <= hi), axis=0)
         assert np.all(inside[ok])
+
+
+def reference_invert(nu, jac, prior, y_lo, y_hi, cfg):
+    """set_invert with every probe a Box through apply_method, the sweep as
+    it was before it bisected on float ends."""
+    provider = lambda _box: jac
+
+    def ruled_out(box):
+        enc = apply_method(cfg.method, nu, box, provider)
+        return any(enc[r].hi < y_lo[r] or enc[r].lo > y_hi[r] for r in range(len(nu)))
+
+    if ruled_out(prior):
+        raise EmptySolution("the full prior box is inconsistent with the constraint")
+    current = prior
+    for _ in range(cfg.passes):
+        for i in range(len(prior)):
+            d = current[i]
+            a, b = d.lo, d.hi
+            while b - a > cfg.epsilon:
+                m = 0.5 * (a + b)
+                if not a < m < b:
+                    break
+                if ruled_out(current.replace(i, Interval(a, m))):
+                    a = m
+                else:
+                    b = m
+            new_lo = a
+            a, b = new_lo, d.hi
+            while b - a > cfg.epsilon:
+                m = 0.5 * (a + b)
+                if not a < m < b:
+                    break
+                if ruled_out(current.replace(i, Interval(m, b))):
+                    b = m
+                else:
+                    a = m
+            current = current.replace(i, Interval(new_lo, b))
+    return current
+
+
+def outcome(fn, *args):
+    """The box's ends as hex strings, or the error's type and message."""
+    try:
+        box = fn(*args)
+    except Exception as exc:  # noqa: BLE001 - the error is the outcome
+        return type(exc), str(exc)
+    return [x.hex() for d in box for x in (d.lo, d.hi)]
+
+
+X2 = ["x1", "x2"]
+PROBLEMS = [
+    # a kinked two-output map that no engine makes sign-stable
+    (["sin(x1) + x2^2", "x1 - abs(x2)"], [(-2, 2), (-1.5, 1.5)], [0.0, -1.0], [1.0, 1.0], {}),
+    # sign-stable rows, so every engine applies and the edges move
+    (["x1 + 2*x2", "exp(x1) - x2"], [(0, 1), (0.5, 2)], [1.5, 0.2], [2.5, 1.5], {}),
+    # not monotone: a probe's image depends on both of its ends
+    (["sin(3*x1)", "x2*x2"], [(0, 3), (-1, 1)], [0.9, 0.0], [1.0, 0.25], {}),
+    # a degenerate dimension, and one narrower than epsilon
+    (["x1*x2 + x2"], [(0.25, 0.25), (0.5, 2)], [0.7], [0.9], {}),
+    (["x1 + x2"], [(0.1, 0.1004), (0, 3)], [1.0], [2.0], {}),
+    # no point of the prior meets the target: EmptySolution
+    (["x1 + x2"], [(0, 1), (0, 1)], [5.0], [6.0], {}),
+    # an unsound override (d/dx1 of x1 is 1, not 0): InvertedBounds
+    (["x1 + 0*x2"], [(0, 1), (0, 1)], [0.2], [0.4], {(0, 0): ClarkeInterval(0.0, 0.0)}),
+    # a corner that divides by zero: DomainError
+    (["1/x1 + x2"], [(0, 1), (0, 1)], [1.5], [3.0], {}),
+]
+
+
+@pytest.mark.parametrize("passes", [1, 2])
+@pytest.mark.parametrize("method", [m for _, m in ALL_METHODS]
+                         + [best_of_method([REMAINDER, NATURAL])], ids=str)
+@pytest.mark.parametrize("problem", range(len(PROBLEMS)))
+def test_float_probes_match_box_probes(problem, method, passes):
+    texts, pairs, y_lo, y_hi, overrides = PROBLEMS[problem]
+    nu = [parse_expr(t, X2) for t in texts]
+    prior = Box.from_pairs(pairs)
+    jac = clarke_jacobian_bounds(nu, prior, overrides)
+    cfg = InversionConfig(epsilon=1e-3, passes=passes, method=method)
+    args = (nu, jac, prior, y_lo, y_hi, cfg)
+    assert outcome(set_invert, *args) == outcome(reference_invert, *args)
+
+
+def test_expected_outcomes_of_the_probe_problems():
+    # the error cases above raise what they are there for
+    kinds = []
+    for texts, pairs, y_lo, y_hi, overrides in PROBLEMS[-3:]:
+        nu = [parse_expr(t, X2) for t in texts]
+        prior = Box.from_pairs(pairs)
+        jac = clarke_jacobian_bounds(nu, prior, overrides)
+        got = outcome(set_invert, nu, jac, prior, y_lo, y_hi, InversionConfig())
+        kinds.append(got[0])
+    assert kinds == [EmptySolution, InvertedBounds, DomainError]
+
+
+def test_decomposition_probes_bypass_apply_method(monkeypatch):
+    calls = []
+    real = mixmono.setinv.apply_method
+    monkeypatch.setattr(mixmono.setinv, "apply_method",
+                        lambda *args: calls.append(args[0]) or real(*args))
+    prior = Box.from_pairs([(-2, 2), (-1.5, 1.5)])
+    for method in (REMAINDER, NATURAL):
+        invert(["sin(x1) + x2^2"], X2, prior, [0.0], [1.0], method=method)
+    assert calls and set(calls) == {NATURAL}
+
+
+def test_zero_dimensional_prior():
+    nu, prior = [Const(2.5)], Box([])
+    jac = clarke_jacobian_bounds(nu, prior)
+    assert apply_method(REMAINDER, nu, prior) == Box.from_pairs([(2.5, 2.5)])
+    for method in (REMAINDER, TIGHT_VERTEX, NATURAL):
+        cfg = InversionConfig(method=method)
+        assert set_invert(nu, jac, prior, [2.0], [3.0], cfg) == prior
+        with pytest.raises(EmptySolution):
+            set_invert(nu, jac, prior, [3.0], [4.0], cfg)

@@ -37,7 +37,7 @@ from mixmono import (
     t_r_inclusion,
 )
 from mixmono.errors import NotSignStable
-from mixmono.expr import ClarkeInterval
+from mixmono.expr import ZERO_PARTIAL, ClarkeInterval
 from mixmono.inclusion import _lane_enclosures, subdivide_box
 from mixmono.interval import Interval, isin
 from mixmono.lanes import jacobian_lanes
@@ -201,6 +201,12 @@ def test_clarke_pass_folds_zero_partials(monkeypatch):
     clarke_jacobian_bounds(model.dynamics, model.init.concat(model.disturbance))
     e = parse_expr("x1*abs(x2)*min(x1, x3) - x3", ["x1", "x2", "x3"])
     clarke_jacobian_bounds([e], Box.from_pairs([(0.5, 1.0), (-1.0, 1.0), (0.2, 2.0)]))
+    # the quotient rule: x1/x2's numerator reads no x2 and its denominator
+    # no x1, and so do the bearing rows' arctan((1 - x2)/(2 - x1))
+    quotient = parse_expr("x1/x2", ["x1", "x2"])
+    clarke_jacobian_bounds([quotient], Box.from_pairs([(-1.0, 2.0), (0.5, 3.0)]))
+    clarke_jacobian_bounds(model.observation.exprs,
+                           Box.from_pairs([(0.0, 0.5), (0.0, 0.5), (0.5, 1.5)]))
     assert {name for name, _ in calls} == {"xmul", "xsum", "xprod"}
     zero = (0.0, 0.0)  # == holds for either signed zero
     for name, args in calls:
@@ -208,6 +214,21 @@ def test_clarke_pass_folds_zero_partials(monkeypatch):
             assert zero not in args, args
         else:
             assert any(t != zero for t in (args[1] if name == "xprod" else args)), (name, args)
+
+
+def test_structural_zero_partials_share_one_entry():
+    # a column the row does not read is the pass's pair Z: the shared entry;
+    # an override and a computed zero, -0.0 ones too, keep their own entries
+    names = ["x1", "x2", "x3"]
+    box = Box.from_pairs([(0.0, 1.0), (1.0, 2.0), (0.0, 1.0)])
+    override = ClarkeInterval(0.0, 0.0)
+    row = clarke_jacobian_bounds([parse_expr("x1 + x2", names)], box, {(0, 0): override}).row(0)
+    assert row[0] is override and row[2] is ZERO_PARTIAL
+    # the negated root's default and x2's column are (-0.0, -0.0) pairs
+    row = clarke_jacobian_bounds([parse_expr("-(x1 + x2 - x2)", names)], box).row(0)
+    for entry in row[1:]:
+        assert entry is not ZERO_PARTIAL and (entry.lo.hex(), entry.hi.hex()) == ("-0x0.0p+0",) * 2
+    assert mixmono.decomp._PINNED is ZERO_PARTIAL
 
 
 def test_integer_box_ends_come_out_as_floats():
