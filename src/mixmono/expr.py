@@ -1,15 +1,16 @@
 """Expression trees for vector fields and constraint maps.
 
 Each tree is lowered once, on first use, to a flat post-order `Tape` that
-is kept on the root node (`Expr.tape`), and the tape is interpreted four
-ways, each as straight-line code compiled from it through one op->code
-table: point values, natural interval values, numpy values over many points
-(`eval_vec`), and Clarke-derivative bounds, which come from one forward pass
-that carries every node's interval value and all its partials at once
-(forward-mode interval differentiation).  lanes.py binds the point and
-Clarke code a second time, to numpy operators that run many points or boxes
-at once.  Trees are immutable; sums and products are n-ary and flattened by
-the parser to keep natural-inclusion dependency pessimism deterministic.
+is kept on the root node (`Expr.tape`).  Its values are straight-line code
+compiled through one op->code table and bound three ways: point values,
+natural interval values, and numpy values over many points (`eval_vec`).
+Clarke-derivative bounds come from one compiled forward pass that carries
+all partials of every node at once (forward-mode interval differentiation),
+and evaluates only what the root's partials read and what can raise.
+lanes.py binds the point and Clarke code once more, to numpy operators that
+run many points or boxes at once.  Trees are immutable; sums and products
+are n-ary and flattened by the parser to keep natural-inclusion dependency
+pessimism deterministic.
 
 Grammar (see parse_expr):
     expr   := term (('+'|'-') term)*
@@ -26,8 +27,9 @@ import math
 import operator
 import re
 import sys
+import types
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial, reduce
 from typing import Sequence
 
 import numpy as np
@@ -313,6 +315,8 @@ def eval_point(e: Expr, z: Sequence[float]) -> float:
         return e.tape.point(z)
     except (ValueError, ZeroDivisionError) as exc:
         raise DomainError(str(exc)) from exc
+    except IndexError as exc:
+        raise DimensionMismatch("expression references variable outside point") from exc
 
 
 def eval_interval(e: Expr, box: Box) -> Interval:
@@ -324,7 +328,11 @@ def eval_interval(e: Expr, box: Box) -> Interval:
 
 def eval_vec(e: Expr, cols: np.ndarray) -> np.ndarray:
     """Vectorized evaluation; cols has shape (n_vars, n_points)."""
-    return e.tape.vec(cols)
+    try:
+        values = e.tape.vec(cols)  # one value, which every point takes, if no variables
+        return np.repeat(values, cols.shape[1]) if e.tape.max_var < 0 else values
+    except IndexError as exc:
+        raise DimensionMismatch("expression references variable outside columns") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -456,46 +464,46 @@ def _same(value):
     return value
 
 
-# op -> code tables, one per compiled interpretation.  {0} and {1} are the
-# children, {arg} the constant, variable index or exponent, and {sum},
-# {prod} and {kids} the children joined by " + ", " * " and ", ".
+class _Unit:
+    def __mul__(self, other):  # one * x is x, whatever x is
+        return other
+
+
+_UNIT = _Unit()
+_fold_add = partial(reduce, operator.add)  # a left fold of +, called from C
+
+# op -> code of each value, bound to each name table below.  {0} and {1} are
+# the children, which read a constant as c<k> and a variable as z[j], {arg}
+# the exponent, and {kids} and {prod} the children joined by ", " and " * ".
 _POINT_CODE = {
-    "const": "{arg}", "var": "z[{arg}]", "neg": "-{0}",
-    "sin": "sin({0})", "cos": "cos({0})", "exp": "exp({0})", "sqrt": "sqrt({0})",
-    "arctan": "atan({0})", "abs": "abs({0})", "pow": "pow_float({0}, {arg})",
-    "div": "div({0}, {1})", "min": "min({0}, {1})", "max": "max({0}, {1})",
-    "sum": "fsum(({kids},))",
-    "prod": "1.0 * {prod}",  # from 1.0, so integer inputs give a float
+    "neg": "-{0}", "sin": "sin({0})", "cos": "cos({0})", "exp": "exp({0})",
+    "sqrt": "sqrt({0})", "arctan": "atan({0})", "abs": "abs({0})",
+    "pow": "pow_float({0}, {arg})", "div": "div({0}, {1})",
+    "min": "min({0}, {1})", "max": "max({0}, {1})", "sum": "fsum(({kids},))",
+    "prod": "one * {prod}",  # one is 1.0 for points, so integer inputs give a float
 }
 _POINT_NAMES = {
-    "sin": math.sin, "cos": math.cos, "exp": _exp_float, "sqrt": math.sqrt,
-    "atan": math.atan, "pow_float": _pow_float, "fsum": _fsum, "div": operator.truediv,
+    "sin": math.sin, "cos": math.cos, "exp": _exp_float, "sqrt": math.sqrt, "atan": math.atan,
+    "pow_float": _pow_float, "fsum": _fsum, "div": operator.truediv, "one": 1.0,
 }
 # the interval operators round each endpoint outward (see interval.py)
-_INTERVAL_CODE = {
-    "const": "{arg}", "var": "z[{arg}]", "neg": "-{0}",
-    "sin": "isin({0})", "cos": "icos({0})", "exp": "iexp({0})", "sqrt": "isqrt({0})",
-    "arctan": "iarctan({0})", "abs": "iabs({0})", "pow": "ipow({0}, {arg})",
-    "div": "{0} / {1}", "min": "imin({0}, {1})", "max": "imax({0}, {1})",
-    "sum": "{sum}", "prod": "{prod}",
-}
 _INTERVAL_NAMES = {
-    "isin": isin, "icos": icos, "iexp": iexp, "isqrt": isqrt, "iarctan": iarctan,
-    "iabs": iabs, "ipow": ipow, "imin": imin, "imax": imax,
+    "sin": isin, "cos": icos, "exp": iexp, "sqrt": isqrt, "atan": iarctan, "abs": iabs,
+    "pow_float": ipow, "fsum": _fold_add, "div": operator.truediv, "min": imin, "max": imax,
+    "one": _UNIT,
 }
-# z is the (n_vars, n_points) array of columns
-_VEC_CODE = {
-    "const": "full(z.shape[1], {arg})", "var": "z[{arg}]", "neg": "negative({0})",
-    "sin": "sin({0})", "cos": "cos({0})", "exp": "exp({0})", "sqrt": "sqrt({0})",
-    "arctan": "arctan({0})", "abs": "absolute({0})", "pow": "{0} ** float({arg})",
-    "div": "{0} / {1}", "min": "minimum({0}, {1})", "max": "maximum({0}, {1})",
-    "sum": "{sum}", "prod": "{prod}",
-}
+# numpy's functions, with sums, products and quotients as for intervals; z is
+# the (n_vars, n_points) array of columns, and a constant a 1-entry array
 _VEC_NAMES = {
-    "full": np.full, "negative": np.negative, "sin": np.sin, "cos": np.cos,
-    "exp": np.exp, "sqrt": np.sqrt, "arctan": np.arctan, "absolute": np.abs,
-    "minimum": np.minimum, "maximum": np.maximum,
+    **_INTERVAL_NAMES, "sin": np.sin, "cos": np.cos, "exp": np.exp, "sqrt": np.sqrt,
+    "atan": np.arctan, "abs": np.abs, "pow_float": lambda x, n: x ** float(n),
+    "min": np.minimum, "max": np.maximum,
 }
+
+
+def _raises(op: str, arg) -> bool:
+    """Whether op's value or slope can raise (past _FMAX, float(arg) * 0 is nan)."""
+    return op in ("div", "sqrt") or op == "pow" and (arg < 0 or arg > _FMAX)
 
 
 class Tape:
@@ -503,12 +511,11 @@ class Tape:
 
     nodes[k] is (op, arg, kids): kids are the slots of earlier nodes, arg is
     the constant, variable index or exponent (None for other ops), and the
-    root is the last node.  `point`, `interval`, `vec` and `clarke` are
-    straight-line code compiled from the nodes on first use, each through
-    its own op->code table.  `clarke` is a forward pass that carries every
-    node's partials sparsely: a default plus one local per column its
-    subtree reads, which the tape fixes, so the code has one line per node
-    and column.
+    root is the last node.  `point` is straight-line code compiled on first
+    use, one local t<k> per node that is not a leaf; `interval` and `vec`
+    bind its code object to other operators.  `clarke` is a forward pass that
+    carries every node's partials sparsely: a default plus one local per
+    column its subtree reads, so at most one line per node and column.
     """
 
     def __init__(self, root: Expr):
@@ -539,64 +546,60 @@ class Tape:
         self.nodes = tuple(nodes)
         self.max_var = max((arg for op, arg, _ in nodes if op == "var"), default=-1)
 
-    def _compile(self, code: dict, constant, names: dict, slots, tail):
-        """def run(z): one local t<k> per node of slots, in order, then tail.
+    def _ref(self, k: int) -> str:
+        """How the code reads node k's value: a leaf in place, else t<k>."""
+        op, arg, _ = self.nodes[k]
+        return f"c{k}" if op == "const" else f"z[{arg}]" if op == "var" else f"t{k}"
 
-        code maps each op to its line (see _POINT_CODE); constant turns a
-        constant's value into the object the code reads as c<k>; tail is
-        the lines that follow, the last a return.  Straight-line code leaves
-        no per-node dispatch on the hot path.
-        """
-        namespace = dict(names)
-        lines = ["def run(z):"]
-        for k in slots:
-            op, arg, kids = self.nodes[k]
-            if op == "const":
-                namespace[f"c{k}"] = constant(arg)
-                arg = f"c{k}"
-            a = [f"t{c}" for c in kids]
-            line = code[op].format(*a, arg=arg, kids=", ".join(a),
-                                   sum=" + ".join(a), prod=" * ".join(a))
-            lines.append(f"    t{k} = {line}")
-        lines += [f"    {line}" for line in tail]
-        exec("\n".join(lines), namespace)
+    def _value(self, k: int) -> str:
+        op, arg, kids = self.nodes[k]
+        a = [self._ref(c) for c in kids]
+        return _POINT_CODE[op].format(*a, arg=arg, kids=", ".join(a), prod=" * ".join(a))
+
+    def _namespace(self, names: dict, constant) -> dict:
+        """names, and c<k> for each constant: constant of its value."""
+        return {**names, **{f"c{k}": constant(arg) for k, (op, arg, _) in enumerate(self.nodes)
+                            if op == "const"}}
+
+    def _compile(self, names: dict, constant, lines: list[str] | None = None):
+        """def run(z) with the body lines, or else the point code, over names."""
+        namespace = self._namespace(names, constant)
+        if lines is None:
+            return types.FunctionType(self.point.__code__, namespace)
+        exec("\n".join(["def run(z):", *(f"    {line}" for line in lines)]), namespace)
         return namespace["run"]
-
-    def _compile_root(self, code: dict, constant, names: dict):
-        root = len(self.nodes) - 1
-        return self._compile(code, constant, names, range(root + 1), [f"return t{root}"])
 
     @cached_property
     def point(self):
         """z -> the value at the point z."""
-        return self._compile_root(_POINT_CODE, _same, _POINT_NAMES)
+        lines = [f"t{k} = {self._value(k)}" for k, (op, _, _) in enumerate(self.nodes)
+                 if op not in ("const", "var")]
+        ret = f"return {self._ref(len(self.nodes) - 1)}"
+        return self._compile(_POINT_NAMES, _same, [*lines, ret])
 
     @cached_property
     def interval(self):
         """box.dims -> the natural interval value over the box."""
-        return self._compile_root(_INTERVAL_CODE, Interval.point, _INTERVAL_NAMES)
+        return self._compile(_INTERVAL_NAMES, Interval.point)
 
     @cached_property
     def vec(self):
-        """cols -> the numpy values at the points that are the columns of cols."""
-        return self._compile_root(_VEC_CODE, _same, _VEC_NAMES)
+        """cols -> the values at the columns' points (1 value without variables)."""
+        return self._compile(_VEC_NAMES, partial(np.full, 1))
 
     @cached_property
     def clarke(self):
         """box.dims -> (default, partials), every Clarke partial of the root.
 
         partials[j] bounds the j-th partial as a (lo, hi) pair, and every
-        column missing from it equals default.  The code first computes the
-        interval values the rules read, then per node one factor line from
-        them (see _CLARKE_CODE) and one line each for its default and for
-        every column its subtree reads.
-
-        Partials that are zero by construction are folded here rather than
-        computed (see _VANISH): a line whose result is exactly Z is left
-        out, a zero term is left out of a sum and passed to a product as Z,
-        the quotient rule drops its product with a zero partial, and a line
-        that no other line reads is dropped unless it evaluates an interval,
-        so every interval value, and every error, stays.
+        column missing from it equals default.  The code computes the
+        interval values the rules read (_POINT_CODE), then per node one
+        factor line from them (_CLARKE_CODE) and one line each for its
+        default and for every column its subtree reads.  Partials that are
+        zero by construction are folded, not computed (see _VANISH).  Then a
+        backward liveness pass keeps the lines the returned partials read,
+        and each line that can raise (_raises) with the lines it reads, so
+        every error stays, in order; every other interval operator saturates.
         """
         nodes = self.nodes
         # A node's interval value is computed only below an op that reads
@@ -607,25 +610,26 @@ class Tape:
             op, _, kids = nodes[k]
             for c in kids:
                 needed[c] = needed[k] or _CLARKE_CODE[op][0] is not None
+        # (name, code, whether it stays when no line reads it)
+        lines: list = [(f"t{k}", self._value(k), _raises(op, arg))
+                       for k, (op, arg, _) in enumerate(nodes)
+                       if needed[k] and op not in ("const", "var")]
         # local[k][j] names the local holding node k's partial in column j,
         # and local[k][None] the one holding its default; zero holds the
         # names certain to hold a (signed) zero pair
         local: list[dict] = []
         zero = {"Z"}
-        lines = []  # (name, code, whether it stays when no line reads it)
         for k, (op, arg, kids) in enumerate(nodes):
-            if op == "const":
-                local.append({None: "Z"})
-                continue
-            if op == "var":
-                local.append({None: "Z", arg: "ONE"})
+            if op in ("const", "var"):
+                local.append({None: "Z", arg: "ONE"} if op == "var" else {None: "Z"})
                 continue
             factor, apply = _CLARKE_CODE["pow0" if op == "pow" and arg == 0 else op]
-            if factor is not None:
-                values = [f"t{c}" for c in kids]
-                lines.append((f"f{k}", factor.format(
-                    *values, arg=arg, pairs=", ".join(f"xfrom({v})" for v in values)),
-                    op not in _PACKAGING))
+            values = [self._ref(c) for c in kids]
+            terms = []  # a product's lines, each with the kids whose partial is not Z
+            if op == "prod":
+                lines.append((f"f{k}", (values, terms), False))
+            elif factor is not None:
+                lines.append((f"f{k}", factor.format(*values, arg=arg), _raises(op, arg)))
             here = {}
             for j in [None, *sorted(set().union(*(local[c] for c in kids)) - {None})]:
                 a = [local[c].get(j, local[c][None]) for c in kids]
@@ -644,6 +648,7 @@ class Tape:
                 else:
                     here[j] = f"d{k}" if j is None else f"p{k}_{j}"
                     lines.append((here[j], code, False))
+                    terms.append((here[j], [i for i, x in enumerate(a) if x != "Z"]))
                     if zero.issuperset(a):
                         zero.add(here[j])
             local.append(here)
@@ -653,17 +658,20 @@ class Tape:
         live, kept = set(_LOCAL.findall(ret)), []
         for name, code, stays in reversed(lines):
             if stays or name in live:
+                if not isinstance(code, str):  # a product's factors
+                    read = {i for term, kids in code[1] if term in live for i in kids}
+                    code = "".join(f"xfrom({v}), " if read - {c} else "Z, "
+                                   for c, v in enumerate(code[0]))  # term i reads all but i
                 live.update(_LOCAL.findall(code))
                 kept.append(f"{name} = {code}")
-        slots = [k for k in range(len(nodes)) if needed[k]]
-        return self._compile(_INTERVAL_CODE, Interval.point, _CLARKE_NAMES, slots,
-                             [*reversed(kept), ret])
+        return self._compile(_CLARKE_NAMES, Interval.point, [*reversed(kept), ret])
 
 
 # A Clarke partial during the forward pass: (lo, hi) in the extended reals.
 _Pair = tuple[float, float]
 _Z: _Pair = (0.0, 0.0)
 _ONE: _Pair = (1.0, 1.0)
+_xfrom = operator.attrgetter("lo", "hi")  # an interval's (lo, hi) pair
 
 
 def _clip_overflow(value: float, *operands: float) -> float:
@@ -694,10 +702,6 @@ def _xmul(a: _Pair, b: _Pair) -> _Pair:
     c = (_corner(a[0], b[0]), _corner(a[0], b[1]),
          _corner(a[1], b[0]), _corner(a[1], b[1]))
     return (min(c), max(c))
-
-
-def _xfrom(iv: Interval) -> _Pair:
-    return (iv.lo, iv.hi)
 
 
 def _xdiv_pos(a: _Pair, den: Interval) -> _Pair:
@@ -773,23 +777,23 @@ def _max_rule(u: Interval, v: Interval):
 
 
 # op -> (factor, apply) code for the compiled Clarke pass.  The factor line
-# runs once per node and reads the children's interval values {0} and {1},
-# or {pairs}, all of them as (lo, hi) pairs; None means the rule reads no
-# values.  The apply line runs for the node's default and for each column
-# its subtree reads; it reads the children's partials in that column, {0}
-# and {1} or all of them as {kids}, and the factor {f}.  A rule whose branch
-# depends on the values (abs, min, max) picks its apply function in the
-# factor line through a rule function, which the lane binding (lanes.py)
-# replaces by one that picks per lane.  The interval values the factor lines
-# read are rounded outward; the pair arithmetic of the partials (_xadd,
-# _xmul, _xdiv_pos) still rounds to nearest.
+# runs once per node and reads the children's interval values {0} and {1};
+# None means the rule reads no values, and a product's line is its factors
+# as (lo, hi) pairs, or Z where no live term reads one.  The apply line runs
+# for the node's default and for each column its subtree reads; it reads the
+# children's partials in that column, {0} and {1} or all of them as {kids},
+# and the factor {f}.  A rule whose branch depends on the values (abs, min,
+# max) picks its apply function in the factor line through a rule function,
+# which the lane binding (lanes.py) replaces by one that picks per lane.  The
+# interval values the factor lines read are rounded outward; the pair
+# arithmetic of the partials (_xadd, _xmul, _xdiv_pos) still rounds to nearest.
 _CLARKE_CODE = {
     "neg": (None, "xneg({0})"),
     "sum": (None, "xsum({kids})"),
     "sin": ("xfrom(icos({0}))", "xmul({f}, {0})"),
     "cos": ("xneg(xfrom(isin({0})))", "xmul({f}, {0})"),
     "exp": ("xfrom(iexp({0}))", "xmul({f}, {0})"),
-    "arctan": ("one + ipow({0}, 2)", "xdiv_pos({0}, {f})"),
+    "arctan": ("unit + ipow({0}, 2)", "xdiv_pos({0}, {f})"),
     "sqrt": ("isqrt({0}).scale(2.0)", "xdiv_pos({0}, {f})"),
     "abs": ("abs_rule({0})", "{f}({0})"),
     "pow": ("xfrom(ipow({0}, {arg} - 1).scale({arg}.0))", "xmul({f}, {0})"),
@@ -799,7 +803,7 @@ _CLARKE_CODE = {
             "xdiv_pos(xadd(xmul({0}, {f}[1]), xneg(xmul({f}[0], {1}))), {f}[2])"),
     "min": ("min_rule({0}, {1})", "{f}({0}, {1})"),
     "max": ("max_rule({0}, {1})", "{f}({0}, {1})"),
-    "prod": ("({pairs},)", "xprod({f}, ({kids},))"),
+    "prod": ("", "xprod({f}, ({kids},))"),
 }
 # Statically-zero partials are folded by Tape.clarke, on three facts about
 # the pair operators that any change to them must keep:
@@ -812,20 +816,18 @@ _CLARKE_CODE = {
 #   zero denominator partial is u'v / v^2 alone (_DIV_FOLDS).
 # The rules of the other ops map zero partials to a zero pair whose signs
 # they decide (_xneg(Z) is (-0.0, -0.0)), so those lines stay where the
-# root reads them.  A factor line of _PACKAGING only packages values the
-# pass already has, so it goes when no line reads it; every other one
-# evaluates an interval, which could raise, and stays.
+# root reads them.
 _VANISH = {"sin", "cos", "exp", "pow", "div", "sum", "prod"}
-_PACKAGING = {"abs", "min", "max", "prod"}
 # the quotient rule with one zero partial, keyed by (u' is zero, v' is zero)
 _DIV_FOLDS = {
     (True, False): "xdiv_pos(xadd(Z, xneg(xmul({f}[0], {1}))), {f}[2])",
     (False, True): "xdiv_pos(xmul({0}, {f}[1]), {f}[2])",
 }
-_LOCAL = re.compile(r"\b(?:[fd]\d+|p\d+_\d+)\b")
+_LOCAL = re.compile(r"\b(?:[tfd]\d+|p\d+_\d+)\b")
 
 _CLARKE_NAMES = {
-    **_INTERVAL_NAMES, "Z": _Z, "ONE": _ONE, "one": Interval(1.0, 1.0),
+    **_INTERVAL_NAMES, "isin": isin, "icos": icos, "iexp": iexp, "isqrt": isqrt,
+    "ipow": ipow, "Z": _Z, "ONE": _ONE, "unit": Interval(1.0, 1.0),
     "xneg": _xneg, "xsum": _xsum, "xmul": _xmul, "xadd": _xadd, "xfrom": _xfrom,
     "xdiv_pos": _xdiv_pos, "xprod": _xprod, "abs_rule": _abs_rule,
     "min_rule": _min_rule, "max_rule": _max_rule,

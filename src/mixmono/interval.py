@@ -83,7 +83,10 @@ def _add(x: float, y: float, toward: float) -> float:
 
 
 def _pow(x: float, n: int, toward: float) -> float:
-    """x**n (n >= 2) rounded toward +-inf: exact if every partial product is."""
+    """x**n (n >= 2) rounded toward +-inf: exact if every partial product is.
+    0 and +-1 stay exact at every step, so parity gives their power."""
+    if x == 0.0 or abs(x) == 1.0:
+        return x if n % 2 else abs(x)
     q = x
     for _ in range(n - 1):
         p, q = q, q * x

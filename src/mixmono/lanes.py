@@ -1,10 +1,11 @@
 """Lane bindings of the tape: one pass of its compiled code over many boxes.
 
 `Tape` compiles each tree's point and Clarke code once (see expr.py).  This
-module binds those same code objects a second time, to operators whose
-values are numpy arrays with one entry per *lane*: a point value of a corner
-pass is a float per lane, and an interval value or Clarke partial of a
-Clarke pass a (2, K) array whose rows are the lanes' lower and upper ends.
+module binds those same code objects once more, to operators whose values
+are numpy arrays with one entry per *lane*: a point value of a corner pass
+is a float per lane, and an interval value or Clarke partial of a Clarke
+pass a (2, K) array whose rows are the lanes' lower and upper ends.  The
+Clarke pass binds the point code's names as expr._INTERVAL_NAMES does.
 `subdivide_apply` runs the cells of a subdivision as the lanes of one Clarke
 pass per row, and decomp's `enclose_lanes` the candidates of all cells as the
 lanes of one corner pass per row and bound.
@@ -40,11 +41,13 @@ Bit identity with the scalar code on clean lanes:
 from __future__ import annotations
 
 import math
+import operator
 import types
+from functools import partial
 
 import numpy as np
 
-from .expr import _CLARKE_NAMES, _POINT_NAMES, Tape, _fsum, _same, _row_overrides
+from .expr import _CLARKE_NAMES, _POINT_NAMES, _UNIT, Tape, _fold_add, _fsum, _same, _row_overrides
 from .interval import _MAXF, _SPLIT, _TINY, _TWO_PI, Interval, _exp_float, _pow_float
 
 # the direction each row of a (2, K) array rounds to: lower ends down, upper up
@@ -185,7 +188,7 @@ class _ClarkePass:
 
     def __init__(self, count: int):
         self.bad = np.zeros(count, dtype=bool)
-        self.one = self.constant(1.0)
+        self.unit = self.constant(1.0)
 
     def constant(self, value: float) -> _LaneInterval:
         iv = Interval.point(value)
@@ -229,14 +232,19 @@ class _ClarkePass:
         if n == 1:
             return x
         if n < 0:
-            return self.one / self.ipow(x, -n)
+            return self.unit / self.ipow(x, -n)
         even = n % 2 == 0
         v = np.where(even & (x.v[1] < 0.0), x.v[::-1], x.v)
         spans = even & (v[0] <= 0.0) & (0.0 <= v[1])
+        # 0 and +-1 stay exact (interval._pow), any other end soon turns inexact
+        unit = (v == 0.0) | (np.abs(v) == 1.0)
         q, inexact = v, np.zeros(v.shape, dtype=bool)
         for _ in range(n - 1):
+            if (inexact | unit).all():
+                break
             p, q = q, q * v
             inexact |= ~_product_exact(q, p, v)
+        q = np.where(unit, v if n % 2 else np.abs(v), q)
         power = q.copy()
         power[inexact] = _each(lambda t: _pow_float(t, n), v[inexact])
         out = np.where(inexact, _libm(power, _OUT), q)
@@ -250,11 +258,14 @@ class _ClarkePass:
     def imax(self, x, y):
         return self.interval(np.where(y.v > x.v, y.v, x.v))
 
+    # the names the value lines call them by (expr._INTERVAL_NAMES)
+    sin, cos, exp, sqrt, atan, abs, pow_float, min, max = (
+        isin, icos, iexp, isqrt, iarctan, iabs, ipow, imin, imax)
+    div, fsum, one = operator.truediv, _fold_add, _UNIT
+
     # -- Clarke partials as (2, K) pairs -------------------------------------
 
-    @staticmethod
-    def xfrom(x):
-        return x.v
+    xfrom = operator.attrgetter("v")
 
     @staticmethod
     def xneg(a):
@@ -333,6 +344,9 @@ class _PointPass:
     point code calls.
     """
 
+    sin, cos = partial(_each, math.sin), partial(_each, math.cos)
+    sqrt, abs, one = np.sqrt, np.abs, 1.0
+
     def __init__(self, count: int):
         self.bad = np.zeros(count, dtype=bool)
 
@@ -340,21 +354,9 @@ class _PointPass:
         for x in xs:
             self.bad |= ~np.isfinite(x)
 
-    @staticmethod
-    def sin(x):
-        return _each(math.sin, x)
-
-    @staticmethod
-    def cos(x):
-        return _each(math.cos, x)
-
     def exp(self, x):
         self._finite(x)
         return _each(_exp_float, x)
-
-    @staticmethod
-    def sqrt(x):
-        return np.sqrt(x)
 
     def atan(self, x):
         self._finite(x)
@@ -372,8 +374,6 @@ class _PointPass:
         self._finite(y)
         return x / y
 
-    abs = staticmethod(np.abs)
-
     def min(self, a, b):
         self._finite(a, b)
         return np.where(b < a, b, a)
@@ -386,24 +386,19 @@ class _PointPass:
 _POINT_LANE_NAMES = (*_POINT_NAMES, "abs", "min", "max")
 
 
-def _run(code, lanes, names, constants, z):
-    """code bound to the operators of lanes, called on z."""
-    namespace = {name: getattr(lanes, name) for name in names}
-    namespace.update(constants)
+def _run(code, tape: Tape, lanes, names, constant, z):
+    """code, of tape, bound to the operators of lanes and to constant, called on z."""
+    namespace = tape._namespace({name: getattr(lanes, name) for name in names}, constant)
     with np.errstate(all="ignore"):
         return types.FunctionType(code, namespace)(z)
-
-
-def _constants(tape: Tape):
-    return [(k, arg) for k, (op, arg, _) in enumerate(tape.nodes) if op == "const"]
 
 
 def point_lanes(tape: Tape, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The tape's point values at the L points that are the columns of z
     (shape (n, L)), and the mask of the unclean ones."""
     lanes = _PointPass(z.shape[1])
-    constants = {f"c{k}": np.full(z.shape[1], arg, dtype=float) for k, arg in _constants(tape)}
-    values = _run(tape.point.__code__, lanes, _POINT_LANE_NAMES, constants, z)
+    values = _run(tape.point.__code__, tape, lanes, _POINT_LANE_NAMES,
+                  partial(np.full, z.shape[1], dtype=float), z)
     return values, lanes.bad | ~np.isfinite(values)
 
 
@@ -421,9 +416,8 @@ def jacobian_lanes(f, overrides, lo: np.ndarray, hi: np.ndarray) -> tuple[np.nda
         fixed = _row_overrides(overrides, i, n)
         if len(fixed) < n:
             lanes = _ClarkePass(count)
-            constants = {f"c{k}": lanes.constant(arg) for k, arg in _constants(e.tape)}
-            default, partials = _run(e.tape.clarke.__code__, lanes, _CLARKE_NAMES, constants,
-                                     [_LaneInterval(v, lanes) for v in z])
+            default, partials = _run(e.tape.clarke.__code__, e.tape, lanes, _CLARKE_NAMES,
+                                     lanes.constant, [_LaneInterval(v, lanes) for v in z])
             bad |= lanes.bad
         for j in range(n):
             entries[i, j] = ([fixed[j].lo], [fixed[j].hi]) if j in fixed else partials.get(j, default)

@@ -284,6 +284,20 @@ class TestObserveAndCompare:
         assert "--seed" in err
 
 
+@pytest.mark.parametrize("args", [
+    ["--expr", "x1^99999999999999999999", "--domain", "[[0,1]]"],
+    ["--expr", "x1^10000000", "--domain", "[[0.5,0.75]]", "--subdivide", "4"],
+])
+def test_huge_integer_powers_finish(args):
+    # a power of 0 or 1 stays exact under every product, and the lanes ran
+    # one product per unit of the exponent for every base
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run([sys.executable, "-m", "mixmono", "range", *args],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert "remainder" in done.stdout
+
+
 def test_python_dash_m_runs_the_cli_from_a_checkout():
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     done = subprocess.run(

@@ -127,6 +127,14 @@ class TestEvaluation:
             enc = eval_interval(e, box)
             assert -2.0 <= enc.lo <= enc.hi <= 2.0
 
+    def test_too_few_variables_is_dimension_mismatch(self):
+        # as eval_interval does
+        e = parse_expr("x1 + x2", XY)
+        with pytest.raises(DimensionMismatch):
+            eval_point(e, [1.0])
+        with pytest.raises(DimensionMismatch):
+            eval_vec(e, np.zeros((1, 3)))
+
     def test_overflow_yields_signed_infinity_not_error(self):
         e = parse_expr("exp(x1)^3", ["x1"])
         v = eval_point(e, [1e5])

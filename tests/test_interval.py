@@ -107,6 +107,16 @@ class TestElementary:
     def test_odd_power_monotone(self):
         assert ipow(Interval(-2.0, 3.0), 3) == Interval(-8.0, 27.0)
 
+    def test_huge_powers_of_zero_and_one(self):
+        # 0 and +-1 stay exact under every product: parity decides the sign,
+        # and -0.0 keeps its signed zero
+        n = 10**20
+        assert ipow(Interval(0.0, 1.0), n) == Interval(0.0, 1.0)
+        for k, ends in ((n + 1, ("-0x1.0000000000000p+0", "-0x0.0p+0")),
+                        (n, ("0x0.0p+0", "0x1.0000000000000p+0"))):
+            v = ipow(Interval(-1.0, -0.0), k)
+            assert (v.lo.hex(), v.hi.hex()) == ends
+
     def test_sqrt_domain(self):
         with pytest.raises(DomainError):
             isqrt(Interval(-1.0, 1.0))

@@ -45,7 +45,7 @@ UNARY_OPS = {
     "iarctan": (lambda p, x: p.iarctan(x), iarctan),
     "iabs": (lambda p, x: p.iabs(x), iabs),
     **{f"ipow{n}": ((lambda p, x, n=n: p.ipow(x, n)), (lambda x, n=n: ipow(x, n)))
-       for n in (-2, 0, 1, 2, 3, 4)},
+       for n in (-2, 0, 1, 2, 3, 4, 10**6)},  # 10**6: 0, +-1 and inexact ends only
 }
 
 

@@ -36,11 +36,11 @@ from mixmono import (
     t_o_vertex_inclusion,
     t_r_inclusion,
 )
-from mixmono.errors import NotSignStable
+from mixmono.errors import DivisionByZeroInterval, DomainError, NotSignStable
 from mixmono.expr import ZERO_PARTIAL, ClarkeInterval
 from mixmono.inclusion import _lane_enclosures, subdivide_box
 from mixmono.interval import Interval, isin
-from mixmono.lanes import jacobian_lanes
+from mixmono.lanes import jacobian_lanes, point_lanes
 from mixmono.model import bundled_models
 from mixmono.reach import _embedding_derivative
 
@@ -174,6 +174,71 @@ def test_clarke_of_constant_and_variable_roots():
     for text, row in expected.items():
         got = _jacobian_outcome([parse_expr(text, ["x1", "x2"])], box)
         assert list(map(float.hex, got)) == list(map(float.hex, row)), text
+
+
+# roots that are a leaf or one operator over leaves, which read their
+# constants and variables in place
+LEAF_ROOTS = ("x2", "2.5", "-x1", "-(-3)", "3*x1", "x1*x1")
+# sha256 of every LEAF_ROOTS value below, recorded while every leaf still
+# had a local of its own
+LEAF_DIGEST = "e989b70921f8f33b7955840e0a398a364354f8d9995bb9baaa7b36ec9a75e5ec"
+
+
+def _put_array(h, a):
+    h.update(f"{a.dtype.str}{a.shape}".encode())
+    h.update(np.ascontiguousarray(a).tobytes())
+
+
+def test_leaf_roots_are_bit_identical():
+    # point, interval, numpy, Clarke, and both lane passes
+    box = Box.from_pairs([(-1, 0.5), (0.2, 1.5)])
+    corners = np.array(list(box.vertices()), dtype=float).T
+    cells = subdivide_box(box, 2)
+    lo, hi = np.array([c.lo for c in cells]).T, np.array([c.hi for c in cells]).T
+    h = hashlib.sha256()
+    for text in LEAF_ROOTS:
+        e = parse_expr(text, ["x1", "x2"])
+        for z in box.vertices():
+            _put(h, [eval_point(e, z)])
+        _put(h, _endpoints(eval_interval(e, box)))
+        _put_array(h, eval_vec(e, corners))
+        _put(h, _jacobian_outcome([e], box))
+        for a in (*point_lanes(e.tape, corners), *jacobian_lanes([e], None, lo, hi)):
+            _put_array(h, a)
+    assert h.hexdigest() == LEAF_DIGEST
+
+
+def test_one_value_code_bound_three_ways():
+    for text in ("x1*sin(x2) - 2.5", *LEAF_ROOTS):
+        tape = parse_expr(text, ["x1", "x2"]).tape
+        assert tape.interval.__code__ is tape.point.__code__
+        assert tape.vec.__code__ is tape.point.__code__
+
+
+def test_clarke_pass_evaluates_only_the_intervals_it_reads():
+    # d/dx3 of 0.3*cos(x3) + wx reads sin(x3); cos(x3) would only multiply
+    # the constant's zero partial
+    names = load_bundled("unicycle").dynamics[0].tape.clarke.__code__.co_names
+    assert "isin" in names
+    assert "icos" not in names and "cos" not in names
+
+
+@pytest.mark.parametrize("text, pairs, error", [
+    ("0*sqrt(x1)", (-1, 1), DomainError), ("0*sqrt(x1)", (-2, -1), DomainError),
+    ("0*(1/x1)", (-1, 1), DivisionByZeroInterval), ("0*(1/x1)", (0, 1), DivisionByZeroInterval),
+    ("0*x1^-2", (-1, 1), DivisionByZeroInterval), ("0*x1^-2", (0, 1), DivisionByZeroInterval),
+    # the value lines raise before the factor lines: x2^-2's factor raises
+    # DivisionByZeroInterval, and sqrt(x2)'s DomainError
+    ("x2^-2 + 0*sqrt(x1)", (-1, 1), DomainError),
+    ("sqrt(x2) + 0*x1^-2", (-1, 1), DivisionByZeroInterval),
+    ("sqrt(x2) + 0*(1/x1)", (-1, 1), DivisionByZeroInterval),
+])
+def test_unread_values_that_can_raise_still_raise(text, pairs, error):
+    # no partial reads the value that multiplies 0, but the pass still
+    # evaluates it, in its place among the value lines, and raises its error
+    with pytest.raises(DomainError) as caught:
+        clarke_jacobian_bounds([parse_expr(text, ["x1", "x2"])], Box.from_pairs([pairs, (-1, 1)]))
+    assert caught.type is error
 
 
 def test_overridden_rows_are_never_evaluated():
