@@ -31,6 +31,7 @@ from .errors import (
 from .expr import clarke_jacobian_bounds, parse_expr
 from .inclusion import (
     METHOD_NAMES,
+    SAMPLE_CAP,
     MethodId,
     apply_method,
     best_of_method,
@@ -289,7 +290,8 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--methods", default="remainder")
     r.add_argument("--subdivide", type=int, default=1)
     r.add_argument("--bounds", action="store_true")
-    r.add_argument("--samples", type=int, default=10**5)
+    r.add_argument("--samples", type=int, default=10**5,
+                   help=f"random samples for --bounds, 0 to {SAMPLE_CAP}")
     r.add_argument("--out")
     r.add_argument("--seed", type=int, default=0)
     r.set_defaults(fn=cmd_range)

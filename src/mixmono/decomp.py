@@ -89,9 +89,10 @@ class RowCandidates:
     vector (None when there is none), and the candidate count, and raises
     UnboundedBothSides or CandidateExplosion at the entry where the choices
     would; the shared ZERO_PARTIAL entry, one upper choice 0.0, is passed
-    over by identity.  `choices` is built when first read, which only a row
-    without an all-zero vector, or with a NaN value at its corner, and
-    error_bounds do; `corner` when first read too.
+    over by identity.  `corner` gathers the all-zero vector's corner from
+    the arguments (None without that vector).  `choices` is built when
+    first read, which only a row without an all-zero vector, or with a NaN
+    value at its corner, and error_bounds do.
     """
 
     def __init__(self, row: Sequence[ClarkeInterval], selected: bool = False):
@@ -121,17 +122,14 @@ class RowCandidates:
                         f"{count}+ supporting-vector candidates exceed cap {CANDIDATE_CAP}")
         self.zero = None if None in zero else tuple(zero)
         self.count = count
-
-    @cached_property
-    def corner(self):
-        """(*a, *b) -> the all-zero vector's zeta_plus, as a tuple: b_j where
-        its branch is the upper one, a_j where it is the lower one."""
-        n = len(self.zero)
-        index = [j + n if tag is Branch.UPPER else j for j, tag in enumerate(self.zero)]
-        if n > 1:
-            return itemgetter(*index)
-        # itemgetter takes at least one index, and with one returns no tuple
-        return lambda ab: tuple(ab[k] for k in index)
+        # (*a, *b) -> the all-zero vector's zeta_plus, as a tuple: b_j where
+        # its branch is the upper one, a_j where it is the lower one
+        self.corner = None
+        if self.zero is not None:
+            n = len(zero)
+            index = [j + n if tag is Branch.UPPER else j for j, tag in enumerate(zero)]
+            # itemgetter takes at least one index, and with one returns no tuple
+            self.corner = itemgetter(*index) if n > 1 else lambda ab: tuple(ab[k] for k in index)
 
     @cached_property
     def choices(self) -> tuple[tuple[tuple[float, Branch], ...], ...]:

@@ -6,7 +6,10 @@ compiled through one op->code table and bound three ways: point values,
 natural interval values, and numpy values over many points (`eval_vec`).
 Clarke-derivative bounds come from one compiled forward pass that carries
 all partials of every node at once (forward-mode interval differentiation),
-and evaluates only what the root's partials read and what can raise.
+and evaluates only what the root's partials read and what can raise.  What
+is known when that pass is generated (constants, and every line over known
+values only) is evaluated then, once, so a linear row's partials are
+constants, returned as the same prebuilt entries on every call.
 lanes.py binds the point and Clarke code once more, to numpy operators that
 run many points or boxes at once.  Trees are immutable; sums and products
 are n-ary and flattened by the parser to keep natural-inclusion dependency
@@ -29,7 +32,7 @@ import re
 import sys
 import types
 from dataclasses import dataclass, field
-from functools import cached_property, partial, reduce
+from functools import cached_property, lru_cache, partial, reduce
 from typing import Sequence
 
 import numpy as np
@@ -371,6 +374,7 @@ class ClarkeInterval:
 # Code that reads bounds may skip it by identity; an equal entry built
 # elsewhere (an override, a computed zero pair) is read like any other.
 ZERO_PARTIAL = ClarkeInterval(0.0, 0.0)
+_ONE_PARTIAL = ClarkeInterval(1.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -403,8 +407,8 @@ def _row_overrides(overrides: dict | None, i: int, n: int) -> dict:
     return {j: overrides[(i, j)] for j in range(n) if (i, j) in overrides}
 
 
-def _entry(pair: tuple[float, float]) -> ClarkeInterval:
-    return ZERO_PARTIAL if pair is _Z else ClarkeInterval(*pair)
+def _entry(pair: tuple[float, float], prebuilt: dict) -> ClarkeInterval:
+    return prebuilt.get(id(pair)) or ClarkeInterval(*pair)
 
 
 def clarke_jacobian_bounds(
@@ -419,7 +423,10 @@ def clarke_jacobian_bounds(
     tighter analytically-known bounds from a model file.  A row whose
     entries are all overridden is never evaluated.  A row that reads a
     variable outside the box raises DimensionMismatch.  Every entry that the
-    pass gives as the pair Z is the shared ZERO_PARTIAL.
+    pass gives as the pair Z is the shared ZERO_PARTIAL, and every partial it
+    folded to a constant is an entry built when it compiled (`Tape.clarke`),
+    the same object on every call; each entry is still checked for bounds
+    unbounded on both sides on every call.
     """
     n_z = len(box)
     rows = []
@@ -429,17 +436,18 @@ def clarke_jacobian_bounds(
             raise DimensionMismatch(f"row {i} references variable outside box")
         fixed = _row_overrides(overrides, i, n_z)
         if len(fixed) < n_z:
-            default, partials = e.tape.clarke(box.dims)
+            run = e.tape.clarke
+            default, partials = run(box.dims)
         row = []
         shared = None  # the default's entry, built where a column first reads it
         for j in range(n_z):
             if j in fixed:
                 row.append(fixed[j])
             elif j in partials:
-                row.append(_entry(partials[j]))
+                row.append(_entry(partials[j], run.entries))
             else:
                 if shared is None:
-                    shared = _entry(default)
+                    shared = _entry(default, run.entries)
                 row.append(shared)
         bad += [(i, j) for j, entry in enumerate(row)
                 if entry is not ZERO_PARTIAL and entry.unbounded_both]
@@ -561,9 +569,8 @@ class Tape:
         return {**names, **{f"c{k}": constant(arg) for k, (op, arg, _) in enumerate(self.nodes)
                             if op == "const"}}
 
-    def _compile(self, names: dict, constant, lines: list[str] | None = None):
-        """def run(z) with the body lines, or else the point code, over names."""
-        namespace = self._namespace(names, constant)
+    def _compile(self, namespace: dict, lines: list[str] | None = None):
+        """def run(z) with the body lines, or else the point code, over namespace."""
         if lines is None:
             return types.FunctionType(self.point.__code__, namespace)
         exec("\n".join(["def run(z):", *(f"    {line}" for line in lines)]), namespace)
@@ -575,17 +582,17 @@ class Tape:
         lines = [f"t{k} = {self._value(k)}" for k, (op, _, _) in enumerate(self.nodes)
                  if op not in ("const", "var")]
         ret = f"return {self._ref(len(self.nodes) - 1)}"
-        return self._compile(_POINT_NAMES, _same, [*lines, ret])
+        return self._compile(self._namespace(_POINT_NAMES, _same), [*lines, ret])
 
     @cached_property
     def interval(self):
         """box.dims -> the natural interval value over the box."""
-        return self._compile(_INTERVAL_NAMES, Interval.point)
+        return self._compile(self._namespace(_INTERVAL_NAMES, Interval.point))
 
     @cached_property
     def vec(self):
         """cols -> the values at the columns' points (1 value without variables)."""
-        return self._compile(_VEC_NAMES, partial(np.full, 1))
+        return self._compile(self._namespace(_VEC_NAMES, partial(np.full, 1)))
 
     @cached_property
     def clarke(self):
@@ -593,13 +600,24 @@ class Tape:
 
         partials[j] bounds the j-th partial as a (lo, hi) pair, and every
         column missing from it equals default.  The code computes the
-        interval values the rules read (_POINT_CODE), then per node one
-        factor line from them (_CLARKE_CODE) and one line each for its
-        default and for every column its subtree reads.  Partials that are
-        zero by construction are folded, not computed (see _VANISH).  Then a
+        interval values the rules read (_POINT_CODE), then per node its
+        factor (_CLARKE_CODE) and its partial in its default column and in
+        every column its subtree reads.  Partials that are zero by
+        construction are folded, not computed (see _VANISH).  A product by
+        the unit pair and a one-term sum are one normalizing xnorm, and a
+        product with one nonzero term is its chain of xmul.
+
+        Every line whose inputs are all known when the code is generated
+        (the constants, Z, ONE and earlier such lines) is evaluated then,
+        through _CLARKE_NAMES, and its value is bound by the line's name; a
+        line that raises is left in place, to raise when called.  Then a
         backward liveness pass keeps the lines the returned partials read,
         and each line that can raise (_raises) with the lines it reads, so
         every error stays, in order; every other interval operator saturates.
+
+        The function carries `folded`, the values it reads in place of
+        lines, and `entries`, the prebuilt ClarkeInterval of Z, ONE and each
+        folded partial it returns, keyed by the id of the pair.
         """
         nodes = self.nodes
         # A node's interval value is computed only below an op that reads
@@ -610,61 +628,176 @@ class Tape:
             op, _, kids = nodes[k]
             for c in kids:
                 needed[c] = needed[k] or _CLARKE_CODE[op][0] is not None
-        # (name, code, whether it stays when no line reads it)
-        lines: list = [(f"t{k}", self._value(k), _raises(op, arg))
-                       for k, (op, arg, _) in enumerate(nodes)
-                       if needed[k] and op not in ("const", "var")]
+        # known holds every value known now, folded those of folded lines;
+        # zero the names certain to hold a (signed) zero pair, and normal
+        # those whose pairs hold no -0.0
+        known = {"Z": _Z, "ONE": _ONE, **self._namespace({}, Interval.point)}
+        refs = [self._ref(k) for k in range(len(nodes))]
+        folded: dict = {}
+        zero, normal = {"Z"}, {"ONE"}
+        lines: list = []  # (name, template over {0}, {1}, ..., the args, stays unread)
+
+        def emit(name: str, template: str, args: list, stays: bool = False) -> str:
+            if all(map(known.__contains__, args)):
+                try:
+                    value = _folder(template, len(args))(*[known[a] for a in args])
+                except (DomainError, ArithmeticError, ValueError):
+                    pass  # the compiled code raises it, in its place
+                else:
+                    known[name] = folded[name] = value
+                    if value == _Z:
+                        zero.add(name)
+                    return name
+            lines.append((name, template, args, stays))
+            if template.startswith(("xnorm(", "xsum(", "xprod(")):
+                normal.add(name)
+            return name
+
+        def is_one(x) -> bool:
+            return isinstance(x, str) and known.get(x) == _ONE
+
+        pairs: dict = {}
+
+        def pair(c: int):
+            """Node c's value as a (lo, hi) pair: a name if known, else a part to _nest."""
+            if c not in pairs:
+                ref = refs[c]
+                pairs[c] = emit(f"v{c}", "xfrom({0})", [ref]) if ref in known else ("xfrom({0})", [ref])
+            return pairs[c]
+
+        def chain(name: str, term: str, factors: list) -> str:
+            """_xprod with one nonzero term: the term times each factor in turn,
+            then normalized as its _xadd(Z, .) does."""
+            if not factors:
+                return emit(name, "xnorm({0})", [term])
+            for s, f in enumerate(factors):
+                last = s == len(factors) - 1
+                if is_one(term) or is_one(f):
+                    step = _nest("xnorm({0})", f if is_one(term) else term)
+                else:
+                    step = _nest("xnorm(xmul({0}, {1}))" if last else "xmul({0}, {1})", term, f)
+                term = emit(name if last else f"{name}_{s}", *step)
+            return term
+
+        for k, (op, arg, kids) in enumerate(nodes):
+            if needed[k] and op not in ("const", "var"):
+                emit(f"t{k}", _fields(_POINT_CODE[op], len(kids), arg),
+                     [refs[c] for c in kids], _raises(op, arg))
         # local[k][j] names the local holding node k's partial in column j,
-        # and local[k][None] the one holding its default; zero holds the
-        # names certain to hold a (signed) zero pair
+        # and local[k][None] the one holding its default
         local: list[dict] = []
-        zero = {"Z"}
         for k, (op, arg, kids) in enumerate(nodes):
             if op in ("const", "var"):
                 local.append({None: "Z", arg: "ONE"} if op == "var" else {None: "Z"})
                 continue
             factor, apply = _CLARKE_CODE["pow0" if op == "pow" and arg == 0 else op]
-            values = [self._ref(c) for c in kids]
-            terms = []  # a product's lines, each with the kids whose partial is not Z
+            values = [refs[c] for c in kids]
+            terms = []  # a product's xprod lines, each with the kids whose partial is not Z
+            f = f"f{k}"
             if op == "prod":
-                lines.append((f"f{k}", (values, terms), False))
+                lines.append((f, None, ([pair(c) for c in kids], terms), False))
+            elif op == "div":
+                emit(f, "ipow({0}, 2)", values[1:])
             elif factor is not None:
-                lines.append((f"f{k}", factor.format(*values, arg=arg), _raises(op, arg)))
+                emit(f, _fields(factor, len(kids), arg), values, _raises(op, arg))
             here = {}
             for j in [None, *sorted(set().union(*(local[c] for c in kids)) - {None})]:
                 a = [local[c].get(j, local[c][None]) for c in kids]
-                rule = apply
-                if op == "sum":
-                    a = [x for x in a if x not in zero]
+                name = f"d{k}" if j is None else f"p{k}_{j}"
+                nonzero = [i for i, x in enumerate(a) if x not in zero]
+                if op in _VANISH and not nonzero or apply == "Z":  # Z: x^0's rule
+                    here[j] = "Z"
+                elif op == "sum" and len(nonzero) == 1:  # _xsum(x) is _xadd(Z, x)
+                    x = a[nonzero[0]]
+                    here[j] = x if x in normal else emit(name, "xnorm({0})", [x])
+                elif op == "sum":
+                    here[j] = emit(name, _fields(apply, len(nonzero)), [a[i] for i in nonzero])
+                elif op == "prod" and len(nonzero) == 1:
+                    i = nonzero[0]
+                    here[j] = chain(name, a[i], [pair(c) for n, c in enumerate(kids) if n != i])
                 elif op == "prod":
                     a = ["Z" if x in zero else x for x in a]
+                    here[j] = emit(name, _fields(apply, len(a)), [*a, f])
+                    terms.append((name, nonzero))
                 elif op == "div":
-                    rule = _DIV_FOLDS.get((a[0] in zero, a[1] in zero), apply)
-                code = rule.format(*a, f=f"f{k}", kids=", ".join(a))
-                if op in _VANISH and zero.issuperset(a) or code == "Z":  # Z: x^0's rule
-                    here[j] = "Z"
-                elif op == "sum" and a == ["ONE"]:
-                    here[j] = "ONE"  # _xadd(Z, ONE) is exactly ONE
+                    du, dv = (None if x in zero else "ONE" if is_one(x) else x for x in a)
+                    here[j] = emit(name, *_quotient_rule(du, dv, pair(kids[0]), pair(kids[1]), f))
+                elif apply == "xmul({f}, {0})" and is_one(a[0]):
+                    here[j] = emit(name, "xnorm({0})", [f])
                 else:
-                    here[j] = f"d{k}" if j is None else f"p{k}_{j}"
-                    lines.append((here[j], code, False))
-                    terms.append((here[j], [i for i, x in enumerate(a) if x != "Z"]))
-                    if zero.issuperset(a):
-                        zero.add(here[j])
+                    args = a if factor is None else [*a, f]
+                    here[j] = emit(name, _fields(apply, len(a)), args)
+                if not nonzero:
+                    zero.add(here[j])
             local.append(here)
         root = local[-1]
         partials = ", ".join(f"{j}: {name}" for j, name in root.items() if j is not None)
         ret = f"return {root[None]}, {{{partials}}}"
-        live, kept = set(_LOCAL.findall(ret)), []
-        for name, code, stays in reversed(lines):
+        live, kept = {*root.values()}, []
+        for name, template, args, stays in reversed(lines):
             if stays or name in live:
-                if not isinstance(code, str):  # a product's factors
-                    read = {i for term, kids in code[1] if term in live for i in kids}
-                    code = "".join(f"xfrom({v}), " if read - {c} else "Z, "
-                                   for c, v in enumerate(code[0]))  # term i reads all but i
-                live.update(_LOCAL.findall(code))
-                kept.append(f"{name} = {code}")
-        return self._compile(_CLARKE_NAMES, Interval.point, [*reversed(kept), ret])
+                if template is None:  # a product's factors: term i reads all but factor i
+                    factors, terms = args
+                    read = {i for term, kids in terms if term in live for i in kids}
+                    parts = [x if read - {c} else "Z" for c, x in enumerate(factors)]
+                    template, args = _nest("".join(f"{{{c}}}, " for c in range(len(parts))), *parts)
+                live.update(args)
+                kept.append(f"{name} = {template.format(*args)}")
+        bound = {name: value for name, value in folded.items() if name in live}
+        run = self._compile({**_CLARKE_NAMES, **{name: known[name] for name in live if name in known}},
+                            [*reversed(kept), ret])
+        run.folded, run.entries = bound, dict(_PREBUILT)
+        for value in (bound[name] for name in root.values() if name in bound):
+            if id(value) not in run.entries:
+                try:
+                    run.entries[id(value)] = ClarkeInterval(*value)
+                except DomainError:  # inverted or NaN: every call raises it
+                    pass
+        return run
+
+
+@lru_cache(maxsize=1024)
+def _fields(template: str, n: int, arg=None) -> str:
+    """template over n kids as one over {0}, ..., {n-1}: {kids} and {prod}
+    join them all, {f} is field n and {arg} is filled in."""
+    ph = [f"{{{i}}}" for i in range(n)]
+    return template.format(*ph, arg=arg, kids=", ".join(ph), prod=" * ".join(ph), f=f"{{{n}}}")
+
+
+def _nest(template: str, *parts) -> tuple[str, list]:
+    """template over parts, each a name or a (template, args) part, as one
+    (template, args) part."""
+    codes, args = [], []
+    for part in parts:
+        code, names = part if isinstance(part, tuple) else ("{0}", [part])
+        codes.append(code.format(*[f"{{{len(args) + i}}}" for i in range(len(names))]))
+        args += names
+    return template.format(*codes), args
+
+
+def _quotient_rule(du, dv, u, v, w) -> tuple[str, list]:
+    """(u'v - uv') / w over the pairs u and v and w = v^2, with u' and v'
+    None where zero and "ONE" where the unit pair (not both None)."""
+    if du is not None:
+        left = _nest("xnorm({0})", v) if du == "ONE" else _nest("xmul({0}, {1})", du, v)
+    if dv is not None:
+        right = _nest("xnorm({0})", u) if dv == "ONE" else _nest("xmul({0}, {1})", u, dv)
+    if dv is None:
+        num = left  # _xadd(X, _xneg(Z)) is X bit for bit
+    elif du is None:
+        num = _nest("xnorm(xneg({0}))", right)  # _xadd(Z, X) is _xnorm(X)
+    else:
+        num = _nest("xadd({0}, xneg({1}))", left, right)
+    return _nest("xdiv_pos({0}, {1})", num, w)
+
+
+@lru_cache(maxsize=1024)
+def _folder(template: str, n: int):
+    """template over n args as a function of them, reading _CLARKE_NAMES."""
+    params = [f"a{i}" for i in range(n)]
+    code = compile(f"lambda {', '.join(params)}: {template.format(*params)}", "<fold>", "eval")
+    return types.FunctionType(next(c for c in code.co_consts if isinstance(c, types.CodeType)),
+                              _CLARKE_NAMES)
 
 
 # A Clarke partial during the forward pass: (lo, hi) in the extended reals.
@@ -672,6 +805,8 @@ _Pair = tuple[float, float]
 _Z: _Pair = (0.0, 0.0)
 _ONE: _Pair = (1.0, 1.0)
 _xfrom = operator.attrgetter("lo", "hi")  # an interval's (lo, hi) pair
+# the entries of the pairs Z and ONE (clarke_jacobian_bounds)
+_PREBUILT = {id(_Z): ZERO_PARTIAL, id(_ONE): _ONE_PARTIAL}
 
 
 def _clip_overflow(value: float, *operands: float) -> float:
@@ -776,17 +911,24 @@ def _max_rule(u: Interval, v: Interval):
     return _first if u.lo > v.hi else _second if v.lo > u.hi else _xhull
 
 
+def _xnorm(a: _Pair) -> _Pair:
+    """a with each -0.0 made 0.0: _xmul(a, _ONE) and _xsum(a), exactly."""
+    return (a[0] + 0.0, a[1] + 0.0)
+
+
 # op -> (factor, apply) code for the compiled Clarke pass.  The factor line
 # runs once per node and reads the children's interval values {0} and {1};
-# None means the rule reads no values, and a product's line is its factors
-# as (lo, hi) pairs, or Z where no live term reads one.  The apply line runs
-# for the node's default and for each column its subtree reads; it reads the
-# children's partials in that column, {0} and {1} or all of them as {kids},
-# and the factor {f}.  A rule whose branch depends on the values (abs, min,
-# max) picks its apply function in the factor line through a rule function,
-# which the lane binding (lanes.py) replaces by one that picks per lane.  The
-# interval values the factor lines read are rounded outward; the pair
-# arithmetic of the partials (_xadd, _xmul, _xdiv_pos) still rounds to nearest.
+# None means the rule reads no values, and "" that Tape.clarke builds it: a
+# product's factors as (lo, hi) pairs, or Z where no live term reads one,
+# and a quotient's v^2 (the quotient rule is _quotient_rule).  The apply line
+# runs for the node's default and for each column its subtree reads; it reads
+# the children's partials in that column, {0} and {1} or all of them as
+# {kids}, and the factor {f}.  A rule whose branch depends on the values
+# (abs, min, max) picks its apply function in the factor line through a rule
+# function, which the lane binding (lanes.py) replaces by one that picks per
+# lane.  The interval values the factor lines read are rounded outward; the
+# pair arithmetic of the partials (_xadd, _xmul, _xdiv_pos) still rounds to
+# nearest.
 _CLARKE_CODE = {
     "neg": (None, "xneg({0})"),
     "sum": (None, "xsum({kids})"),
@@ -798,37 +940,32 @@ _CLARKE_CODE = {
     "abs": ("abs_rule({0})", "{f}({0})"),
     "pow": ("xfrom(ipow({0}, {arg} - 1).scale({arg}.0))", "xmul({f}, {0})"),
     "pow0": (None, "Z"),  # x^0 is constant
-    # (u'v - uv') / v^2, with v as a pair and v^2 as an interval
-    "div": ("xfrom({0}), xfrom({1}), ipow({1}, 2)",
-            "xdiv_pos(xadd(xmul({0}, {f}[1]), xneg(xmul({f}[0], {1}))), {f}[2])"),
+    "div": ("", None),
     "min": ("min_rule({0}, {1})", "{f}({0}, {1})"),
     "max": ("max_rule({0}, {1})", "{f}({0}, {1})"),
     "prod": ("", "xprod({f}, ({kids},))"),
 }
-# Statically-zero partials are folded by Tape.clarke, on three facts about
-# the pair operators that any change to them must keep:
+# Tape.clarke folds and rewrites partials on four facts about the pair
+# operators that any change to them must keep:
 # - _corner gives an exact 0.0 for any zero operand, so _xmul with a (signed)
 #   zero pair is exactly Z; so is every rule of _VANISH whose partials are
 #   all zero (div: _xdiv_pos of _xadd(Z, _xneg(Z)) over v^2 >= 0);
 # - _xsum and _xprod skip +-0 terms, so a zero term can be left out of a
 #   sum, and passed to a product as Z;
 # - _xadd(X, (-0.0, -0.0)) is X bit for bit, so the quotient rule with a
-#   zero denominator partial is u'v / v^2 alone (_DIV_FOLDS).
+#   zero denominator partial is u'v / v^2 alone;
+# - x * 1 and 0.0 + x are exact, so _xmul(X, ONE), _xsum(X) and _xadd(Z, X)
+#   are _xnorm(X), and _xprod with one nonzero term is its _xmul chain,
+#   normalized.
 # The rules of the other ops map zero partials to a zero pair whose signs
 # they decide (_xneg(Z) is (-0.0, -0.0)), so those lines stay where the
 # root reads them.
 _VANISH = {"sin", "cos", "exp", "pow", "div", "sum", "prod"}
-# the quotient rule with one zero partial, keyed by (u' is zero, v' is zero)
-_DIV_FOLDS = {
-    (True, False): "xdiv_pos(xadd(Z, xneg(xmul({f}[0], {1}))), {f}[2])",
-    (False, True): "xdiv_pos(xmul({0}, {f}[1]), {f}[2])",
-}
-_LOCAL = re.compile(r"\b(?:[tfd]\d+|p\d+_\d+)\b")
 
 _CLARKE_NAMES = {
     **_INTERVAL_NAMES, "isin": isin, "icos": icos, "iexp": iexp, "isqrt": isqrt,
     "ipow": ipow, "Z": _Z, "ONE": _ONE, "unit": Interval(1.0, 1.0),
     "xneg": _xneg, "xsum": _xsum, "xmul": _xmul, "xadd": _xadd, "xfrom": _xfrom,
-    "xdiv_pos": _xdiv_pos, "xprod": _xprod, "abs_rule": _abs_rule,
+    "xdiv_pos": _xdiv_pos, "xprod": _xprod, "xnorm": _xnorm, "abs_rule": _abs_rule,
     "min_rule": _min_rule, "max_rule": _max_rule,
 }

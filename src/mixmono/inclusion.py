@@ -46,6 +46,9 @@ from .lanes import jacobian_lanes
 JacProvider = Callable[[Box], JacobianBounds]
 
 CELL_BUDGET = 10**6
+# the most random samples sampled_range draws: 8 bytes per sample and
+# dimension, so 10**7 samples of a 6-dimensional box take 480 MB
+SAMPLE_CAP = 10**7
 
 
 @dataclass(frozen=True)
@@ -178,19 +181,23 @@ def _enclose(kind: str, f: Sequence[Expr], box: Box, jac_provider: JacProvider) 
 
 
 def _bounds(method: MethodId, f: Sequence[Expr], hi: Sequence[float], lo: Sequence[float],
-            jac_provider: JacProvider, pinned: bool = False) -> list[tuple[float, float]]:
-    """Raw (upper, lower) bounds of each row of f for the arguments (hi, lo).
+            jac_provider: JacProvider, pinned: bool = False,
+            rest: Box = Box(())) -> list[tuple[float, float]]:
+    """Raw (upper, lower) bounds of each row of f for the arguments (hi, lo),
+    followed by the ends of rest's intervals.
 
     Unpinned, hi/lo are a box's corners and each engine gives its usual
     enclosure.  Pinned, they are the continuous-time embedding's upper and
-    lower states, which need not be ordered, and row i pins its own
-    coordinate: decomposition engines evaluate decompose(..., pinned=True),
-    interval engines enclose f_i over the hull's faces at hi[i] and lo[i]
-    with row i of the Jacobian as slopes.  best_of keeps each row's tightest
-    member bound; the members share each distinct box's Jacobian.
+    lower states, which need not be ordered, and rest its disturbance, whose
+    intervals the hull takes as they are; row i pins its own coordinate:
+    decomposition engines evaluate decompose(..., pinned=True), interval
+    engines enclose f_i over the hull's faces at hi[i] and lo[i] with row i
+    of the Jacobian as slopes.  best_of keeps each row's tightest member
+    bound; the members share each distinct box's Jacobian.
     """
     jac = functools.cache(jac_provider) if method.members else jac_provider
-    hull = Box(Interval(min(a, b), max(a, b)) for a, b in zip(lo, hi))
+    hull = Box((*(Interval(min(a, b), max(a, b)) for a, b in zip(lo, hi)), *rest.dims))
+    hi, lo = (*hi, *rest.hi), (*lo, *rest.lo)
     members = []
     for m in method.members or (method,):
         if not pinned:
@@ -250,13 +257,15 @@ def sampled_range(
 ) -> Box:
     """Inner estimate of the true image box from dense sampling.
 
-    Combines uniform random samples, a regular grid of at most 10 points per
-    dimension, and all box vertices.
+    Combines n_samples uniform random samples (0 to SAMPLE_CAP), a regular
+    grid of at most 10 points per dimension, and all box vertices.
     The result is contained in the true image, so it lower-bounds every sound
     enclosure's tightness.
     """
     from .expr import eval_vec
 
+    if not 0 <= n_samples <= SAMPLE_CAP:
+        raise ValidationError(f"the sample count must be from 0 to {SAMPLE_CAP}, got {n_samples}")
     if not all(map(math.isfinite, box.widths())):
         raise ValidationError(f"sampling needs a box of finite widths, got {box}")
     if rng is None:

@@ -5,7 +5,9 @@ module binds those same code objects once more, to operators whose values
 are numpy arrays with one entry per *lane*: a point value of a corner pass
 is a float per lane, and an interval value or Clarke partial of a Clarke
 pass a (2, K) array whose rows are the lanes' lower and upper ends.  The
-Clarke pass binds the point code's names as expr._INTERVAL_NAMES does.
+Clarke pass binds the point code's names as expr._INTERVAL_NAMES does, and
+each value the Clarke code was compiled to read as known (`Tape.clarke`'s
+folds) as a constant lane interval or a (2, 1) pair.
 `subdivide_apply` runs the cells of a subdivision as the lanes of one Clarke
 pass per row, and decomp's `enclose_lanes` the candidates of all cells as the
 lanes of one corner pass per row and bound.
@@ -191,8 +193,14 @@ class _ClarkePass:
         self.unit = self.constant(1.0)
 
     def constant(self, value: float) -> _LaneInterval:
-        iv = Interval.point(value)
-        return _LaneInterval(np.repeat([[iv.lo], [iv.hi]], len(self.bad), axis=1), self)
+        return self.folded(Interval.point(value))
+
+    def folded(self, value):
+        """A value the Clarke code was compiled to read as known (Tape.clarke):
+        an Interval, the same in every lane, or a (lo, hi) pair."""
+        if isinstance(value, Interval):
+            return _LaneInterval(np.repeat([[value.lo], [value.hi]], len(self.bad), axis=1), self)
+        return self._pair(np.array(value, dtype=float).reshape(2, 1))
 
     def interval(self, v, ok=True) -> _LaneInterval:
         self.bad |= ~(ok & (v[0] <= v[1]) & np.isfinite(v).all(axis=0))
@@ -273,6 +281,9 @@ class _ClarkePass:
 
     def xadd(self, a, b):
         return self._pair(a + b)
+
+    def xnorm(self, a):
+        return self._pair(a + 0.0)  # -0.0 + 0.0 is 0.0
 
     def xmul(self, a, b):
         # _corner gives 0.0 for a zero operand, so a zero pair times any pair
@@ -386,9 +397,11 @@ class _PointPass:
 _POINT_LANE_NAMES = (*_POINT_NAMES, "abs", "min", "max")
 
 
-def _run(code, tape: Tape, lanes, names, constant, z):
-    """code, of tape, bound to the operators of lanes and to constant, called on z."""
+def _run(code, tape: Tape, lanes, names, constant, z, folded=None):
+    """code, of tape, bound to the operators of lanes, to constant and to
+    the values it reads in place of lines (folded), called on z."""
     namespace = tape._namespace({name: getattr(lanes, name) for name in names}, constant)
+    namespace.update({name: lanes.folded(value) for name, value in (folded or {}).items()})
     with np.errstate(all="ignore"):
         return types.FunctionType(code, namespace)(z)
 
@@ -415,9 +428,9 @@ def jacobian_lanes(f, overrides, lo: np.ndarray, hi: np.ndarray) -> tuple[np.nda
     for i, e in enumerate(f):
         fixed = _row_overrides(overrides, i, n)
         if len(fixed) < n:
-            lanes = _ClarkePass(count)
-            default, partials = _run(e.tape.clarke.__code__, e.tape, lanes, _CLARKE_NAMES,
-                                     lanes.constant, [_LaneInterval(v, lanes) for v in z])
+            lanes, run = _ClarkePass(count), e.tape.clarke
+            default, partials = _run(run.__code__, e.tape, lanes, _CLARKE_NAMES, lanes.constant,
+                                     [_LaneInterval(v, lanes) for v in z], run.folded)
             bad |= lanes.bad
         for j in range(n):
             entries[i, j] = ([fixed[j].lo], [fixed[j].hi]) if j in fixed else partials.get(j, default)

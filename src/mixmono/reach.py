@@ -131,8 +131,8 @@ def _embedding_derivative(model: SystemModel, method: MethodId, xu: list[float],
                           xl: list[float]) -> tuple[list[float], list[float]]:
     """Time derivatives of the upper and lower bound trajectories: the
     method's bounds of the dynamics with each row's own coordinate pinned."""
-    rows = _bounds(method, model.dynamics, tuple(xu) + model.disturbance.hi,
-                   tuple(xl) + model.disturbance.lo, model.jac_provider(), pinned=True)
+    rows = _bounds(method, model.dynamics, xu, xl, model.jac_provider(), pinned=True,
+                   rest=model.disturbance)
     return [du for du, _ in rows], [dl for _, dl in rows]
 
 

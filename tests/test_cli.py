@@ -110,6 +110,17 @@ class TestRange:
         assert code == 0
         assert "[0, 1.79769e+308]" in out
 
+    @pytest.mark.parametrize("samples", ["-5", "100000000000"])
+    def test_sample_count_out_of_range_is_validation_error(self, capsys, samples):
+        # rejected before any array is made: numpy raised on a negative
+        # count, and ran out of memory on the huge one
+        code, out, err = run(
+            capsys, "range", "--expr", "x1^2", "--domain", "[[0,1]]", "--bounds",
+            "--samples", samples,
+        )
+        assert code == 2 and out == ""
+        assert err == f"error: the sample count must be from 0 to 10000000, got {samples}\n"
+
     def test_infinite_width_with_bounds_is_validation_error(self, capsys):
         # --bounds samples the box, whose width 2e308 overflows
         code, out, err = run(

@@ -94,6 +94,7 @@ def test_pair_operators():
         assert _compare(lambda p, a: p.xmul(const, a), lambda a: scalar._xmul(twin, a), [xs]) > 0
         assert _compare(lambda p, a: p.xmul(a, const), lambda a: scalar._xmul(a, twin), [xs]) > 0
     assert _compare(lambda p, a, b: p.xadd(a, b), scalar._xadd, [xs, ys]) > len(xs) // 2
+    assert _compare(lambda p, a: p.xnorm(a), scalar._xnorm, [xs]) > len(xs) // 2
     assert _compare(lambda p, a, b: p.xsum(a, b), scalar._xsum, [xs, ys]) > len(xs) // 2
     assert _compare(lambda p, a, b, c: p.xprod((a, b), (c, a)),
                     lambda a, b, c: scalar._xprod((a, b), (c, a)), [xs, ys, ys]) > 0

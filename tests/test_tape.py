@@ -273,12 +273,55 @@ def test_clarke_pass_folds_zero_partials(monkeypatch):
     clarke_jacobian_bounds(model.observation.exprs,
                            Box.from_pairs([(0.0, 0.5), (0.0, 0.5), (0.5, 1.5)]))
     assert {name for name, _ in calls} == {"xmul", "xsum", "xprod"}
-    zero = (0.0, 0.0)  # == holds for either signed zero
+    zero, one = (0.0, 0.0), (1.0, 1.0)  # == holds for either signed zero
     for name, args in calls:
-        if name == "xmul":
-            assert zero not in args, args
-        else:
-            assert any(t != zero for t in (args[1] if name == "xprod" else args)), (name, args)
+        if name == "xmul":  # a product by the unit pair is xnorm
+            assert zero not in args and one not in args, args
+        elif name == "xsum":  # a one-term sum is xnorm, or its term
+            assert len([t for t in args if t != zero]) > 1, args
+        else:  # a product with one nonzero term is its xmul chain
+            assert len([t for t in args[1] if t != zero]) > 1, args
+
+
+PAIR_OPERATORS = ("xmul", "xsum", "xprod", "xnorm", "xneg", "xadd", "xdiv_pos")
+
+
+def test_constant_partials_are_folded_and_prebuilt(monkeypatch):
+    # every partial of a linear row is known when its code compiles: the
+    # pass calls no pair operator, and gives the same entry objects each time
+    calls = []
+    for name in PAIR_OPERATORS:
+        fn = mixmono.expr._CLARKE_NAMES[name]
+        monkeypatch.setitem(mixmono.expr._CLARKE_NAMES, name,
+                            lambda *args, fn=fn, name=name: calls.append(name) or fn(*args))
+    model = load_bundled("scott_example")  # x1' = -0.5*x2 - 0.12*w
+    row, box = model.dynamics[:1], model.init.concat(model.disturbance)
+    run = row[0].tape.clarke  # return Z, {1: p8_1, 2: p8_2}, two folded pairs
+    assert set(run.__code__.co_names) == {"Z", *run.folded}
+    calls.clear()  # the folds ran through the operators while compiling
+    first, second = (clarke_jacobian_bounds(row, box).row(0) for _ in range(2))
+    assert calls == []
+    assert all(a is b for a, b in zip(first, second))
+    assert first == (ZERO_PARTIAL, ClarkeInterval(-0.5, -0.5), ClarkeInterval(-0.12, -0.12),
+                     ZERO_PARTIAL)
+    # a variable's unit partial is one prebuilt entry too
+    assert clarke_jacobian_bounds(model.dynamics[1:], box)[0, 0] is mixmono.expr._ONE_PARTIAL
+
+
+@pytest.mark.parametrize("text, error", [
+    ("sqrt(0 - 1)*x1", DomainError),
+    ("x1*(1/(1 - 1))", DivisionByZeroInterval),
+    ("x1 + (3 - 3)^-1", DivisionByZeroInterval),
+])
+def test_constant_lines_that_raise_are_left_to_raise(text, error):
+    # the fold of a line whose inputs are all constants raises; the line is
+    # compiled as it is, so each call raises its error, in its place
+    e = parse_expr(text, ["x1"])
+    e.tape.clarke
+    for _ in range(2):
+        with pytest.raises(DomainError) as caught:
+            clarke_jacobian_bounds([e], Box.from_pairs([(0.5, 1.0)]))
+        assert caught.type is error
 
 
 def test_structural_zero_partials_share_one_entry():
