@@ -45,8 +45,8 @@ from .errors import (
     NotSignStable,
     UnboundedBothSides,
 )
-from .expr import ZERO_PARTIAL, ClarkeInterval, Expr, JacobianBounds, _fsum, eval_point
-from .interval import _MAXF, Box, Interval, saturate
+from .expr import ZERO_PARTIAL, Expr, JacobianBounds, _fsum, eval_point
+from .interval import Box, Interval, excess, outward
 from .lanes import point_lanes
 
 
@@ -65,7 +65,7 @@ SELECTORS = ("remainder", "jacobian_sign", "tight_vertex")
 
 
 def _coordinate_choices(
-    entry: ClarkeInterval,
+    entry: Interval,
 ) -> list[tuple[float, Branch]]:
     """Finite branch values for one coordinate, deduplicated by value."""
     choices: list[tuple[float, Branch]] = []
@@ -95,7 +95,7 @@ class RowCandidates:
     value at its corner, and error_bounds do.
     """
 
-    def __init__(self, row: Sequence[ClarkeInterval], selected: bool = False):
+    def __init__(self, row: Sequence[Interval], selected: bool = False):
         self.row, self.selected = row, selected
         zero, count = [], 1
         for entry in row:
@@ -142,12 +142,12 @@ class RowCandidates:
         return self.count
 
 
-def supporting_vectors(jac_row: Sequence[ClarkeInterval]) -> RowCandidates:
+def supporting_vectors(jac_row: Sequence[Interval]) -> RowCandidates:
     """Cartesian product of per-coordinate branch choices for one row."""
     return RowCandidates(jac_row)
 
 
-def _row(jac: JacobianBounds, i: int, pinned: bool) -> tuple[ClarkeInterval, ...]:
+def _row(jac: JacobianBounds, i: int, pinned: bool) -> tuple[Interval, ...]:
     """Row i of jac; a pinned row has a zero slope in column i."""
     row = jac.row(i)
     return row[:i] + (_PINNED,) + row[i + 1:] if pinned else row
@@ -270,28 +270,25 @@ def decompose(
     return rows
 
 
-def saturated(rows: Sequence[tuple[float, float]], kind: str) -> list[tuple[float, float]]:
-    """(lower, upper) of each of decompose's (upper, lower) rows, each end
-    clamped to the finite floats as an Interval clamps it.
+def outward_rows(rows: Sequence[tuple[float, float]], kind: str) -> list[tuple[float, float]]:
+    """(lower, upper) of each of decompose's (upper, lower) rows, with a
+    finite overflow rounded outward (interval.outward).
 
     Raises InvertedBounds when a row's lower bound comes out above its upper
     bound (unsound derivative bounds, for example) instead of swapping them.
     """
     out = []
     for i, (upper, lower) in enumerate(rows):
-        if not -_MAXF <= lower <= upper <= _MAXF:  # else saturate keeps both ends
-            upper, lower = saturate(upper, upper=True), saturate(lower, upper=False)
-            if lower > upper:
-                raise InvertedBounds(
-                    f"{kind} row {i}: lower bound {lower} exceeds upper bound {upper}"
-                )
+        lower, upper = outward(lower, upper)
+        if lower > upper:
+            raise InvertedBounds(f"{kind} row {i}: lower bound {lower} exceeds upper bound {upper}")
         out.append((lower, upper))
     return out
 
 
 def enclose(f: Sequence[Expr], jac: JacobianBounds, box: Box, kind: str) -> Box:
-    """Decomposition enclosure of f over box by the engine `kind` (see saturated)."""
-    return Box(itertools.starmap(Interval, saturated(decompose(f, jac, kind, box.hi, box.lo), kind)))
+    """Decomposition enclosure of f over box by the engine `kind` (see outward_rows)."""
+    return Box(itertools.starmap(Interval, outward_rows(decompose(f, jac, kind, box.hi, box.lo), kind)))
 
 
 # a lane with more candidates in a row than this runs through the scalar
@@ -415,7 +412,7 @@ class ErrorBounds:
 
 def error_bounds(
     f_i: Expr,
-    jac_row: Sequence[ClarkeInterval],
+    jac_row: Sequence[Interval],
     box: Box,
     oracle_range: Interval | None = None,
 ) -> ErrorBounds:
@@ -438,8 +435,8 @@ def error_bounds(
     q_upper = min(q_upper_hat, min(gaps))
     q_lower = None
     if oracle_range is not None:
-        # the saturated enclosure, so an image past the largest float
-        # compares like the saturated oracle
+        # the enclosure, so an end past the largest float compares like the
+        # oracle's; equal infinite ends are 0 apart
         enc = t_r_inclusion([f_i], jac, box)[0]
-        q_lower = max(enc.hi - oracle_range.hi, oracle_range.lo - enc.lo)
+        q_lower = max(excess(enc.hi, oracle_range.hi), excess(oracle_range.lo, enc.lo))
     return ErrorBounds(q_lower_estimate=q_lower, q_upper=q_upper, q_upper_hat=q_upper_hat)

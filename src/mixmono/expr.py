@@ -29,7 +29,6 @@ from __future__ import annotations
 import math
 import operator
 import re
-import sys
 import types
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, partial, reduce
@@ -45,6 +44,7 @@ from .errors import (
     UnknownIdentifier,
 )
 from .interval import (
+    _MAXF,
     Box,
     Interval,
     _exp_float,
@@ -58,10 +58,10 @@ from .interval import (
     ipow,
     isin,
     isqrt,
+    outward,
 )
 
 _INF = math.inf
-_FMAX = sys.float_info.max
 
 # ---------------------------------------------------------------------------
 # Node types
@@ -313,10 +313,13 @@ def _fmt(e: Expr, names: Sequence[str], parent_prec: int) -> str:
 
 
 def eval_point(e: Expr, z: Sequence[float]) -> float:
-    """Real evaluation of e at a point."""
+    """Real evaluation of e at a point; NaN, as in IEEE 754, where libm
+    rejects an infinite coordinate (cos(inf))."""
     try:
         return e.tape.point(z)
     except (ValueError, ZeroDivisionError) as exc:
+        if isinstance(exc, ValueError) and not all(map(math.isfinite, z)):
+            return math.nan
         raise DomainError(str(exc)) from exc
     except IndexError as exc:
         raise DimensionMismatch("expression references variable outside point") from exc
@@ -343,60 +346,34 @@ def eval_vec(e: Expr, cols: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ClarkeInterval:
-    """Extended-real enclosure of a Clarke partial derivative over a box."""
-
-    lo: float
-    hi: float
-
-    def __post_init__(self):
-        if not self.lo <= self.hi:
-            raise DomainError(f"Clarke interval bounds are NaN or inverted: {self}")
-
-    @property
-    def finite_both(self) -> bool:
-        return math.isfinite(self.lo) and math.isfinite(self.hi)
-
-    @property
-    def unbounded_both(self) -> bool:
-        return self.lo == -_INF and self.hi == _INF
-
-    def contains(self, x: float, tol: float = 0.0) -> bool:
-        return self.lo - tol <= x <= self.hi + tol
-
-    def __repr__(self) -> str:
-        return f"[{self.lo:g}, {self.hi:g}]"
-
-
 # The one entry for a partial that is exactly zero by construction: the
 # pair object Z of the Clarke pass, or a pinned coordinate's slope (decomp).
 # Code that reads bounds may skip it by identity; an equal entry built
 # elsewhere (an override, a computed zero pair) is read like any other.
-ZERO_PARTIAL = ClarkeInterval(0.0, 0.0)
-_ONE_PARTIAL = ClarkeInterval(1.0, 1.0)
+ZERO_PARTIAL = Interval(0.0, 0.0)
+_ONE_PARTIAL = Interval(1.0, 1.0)
 
 
 @dataclass(frozen=True)
 class JacobianBounds:
-    """Per-entry extended-real bounds on Clarke partial derivatives.
+    """Per-entry bounds on Clarke partial derivatives, as Intervals.
 
     derived holds values that callers compute from these bounds once and
     reuse for as long as the bounds live (decomp keeps each row's
     supporting vectors there); it takes no part in equality.
     """
 
-    entries: tuple[tuple[ClarkeInterval, ...], ...]
+    entries: tuple[tuple[Interval, ...], ...]
     derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def rows(self) -> int:
         return len(self.entries)
 
-    def row(self, i: int) -> tuple[ClarkeInterval, ...]:
+    def row(self, i: int) -> tuple[Interval, ...]:
         return self.entries[i]
 
-    def __getitem__(self, ij: tuple[int, int]) -> ClarkeInterval:
+    def __getitem__(self, ij: tuple[int, int]) -> Interval:
         return self.entries[ij[0]][ij[1]]
 
 
@@ -407,14 +384,14 @@ def _row_overrides(overrides: dict | None, i: int, n: int) -> dict:
     return {j: overrides[(i, j)] for j in range(n) if (i, j) in overrides}
 
 
-def _entry(pair: tuple[float, float], prebuilt: dict) -> ClarkeInterval:
-    return prebuilt.get(id(pair)) or ClarkeInterval(*pair)
+def _entry(pair: tuple[float, float], prebuilt: dict) -> Interval:
+    return prebuilt.get(id(pair)) or Interval(*pair)
 
 
 def clarke_jacobian_bounds(
     exprs: Sequence[Expr],
     box: Box,
-    overrides: dict[tuple[int, int], ClarkeInterval] | None = None,
+    overrides: dict[tuple[int, int], Interval] | None = None,
 ) -> JacobianBounds:
     """Symbolic Clarke differentiation + natural interval evaluation.
 
@@ -465,7 +442,7 @@ def _fsum(terms: Sequence[float]) -> float:
     try:
         return math.fsum(terms)
     except (OverflowError, ValueError):
-        return sum(terms)  # overflow degrades to inf/nan; callers saturate
+        return sum(terms)  # an overflow gives inf or nan, as float + does
 
 
 def _same(value):
@@ -510,8 +487,8 @@ _VEC_NAMES = {
 
 
 def _raises(op: str, arg) -> bool:
-    """Whether op's value or slope can raise (past _FMAX, float(arg) * 0 is nan)."""
-    return op in ("div", "sqrt") or op == "pow" and (arg < 0 or arg > _FMAX)
+    """Whether op's value or slope can raise."""
+    return op in ("div", "sqrt") or op == "pow" and arg < 0
 
 
 class Tape:
@@ -613,10 +590,11 @@ class Tape:
         line that raises is left in place, to raise when called.  Then a
         backward liveness pass keeps the lines the returned partials read,
         and each line that can raise (_raises) with the lines it reads, so
-        every error stays, in order; every other interval operator saturates.
+        every error stays, in order; every other interval operator returns an
+        Interval for any Interval, its ends in the extended reals.
 
         The function carries `folded`, the values it reads in place of
-        lines, and `entries`, the prebuilt ClarkeInterval of Z, ONE and each
+        lines, and `entries`, the prebuilt Interval of Z, ONE and each
         folded partial it returns, keyed by the id of the pair.
         """
         nodes = self.nodes
@@ -750,7 +728,7 @@ class Tape:
         for value in (bound[name] for name in root.values() if name in bound):
             if id(value) not in run.entries:
                 try:
-                    run.entries[id(value)] = ClarkeInterval(*value)
+                    run.entries[id(value)] = Interval(*value)
                 except DomainError:  # inverted or NaN: every call raises it
                     pass
         return run
@@ -810,9 +788,11 @@ _PREBUILT = {id(_Z): ZERO_PARTIAL, id(_ONE): _ONE_PARTIAL}
 
 
 def _clip_overflow(value: float, *operands: float) -> float:
-    """Saturate overflow of finite inputs; keep genuinely infinite results."""
+    """Clamp the overflow of finite operands to +-MAXF, where
+    interval.outward would round one side to +-inf; keep a result that an
+    infinite operand makes infinite.  Only the pair operators clamp."""
     if math.isinf(value) and all(math.isfinite(x) for x in operands):
-        return math.copysign(_FMAX, value)
+        return math.copysign(_MAXF, value)
     return value
 
 
@@ -855,7 +835,7 @@ def _xdiv_pos(a: _Pair, den: Interval) -> _Pair:
         return (lo, hi)
     lo = -_INF if a[0] < 0.0 else (0.0 if a[0] == 0.0 else a[0] / den.hi)
     hi = _INF if a[1] > 0.0 else (0.0 if a[1] == 0.0 else a[1] / den.hi)
-    return (lo, hi)
+    return outward(lo, hi)  # a / den.hi past the largest float is no lower end
 
 
 def _xsum(*terms: _Pair) -> _Pair:
@@ -928,7 +908,7 @@ def _xnorm(a: _Pair) -> _Pair:
 # function, which the lane binding (lanes.py) replaces by one that picks per
 # lane.  The interval values the factor lines read are rounded outward; the
 # pair arithmetic of the partials (_xadd, _xmul, _xdiv_pos) still rounds to
-# nearest.
+# nearest, and clamps a finite overflow (_clip_overflow).
 _CLARKE_CODE = {
     "neg": (None, "xneg({0})"),
     "sum": (None, "xsum({kids})"),

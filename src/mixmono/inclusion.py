@@ -33,14 +33,13 @@ from .errors import (
     ValidationError,
 )
 from .expr import (
-    ClarkeInterval,
     Expr,
     JacobianBounds,
     clarke_jacobian_bounds,
     eval_interval,
     eval_point,
 )
-from .interval import Box, Interval
+from .interval import Box, Interval, outward
 from .lanes import jacobian_lanes
 
 JacProvider = Callable[[Box], JacobianBounds]
@@ -103,18 +102,13 @@ class _ClarkeProvider:
 
 def default_jac_provider(
     f: Sequence[Expr],
-    overrides: dict[tuple[int, int], ClarkeInterval] | None = None,
+    overrides: dict[tuple[int, int], Interval] | None = None,
 ) -> JacProvider:
     return _ClarkeProvider(f, overrides)
 
 
 def _finite_jac(jac: JacobianBounds, context: str) -> None:
-    bad = [
-        (i, j)
-        for i in range(jac.rows)
-        for j, e in enumerate(jac.row(i))
-        if not e.finite_both
-    ]
+    bad = [(i, j) for i, row in enumerate(jac.entries) for j, e in enumerate(row) if not e.finite_both]
     if bad:
         raise InfiniteJacobianEntry(f"{context} needs two-sided finite bounds; got infinite at {bad}")
 
@@ -127,16 +121,19 @@ def t_n_inclusion(f: Sequence[Expr], box: Box) -> Box:
 def _centered(
     f: Sequence[Expr],
     box: Box,
-    slopes: Callable[[int], Sequence[ClarkeInterval]],
+    slopes: Callable[[int], Sequence[Interval]],
 ) -> Box:
-    """Row i: f_i(m) + sum over j of slopes(i)[j] * (box_j - m_j), m the midpoint."""
+    """Row i: f_i(m) + sum over j of slopes(i)[j] * (box_j - m_j), m the
+    midpoint; a value f_i(m) past the largest float rounds outward, and a
+    NaN one gives the whole line."""
     m = box.midpoint()
     dims = []
     for i, e in enumerate(f):
-        acc = Interval.point(eval_point(e, m))
+        v = eval_point(e, m)
+        acc = Interval(*outward(v, v)) if v == v else Interval(-math.inf, math.inf)
         for j, entry in enumerate(slopes(i)):
             dev = box[j] - Interval.point(m[j])
-            acc = acc + Interval(entry.lo, entry.hi) * dev
+            acc = acc + entry * dev
         dims.append(acc)
     return Box(dims)
 
@@ -258,9 +255,11 @@ def sampled_range(
     """Inner estimate of the true image box from dense sampling.
 
     Combines n_samples uniform random samples (0 to SAMPLE_CAP), a regular
-    grid of at most 10 points per dimension, and all box vertices.
-    The result is contained in the true image, so it lower-bounds every sound
-    enclosure's tightness.
+    grid of at most 10 points per dimension, and all box vertices, and skips
+    every sample whose value is not a finite float (an overflow, or the NaN
+    of inf - inf), which is no real inner point.  The result is contained in
+    the true image, so it lower-bounds every sound enclosure's tightness.
+    Raises ValidationError when no sample of a row is left.
     """
     from .expr import eval_vec
 
@@ -283,8 +282,12 @@ def sampled_range(
         pts.append(verts)
     cols = np.concatenate(pts, axis=1)
     dims = []
-    for e in f:
-        vals = eval_vec(e, cols)
+    for i, e in enumerate(f):
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = eval_vec(e, cols)
+        vals = vals[np.isfinite(vals)]
+        if not vals.size:
+            raise ValidationError(f"no sample of row {i + 1} over {box} has a finite value")
         dims.append(Interval(float(np.min(vals)), float(np.max(vals))))
     return Box(dims)
 
@@ -296,9 +299,16 @@ def subdivide_box(box: Box, k: int) -> list[Box]:
         raise ValueError("k must be >= 1")
     if k**n > CELL_BUDGET:
         raise CellBudgetExceeded(f"{k}^{n} cells exceed budget {CELL_BUDGET}")
+    if not all(d.finite_both for d in box):
+        raise ValidationError(f"subdivision needs a box of finite ends, got {box}")
     per_dim = []
     for d in box:
-        edges = [d.lo + (d.hi - d.lo) * t / k for t in range(k + 1)]
+        w = d.hi - d.lo
+        if w < math.inf:
+            edges = [d.lo + w * t / k for t in range(k + 1)]
+        else:  # the width overflows, and its half does not
+            h = 0.5 * d.hi - 0.5 * d.lo
+            edges = [d.lo + t / k * h + t / k * h for t in range(k + 1)]
         edges[-1] = d.hi
         per_dim.append([Interval(edges[t], edges[t + 1]) for t in range(k)])
     return [Box(combo) for combo in itertools.product(*per_dim)]

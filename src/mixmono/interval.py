@@ -17,6 +17,11 @@ Moore, Kearfott & Cloud, Introduction to Interval Analysis, 2009).
   power of a sign-spanning base, and sin or arctan of 0.  A product,
   quotient or power of nonzero operands that underflows to 0 widens.
 - Negation, abs, min, max, hull and intersection are exact.
+
+Ends lie in the extended reals (IEEE Std 1788-2015's set-based model):
+[lo, hi] is the set of reals between them, and [0, 0] * [-inf, inf] is
+[0, 0].  A finite result past the largest float rounds outward, to +-inf on
+its own side and to +-MAXF on the other (`outward`, also for decomp's rows).
 """
 
 from __future__ import annotations
@@ -58,8 +63,11 @@ def _product_exact(p: float, x: float, y: float) -> bool:
 
 
 def _mul(x: float, y: float, toward: float) -> float:
-    """x * y rounded toward +-inf."""
+    """x * y rounded toward +-inf; a zero operand gives an exact 0, also
+    against +-inf."""
     p = x * y
+    if p != p:  # 0 * inf
+        return 0.0
     return p if _product_exact(p, x, y) else math.nextafter(p, toward)
 
 
@@ -73,7 +81,8 @@ def _quotient(q: float, y: float, x: float, toward: float) -> float:
 
 
 def _div(x: float, y: float, toward: float) -> float:
-    return _quotient(x / y, y, x, toward)
+    # x / +-inf is an exact 0, the limit, where q * y would be nan
+    return x / y if math.isinf(y) else _quotient(x / y, y, x, toward)
 
 
 def _add(x: float, y: float, toward: float) -> float:
@@ -95,38 +104,24 @@ def _pow(x: float, n: int, toward: float) -> float:
     return q
 
 
-def saturate(x: float, upper: bool) -> float:
-    """Clamp an overflowed or indeterminate value to the largest finite float.
-
-    NaN (e.g. from inf - inf during a blown-up propagation) degrades to the
-    maximally conservative endpoint for its side; the result is still a sound
-    enclosure for any representable true value.
-    """
-    if math.isnan(x):
-        return _MAXF if upper else -_MAXF
-    return max(-_MAXF, min(_MAXF, x))
+def outward(lo: float, hi: float) -> tuple[float, float]:
+    """The ends (lo, hi) of a set of reals with a finite overflow rounded
+    outward: a lower end past MAXF becomes MAXF and an upper end past -MAXF
+    becomes -MAXF; every other end, +-inf included, stays as it is."""
+    return (_MAXF if lo > _MAXF else lo), (-_MAXF if hi < -_MAXF else hi)
 
 
 @dataclass(frozen=True)
 class Interval:
-    """Closed real interval [lo, hi] with finite endpoints.
-
-    Overflowed (infinite) endpoints saturate to the largest finite float so
-    long divergent propagations stay representable instead of erroring.
-    """
+    """The set of reals x with lo <= x <= hi: lo < inf and hi > -inf, so
+    NaN, lo > hi and the empty [inf, inf] and [-inf, -inf] are rejected."""
 
     lo: float
     hi: float
 
     def __post_init__(self):
-        if math.isnan(self.lo) or math.isnan(self.hi):
-            raise DomainError(f"interval endpoints must not be NaN: [{self.lo}, {self.hi}]")
-        if not math.isfinite(self.lo):
-            object.__setattr__(self, "lo", saturate(self.lo, upper=False))
-        if not math.isfinite(self.hi):
-            object.__setattr__(self, "hi", saturate(self.hi, upper=True))
-        if self.lo > self.hi:
-            raise DomainError(f"interval lower bound exceeds upper: [{self.lo}, {self.hi}]")
+        if not _NEG < self.hi >= self.lo < _POS:
+            raise DomainError(f"interval ends are NaN, inverted or empty: [{self.lo}, {self.hi}]")
 
     @staticmethod
     def point(x: float) -> "Interval":
@@ -138,7 +133,22 @@ class Interval:
 
     @property
     def mid(self) -> float:
-        return 0.5 * (self.lo + self.hi)
+        """The midpoint, without overflow: [-inf, inf] gives 0, and a half-line
+        the largest float on its side."""
+        m = 0.5 * (self.lo + self.hi)
+        if -_MAXF <= m <= _MAXF:
+            return m
+        if self.lo == _NEG:
+            return 0.0 if self.hi == _POS else -_MAXF
+        return _MAXF if self.hi == _POS else 0.5 * self.lo + 0.5 * self.hi
+
+    @property
+    def finite_both(self) -> bool:
+        return _NEG < self.lo and self.hi < _POS
+
+    @property
+    def unbounded_both(self) -> bool:
+        return self.lo == _NEG and self.hi == _POS
 
     def contains(self, x: float, tol: float = 0.0) -> bool:
         return self.lo - tol <= x <= self.hi + tol
@@ -269,7 +279,10 @@ def imax(x: Interval, y: Interval) -> Interval:
 
 
 def _trig_range(x: Interval, fn, crest_phase: float, trough_phase: float) -> Interval:
-    """Range of sin/cos over x: endpoint values plus any interior extrema."""
+    """Range of sin/cos over x: endpoint values plus any interior extrema.
+    An unbounded x holds whole periods (and libm raises on inf)."""
+    if not x.finite_both:
+        return Interval(-1.0, 1.0)
     a, b = fn(x.lo), fn(x.hi)
     lo, hi = _libm_out(a, b) if a <= b else _libm_out(b, a)
     # k*2pi + phase inside [x.lo, x.hi] pins the extremum at +-1
@@ -286,7 +299,7 @@ def _phase_inside(x: Interval, phase: float) -> bool:
     x is widened on both sides by more than the rounding error of
     phase + k * _TWO_PI against the real extremum, so a miss is certain
     and a near miss reports a hit, which only widens the range.  The widened
-    lower end stops at -_MAXF, so k stays finite for a saturated x.
+    lower end stops at -_MAXF, so k stays finite for x = [-MAXF, ...].
     """
     slack = 1e-15 * (8.0 + max(-x.lo, x.hi))
     k = math.ceil((max(x.lo - slack, -_MAXF) - phase) / _TWO_PI)
@@ -409,9 +422,14 @@ class Box:
             raise DimensionMismatch(f"box dimension {len(self.dims)} != {n}")
 
 
+def excess(x: float, y: float) -> float:
+    """x - y, and 0 for equal ends, also infinite ones (where x - y is nan)."""
+    return 0.0 if x == y else x - y
+
+
 def hausdorff_q_interval(a: Interval, b: Interval) -> float:
     """Endpoint Hausdorff distance between two intervals."""
-    return max(abs(a.lo - b.lo), abs(a.hi - b.hi))
+    return max(abs(excess(a.lo, b.lo)), abs(excess(a.hi, b.hi)))
 
 
 def hausdorff_q(a: Box, b: Box) -> float:

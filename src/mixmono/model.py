@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 import re
 from importlib import resources
 from pathlib import Path
@@ -37,7 +36,7 @@ from .errors import (
     UnknownIdentifier,
     ValidationError,
 )
-from .expr import ClarkeInterval, Expr, parse_expr, to_string
+from .expr import Expr, parse_expr, to_string
 from .interval import Box, Interval
 from .observer import Measurement
 from .reach import Constraint, Observation, ReachTube, StepRecord, SystemModel, TimeSemantics
@@ -251,7 +250,7 @@ def parse_model(text: str) -> SystemModel:
                 raise ModelSyntaxError(
                     f"expected \"f_i/d_j in [lo,hi]\", found {stmt!r}", line
                 )
-            bounds = _parse_bounds(ClarkeInterval, om.group(3), "override", line)
+            bounds = _parse_bounds(Interval, om.group(3), "override", line)
             i, j = int(om.group(1)) - 1, int(om.group(2)) - 1
             if not (0 <= i < len(state_names) and 0 <= j < len(z_names)):
                 raise ValidationError(f"override f_{i+1}/d_{j+1} out of range (line {line})")
@@ -293,11 +292,7 @@ def load_model(path: str | Path) -> SystemModel:
 
 
 def _fmt_num(v: float) -> str:
-    if v == math.inf:
-        return "inf"
-    if v == -math.inf:
-        return "-inf"
-    return f"{v:.17g}"
+    return f"{v:.17g}"  # +-inf as "inf" and "-inf"
 
 
 def _fmt_box(box: Box) -> str:

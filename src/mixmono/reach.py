@@ -21,7 +21,7 @@ from .errors import (
     NonFiniteState,
     ValidationError,
 )
-from .expr import ClarkeInterval, Expr, clarke_jacobian_bounds, max_var_index
+from .expr import Expr, clarke_jacobian_bounds, max_var_index
 from .inclusion import MethodId, _bounds, apply_method, default_jac_provider
 from .interval import Box, Interval
 from .setinv import InversionConfig, set_invert
@@ -62,7 +62,7 @@ class SystemModel:
     disturbance: Box  # n_w (possibly 0-dimensional)
     observation: Observation | None = None
     constraints: tuple[Constraint, ...] = ()
-    jacobian_overrides: dict[tuple[int, int], ClarkeInterval] | None = None
+    jacobian_overrides: dict[tuple[int, int], Interval] | None = None
 
     @property
     def n_x(self) -> int:

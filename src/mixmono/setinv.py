@@ -8,10 +8,10 @@ result always contains every consistent point of the prior.
 
 The sweep keeps the probe box as two float lists, its lower and upper ends.
 A decomposition engine tests a probe by `decompose` on those lists against
-the one Jacobian bound of the prior, through the same saturation and
-InvertedBounds check as `enclose`; every other engine, and best_of, gets a
-Box built from the ends and goes through `apply_method`.  The boxes are the
-same either way, bit for bit.
+the one Jacobian bound of the prior, through `outward_rows`, the overflow
+rule and InvertedBounds check of `enclose`; every other engine, and best_of,
+gets a Box built from the ends and goes through `apply_method`.  The boxes
+are the same either way, bit for bit.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import operator
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .decomp import SELECTORS, decompose, saturated
+from .decomp import SELECTORS, decompose, outward_rows
 from .errors import DimensionMismatch, EmptySolution, ValidationError
 from .expr import Expr, JacobianBounds
 from .inclusion import REMAINDER, MethodId, apply_method
@@ -85,7 +85,7 @@ def set_invert(
     method = cfg.method
     if method.kind in SELECTORS:
         def bounds(lo, hi):
-            return saturated(decompose(nu, jac, method.kind, hi, lo), method.kind)
+            return outward_rows(decompose(nu, jac, method.kind, hi, lo), method.kind)
     else:
         provider = lambda _box: jac  # sound: bounds over the prior cover sub-boxes
 

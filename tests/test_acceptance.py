@@ -23,10 +23,13 @@ from mixmono import (
     TIGHT_VERTEX,
     Box,
     Branch,
+    Interval,
     InversionConfig,
     Measurement,
+    StepRecord,
     apply_method,
     clarke_jacobian_bounds,
+    embed_step_discrete,
     error_bounds,
     eval_point,
     eval_vec,
@@ -44,7 +47,12 @@ from mixmono import (
     t_o_vertex_inclusion,
     t_r_inclusion,
 )
-from mixmono.errors import MixmonoError, NotSignStable, UnboundedBothSides
+from mixmono.errors import (
+    InfiniteJacobianEntry,
+    MixmonoError,
+    NotSignStable,
+    UnboundedBothSides,
+)
 from mixmono.inclusion import default_jac_provider
 
 from conftest import (
@@ -322,6 +330,26 @@ def test_criterion_08_set_inversion_sandwich():
           "randomized instances plus the identity and sum fixtures")
 
 
+def _steps_until_unbounded(model, method, steps):
+    """The step records of reach_tube(model, method, steps), up to the step
+    where the engine raises, and whether it went all the way or stopped
+    only with UnboundedBothSides or InfiniteJacobianEntry on an input box
+    with an infinite end (the either-sided premise failing there)."""
+    boxes = [model.init]
+    for _ in range(steps):
+        try:
+            boxes.append(embed_step_discrete(model, method, boxes[-1]))
+        except (UnboundedBothSides, InfiniteJacobianEntry):
+            ok = not all(d.finite_both for d in boxes[-1])
+            break
+        except MixmonoError:
+            ok = False
+            break
+    else:
+        ok = True
+    return [StepRecord(t=k * model.dt, propagated=b) for k, b in enumerate(boxes)], ok
+
+
 def test_criterion_09_reachability_framer():
     rng = np.random.default_rng(SEED + 5)
     methods = (NATURAL, CENTERED, MIXED_CENTERED, JACOBIAN_SIGN, REMAINDER,
@@ -333,10 +361,20 @@ def test_criterion_09_reachability_framer():
         states = simulate_discrete(model, x0, steps, rng)
         used = 0
         for method in methods:
-            try:
-                tube = reach_tube(model, method, steps)
-            except MixmonoError:
-                continue
+            if name == "vanderpol":
+                # the boxes blow up: an engine counts if it frames every step
+                # it produces and stops, if at all, only once its box is
+                # unbounded
+                tube, ok = _steps_until_unbounded(model, method, steps)
+                if method == NATURAL:  # its exact value is past the largest float
+                    assert tube[21].box[1] == Interval(-math.inf, math.inf)
+                if not ok:
+                    continue
+            else:
+                try:
+                    tube = reach_tube(model, method, steps)
+                except MixmonoError:
+                    continue
             assert tube_contains(tube, states), (name, method.kind)
             used += 1
         assert used >= 4

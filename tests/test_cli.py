@@ -107,8 +107,23 @@ class TestRange:
             "range", "--expr", "1e298*x1 + 1e298*x2 + abs(x3)",
             "--domain", "[[0,1e10],[0,1e10],[-1,1]]",
         )
+        # the slope sum past the largest float rounds outward, to inf
         assert code == 0
-        assert "[0, 1.79769e+308]" in out
+        assert "[0, inf]" in out
+
+    def test_image_past_the_largest_float(self, capsys):
+        # exp(0.5e299) is past the largest float: every upper end is inf,
+        # where a clamp to the largest float scaled by 0.716 lay below the
+        # image, and best_of found the enclosures disjoint
+        code, out, _ = run(
+            capsys,
+            "range", "--expr", "0.716*exp(0.5*x1)", "--domain", "[[1e299,2e299]]",
+            "--methods", "natural,remainder,best",
+        )
+        assert code == 0
+        rows = out.splitlines()
+        assert [row.split()[0] for row in rows] == ["natural", "remainder", "best"]
+        assert all(row.endswith(", inf]") for row in rows)
 
     @pytest.mark.parametrize("samples", ["-5", "100000000000"])
     def test_sample_count_out_of_range_is_validation_error(self, capsys, samples):

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import sys
 import types
 
 import numpy as np
@@ -15,6 +14,7 @@ from hypothesis import strategies as st
 from mixmono import (
     Box,
     Branch,
+    Interval,
     JacobianBounds,
     clarke_jacobian_bounds,
     error_bounds,
@@ -40,7 +40,7 @@ from mixmono.errors import (
     NotSignStable,
     UnboundedBothSides,
 )
-from mixmono.expr import ZERO_PARTIAL, ClarkeInterval
+from mixmono.expr import ZERO_PARTIAL
 
 from conftest import box_subset, rand_instance
 
@@ -101,30 +101,30 @@ SCAN_ROWS = [
 
 class TestSupportingVectors:
     def test_sign_stable_entry_gives_two_branches(self):
-        row = (ClarkeInterval(1.0, 3.0),)
+        row = (Interval(1.0, 3.0),)
         cands = supporting_vectors(row)
         values = sorted(v for v, _ in cands.choices[0])
         assert values == [0.0, 3.0]
 
     def test_straddling_entry(self):
-        row = (ClarkeInterval(-2.0, 5.0),)
+        row = (Interval(-2.0, 5.0),)
         cands = supporting_vectors(row)
         assert sorted(v for v, _ in cands.choices[0]) == [-2.0, 5.0]
 
     def test_one_sided_infinite_entry_drops_that_branch(self):
-        row = (ClarkeInterval(0.25, math.inf),)
+        row = (Interval(0.25, math.inf),)
         cands = supporting_vectors(row)
         assert [v for v, _ in cands.choices[0]] == [0.0]
 
     def test_two_sided_infinite_entry_rejected(self):
-        row = (ClarkeInterval(-math.inf, math.inf),)
+        row = (Interval(-math.inf, math.inf),)
         with pytest.raises(UnboundedBothSides):
             supporting_vectors(row)
 
     def test_continuous_diagonal_is_pinned(self):
         # a straddling diagonal entry has two branches, but a pinned row
         # keeps one zero slope there: 2 candidates, not 4
-        row = (ClarkeInterval(-1.0, 1.0), ClarkeInterval(2.0, 3.0))
+        row = (Interval(-1.0, 1.0), Interval(2.0, 3.0))
         jac = JacobianBounds((row,))
         assert len(row_candidates(jac, "remainder", 0)) == 4
         cands = row_candidates(jac, "remainder", 0, pinned=True)
@@ -132,7 +132,7 @@ class TestSupportingVectors:
         assert [v for v, _ in cands.choices[0]] == [0.0]
 
     def test_candidate_cap(self):
-        row = tuple(ClarkeInterval(-1.0, 1.0) for _ in range(17))
+        row = tuple(Interval(-1.0, 1.0) for _ in range(17))
         with pytest.raises(CandidateExplosion):
             supporting_vectors(row)
 
@@ -142,7 +142,7 @@ class TestSupportingVectors:
     @pytest.mark.parametrize("selected", [False, True])
     @pytest.mark.parametrize("pairs", SCAN_ROWS, ids=str)
     def test_one_scan_matches_eager_build(self, pairs, selected):
-        row = tuple(ClarkeInterval(*p) for p in pairs)
+        row = tuple(Interval(*p) for p in pairs)
         try:
             want = eager_candidates(row, selected)
         except (UnboundedBothSides, CandidateExplosion) as exc:
@@ -160,10 +160,10 @@ class TestSupportingVectors:
     def test_shared_zero_entry_scans_like_an_equal_one(self, pairs, selected):
         # the shared entry is passed over by identity; zero and len() are an
         # eager scan's of the same row with an equal entry built anew
-        row = [ZERO_PARTIAL if p == (0.0, 0.0) else ClarkeInterval(*p) for p in pairs]
+        row = [ZERO_PARTIAL if p == (0.0, 0.0) else Interval(*p) for p in pairs]
         row = (ZERO_PARTIAL, *row, ZERO_PARTIAL)
         try:
-            want = eager_candidates(tuple(ClarkeInterval(e.lo, e.hi) for e in row), selected)
+            want = eager_candidates(tuple(Interval(e.lo, e.hi) for e in row), selected)
         except (UnboundedBothSides, CandidateExplosion) as exc:
             with pytest.raises(type(exc)):
                 RowCandidates(row, selected)
@@ -173,7 +173,7 @@ class TestSupportingVectors:
 
     def test_zero_vector_reads_no_choices(self):
         f = parse_expr("x1 - x2", ["x1", "x2"])
-        cands = supporting_vectors((ClarkeInterval(1.0, 1.0), ClarkeInterval(-1.0, -1.0)))
+        cands = supporting_vectors((Interval(1.0, 1.0), Interval(-1.0, -1.0)))
         assert eval_remainder_upper(cands, f, (2.0, 1.0), (0.0, -1.0)) == 3.0
         assert "choices" not in vars(cands)
 
@@ -181,7 +181,7 @@ class TestSupportingVectors:
         # the all-zero vector's corner x1 = -1000 gives inf - inf; the other
         # candidate, slope -1 at x1 = 0, gives 0 + 1 * 1000
         f = parse_expr("exp(-x1) - exp(-x1)", ["x1"])
-        row = (ClarkeInterval(-1.0, 0.0),)
+        row = (Interval(-1.0, 0.0),)
         cands = supporting_vectors(row)
         assert cands.zero == (Branch.UPPER,)
         eager = types.SimpleNamespace(choices=eager_candidates(row, False)[0])
@@ -199,7 +199,7 @@ class TestSupportingVectors:
             ((-math.inf, 2.0), (2.0, Branch.UPPER)),
             ((0.0, 0.0), (0.0, Branch.UPPER)),
         ]
-        jac = JacobianBounds((tuple(ClarkeInterval(*entry) for entry, _ in table),))
+        jac = JacobianBounds((tuple(Interval(*entry) for entry, _ in table),))
         cands = row_candidates(jac, "jacobian_sign", 0)
         assert [choice for (choice,) in cands.choices] == [choice for _, choice in table]
 
@@ -223,7 +223,7 @@ class TestCornerGather:
         pairs, text = self.ROWS[n]
         names = [f"x{j + 1}" for j in range(n)]
         f = parse_expr(text, names)
-        cands = RowCandidates(seq(ClarkeInterval(*p) for p in pairs))
+        cands = RowCandidates(seq(Interval(*p) for p in pairs))
         a, b = seq(0.5 + j for j in range(n)), seq(-0.25 * j for j in range(n))
         for x, y in ((a, b), (b, a)):
             got = cands.corner((*x, *y))
@@ -251,7 +251,7 @@ class TestCornerGather:
         # x1 = -1000 at the all-zero vector's corner makes inf - inf; the
         # full product's value is the least finite candidate
         f = parse_expr("exp(-x1) - exp(-x1) + x2", ["x1", "x2"])
-        row = [ClarkeInterval(-1.0, 0.0), ClarkeInterval(1.0, 1.0)]
+        row = [Interval(-1.0, 0.0), Interval(1.0, 1.0)]
         cands = supporting_vectors(row)
         assert cands.zero == (Branch.UPPER, Branch.LOWER)
         eager = types.SimpleNamespace(choices=eager_candidates(row, False)[0])
@@ -270,7 +270,7 @@ class TestCornerPoints:
     def test_branch_to_corner_mapping(self):
         # the upper branch puts zeta_plus_1 at b_1 = 0 and the lower branch
         # zeta_plus_2 at a_2 = 1: f(0, 1) + 2 * (1 - 0) + 1 * (1 - 0) = 4
-        cands = RowCandidates([ClarkeInterval(-math.inf, 2.0), ClarkeInterval(-1.0, math.inf)])
+        cands = RowCandidates([Interval(-math.inf, 2.0), Interval(-1.0, math.inf)])
         assert cands.choices == (((2.0, Branch.UPPER),), ((-1.0, Branch.LOWER),))
         f = parse_expr("x1 + x2", ["x1", "x2"])
         assert eval_remainder_upper(cands, f, (1.0, 1.0), (0.0, 0.0)) == 4.0
@@ -308,7 +308,7 @@ class TestScalarAnchors:
 
     def test_unsound_jacobian_raises_inverted_bounds(self):
         # d/dx1 of x1 is 1, not 0: the corners come out swapped
-        jac = JacobianBounds(((ClarkeInterval(0.0, 0.0),),))
+        jac = JacobianBounds(((Interval(0.0, 0.0),),))
         for engine in (t_r_inclusion, t_l_inclusion, t_o_vertex_inclusion):
             with pytest.raises(InvertedBounds):
                 engine([parse_expr("x1", ["x1"])], jac, Box.from_pairs([(0, 1)]))
@@ -321,11 +321,12 @@ class TestOverflow:
     BOX = Box.from_pairs([(0, 1e10), (0, 1e10), (-1, 1)])
 
     def test_remainder_saturates_instead_of_raising(self):
-        # m . (zeta_plus - zeta_minus) = 1e308 + 1e308 + 2 overflows an exact sum
+        # m . (zeta_plus - zeta_minus) = 1e308 + 1e308 + 2 overflows an exact
+        # sum, and the upper bound rounds outward, to inf
         jac = clarke_jacobian_bounds([self.EXPR], self.BOX)
         enc = t_r_inclusion([self.EXPR], jac, self.BOX)
         assert enc[0].lo == 0.0
-        assert enc[0].hi == sys.float_info.max
+        assert enc[0].hi == math.inf
 
     def test_zero_slope_over_overflowing_width(self):
         # 0*x1 has the slope bound [0, 0]: its remainder term is zero, where
@@ -338,6 +339,16 @@ class TestOverflow:
             assert (enc[0].lo, enc[0].hi) == (-1.0, 3.0)
         eb = error_bounds(f, jac.row(0), box)
         assert eb.q_upper_hat == eb.q_upper == 2.0
+
+    def test_corner_that_libm_rejects_loses(self):
+        # cos(inf) raises in libm: that corner is NaN and loses, and every
+        # other candidate has an infinite remainder term
+        f = parse_expr("cos(x1) + x2", ["x1", "x2"])
+        assert math.isnan(eval_point(f, [math.inf, 0.0]))
+        box = Box.from_pairs([(0.0, math.inf), (0.0, 1.0)])
+        jac = clarke_jacobian_bounds([f], box)
+        for engine in (t_r_inclusion, t_l_inclusion):
+            assert engine([f], jac, box)[0] == Interval(-math.inf, math.inf)
 
 
 class TestDecompositionFunction:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from mixmono import (
     Box,
+    Interval,
     clarke_jacobian_bounds,
     eval_interval,
     eval_point,
@@ -24,7 +25,6 @@ from mixmono.errors import (
     UnboundedBothSides,
     UnknownIdentifier,
 )
-from mixmono.expr import ClarkeInterval
 
 from conftest import rand_instance
 
@@ -122,10 +122,21 @@ class TestEvaluation:
     def test_trig_of_saturated_box(self):
         e = parse_expr("sin(x1) + cos(x2)", XY)
         fmax = 1.7976931348623157e308
+        inf = math.inf
         for box in (Box.from_pairs([(-fmax, fmax), (-fmax, -fmax)]),
-                    Box.from_pairs([(-fmax, 0.0), (fmax, fmax)])):
+                    Box.from_pairs([(-fmax, 0.0), (fmax, fmax)]),
+                    Box.from_pairs([(-inf, inf), (-inf, -fmax)]),
+                    Box.from_pairs([(0.0, inf), (fmax, inf)])):
             enc = eval_interval(e, box)
             assert -2.0 <= enc.lo <= enc.hi <= 2.0
+
+    def test_exp_past_the_largest_float(self):
+        # exp(710) is past the largest float, and so is half of it: both the
+        # natural value and the Clarke partial reach inf
+        e = parse_expr("0.5*exp(x1)", ["x1"])
+        box = Box.from_pairs([(709.5, 710.0)])
+        assert eval_interval(e, box).hi == math.inf
+        assert clarke_jacobian_bounds([e], box)[0, 0].hi == math.inf
 
     def test_too_few_variables_is_dimension_mismatch(self):
         # as eval_interval does
@@ -184,12 +195,19 @@ class TestClarkeBounds:
         with pytest.raises(UnboundedBothSides):
             clarke_jacobian_bounds([e], Box.from_pairs([(-1, 1)]))
 
+    def test_quotient_past_the_largest_float_is_a_lower_end(self):
+        # d/dx1 sqrt(1e300*x1) is 1e300 / [0, 2e-9]: its lower end 5e308
+        # overflows and rounds to MAXF, where [inf, inf] has no real point
+        e = parse_expr("sqrt(1e300*x1)", ["x1"])
+        box = Box.from_pairs([(0.0, 1e-318)])
+        assert clarke_jacobian_bounds([e], box)[0, 0] == Interval(1.7976931348623157e308, math.inf)
+
     def test_override_rescues_unbounded_entry(self):
         e = parse_expr("sqrt(abs(x1))", ["x1"])
         jb = clarke_jacobian_bounds(
             [e],
             Box.from_pairs([(-1, 1)]),
-            overrides={(0, 0): ClarkeInterval(-10.0, 10.0)},
+            overrides={(0, 0): Interval(-10.0, 10.0)},
         )
         assert jb[(0, 0)].lo == -10.0 and jb[(0, 0)].hi == 10.0
 
@@ -232,8 +250,8 @@ class TestClarkeBounds:
 
 class TestClarkeInterval:
     def test_contains_and_flags(self):
-        c = ClarkeInterval(-1.0, math.inf)
+        c = Interval(-1.0, math.inf)
         assert c.contains(100.0)
         assert not c.finite_both
         assert not c.unbounded_both
-        assert ClarkeInterval(-math.inf, math.inf).unbounded_both
+        assert Interval(-math.inf, math.inf).unbounded_both

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-import sys
+import math
 
 import numpy as np
 import pytest
@@ -34,6 +34,7 @@ from mixmono import (
     t_n_inclusion,
 )
 from mixmono import decomp
+from mixmono.inclusion import subdivide_box
 from mixmono.errors import (
     CellBudgetExceeded,
     EmptyIntersection,
@@ -69,6 +70,15 @@ class TestIndividualMethods:
         oracle = sampled_range(exprs, box, np.random.default_rng(0), n_samples=20_000)
         assert box_subset(oracle, tm, slack=1e-9)
         assert tm[0].width <= tc[0].width + 1e-12
+
+    def test_centered_nan_midpoint_value_gives_the_whole_line(self):
+        # the slope bounds are finite, but both products are past the
+        # largest float at the midpoint, where inf - inf is NaN
+        e = parse_expr("1e300*x1*x1 - 1e300*x1*x1", X)
+        box = Box.from_pairs([(1e5, 2e5)])
+        jac = clarke_jacobian_bounds([e], box)
+        assert jac[0, 0].finite_both
+        assert t_c_inclusion([e], jac, box)[0] == Interval(-math.inf, math.inf)
 
     def test_centered_needs_finite_jacobian(self):
         e = parse_expr("sqrt(x1)", X)
@@ -200,11 +210,12 @@ class TestErrorBounds:
         assert eb.q_upper_hat == eb.q_upper == 2.0
 
     def test_estimate_past_the_largest_float(self):
-        # the enclosure [0, MAXF] saturates like the oracle, so the
-        # estimate compares lower endpoints and stays below q_upper
+        # the enclosure [0, inf] reaches inf like the oracle, and equal
+        # infinite ends are 0 apart, so the estimate compares lower
+        # endpoints and stays below q_upper
         f = parse_expr("1e298*x1 + 1e298*x2 + abs(x3)", ["x1", "x2", "x3"])
         box = Box.from_pairs([(0, 1e10), (0, 1e10), (-1, 1)])
-        oracle = Interval(0.5, sys.float_info.max)
+        oracle = Interval(0.5, math.inf)
         eb = error_bounds(f, clarke_jacobian_bounds([f], box).row(0), box, oracle)
         assert eb.q_lower_estimate == 0.5
         assert eb.q_lower_estimate <= eb.q_upper == 2.0
@@ -230,6 +241,17 @@ class TestSampledRange:
         with pytest.raises(ValidationError):
             sampled_range([parse_expr("x1", X)], Box.from_pairs([(-1e308, 1e308)]))
 
+    def test_samples_past_the_largest_float_are_skipped(self):
+        # exp overflows above 709.78: those samples are no real inner point
+        e = parse_expr("exp(x1)", X)
+        inner = sampled_range([e], Box.from_pairs([(700, 800)]), n_samples=1000)[0]
+        assert math.exp(700) <= inner.lo <= inner.hi < math.inf
+        with pytest.raises(ValidationError):
+            sampled_range([e], Box.from_pairs([(800, 900)]), n_samples=1000)
+        # inf - inf is NaN at every sample
+        with pytest.raises(ValidationError):
+            sampled_range([parse_expr("exp(x1) - exp(x1)", X)], Box.from_pairs([(800, 900)]))
+
 
 class TestSubdivision:
     def test_cell_count_and_hull(self):
@@ -248,6 +270,18 @@ class TestSubdivision:
         assert box_subset(hull8, hull1, slack=1e-12)
         oracle = sampled_range([CUBIC], CUBIC_BOX, np.random.default_rng(0))
         assert hausdorff_q(hull8, oracle) < hausdorff_q(hull1, oracle)
+
+    def test_huge_box_edges(self):
+        # the width 2.5e308 overflows; the edges do not
+        cells = subdivide_box(Box.from_pairs([(-1e308, 1.5e308)]), 4)
+        edges = [c[0].lo for c in cells] + [cells[-1][0].hi]
+        assert edges == pytest.approx([-1e308, -3.75e307, 2.5e307, 8.75e307, 1.5e308], rel=1e-15)
+        assert edges[0] == -1e308 and edges[-1] == 1.5e308 and edges == sorted(edges)
+
+    @pytest.mark.parametrize("pairs", [[(0.0, math.inf)], [(-math.inf, 0.0), (0, 1)]])
+    def test_unbounded_box_is_validation_error(self, pairs):
+        with pytest.raises(ValidationError):
+            subdivide_box(Box.from_pairs(pairs), 2)
 
     def test_cell_budget(self):
         exprs = [parse_expr("x1 + x2 + x3", ["x1", "x2", "x3"])]

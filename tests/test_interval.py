@@ -23,7 +23,7 @@ from mixmono.interval import (
     ipow,
     isin,
     isqrt,
-    saturate,
+    outward,
 )
 
 FMAX = sys.float_info.max
@@ -47,13 +47,37 @@ class TestIntervalBasics:
             Interval(math.nan, 1.0)
 
     def test_infinite_endpoints_saturate(self):
+        # ends lie in the extended reals and stay as they are
         v = Interval(-math.inf, math.inf)
-        assert v.lo == -FMAX and v.hi == FMAX
+        assert v.lo == -math.inf and v.hi == math.inf
+        assert v.unbounded_both and not v.finite_both
+        assert Interval(-FMAX, FMAX).finite_both
 
-    def test_saturate_helper(self):
-        assert saturate(math.inf, upper=True) == FMAX
-        assert saturate(-math.inf, upper=False) == -FMAX
-        assert saturate(3.5, upper=True) == 3.5
+    @pytest.mark.parametrize("lo,hi", [(math.inf, math.inf), (-math.inf, -math.inf),
+                                       (math.nan, math.inf), (-math.inf, math.nan)])
+    def test_empty_and_nan_rejected(self, lo, hi):
+        with pytest.raises(DomainError):
+            Interval(lo, hi)
+
+    def test_overflow_rule(self):
+        # a finite overflow rounds outward; an end on its own side stays
+        inf = math.inf
+        assert outward(inf, inf) == (FMAX, inf)
+        assert outward(-inf, -inf) == (-inf, -FMAX)
+        assert outward(-inf, inf) == (-inf, inf)
+        assert outward(-FMAX, FMAX) == (-FMAX, FMAX)
+        assert outward(1.5, 2.5) == (1.5, 2.5)
+
+    @pytest.mark.parametrize("lo,hi,mid", [
+        (-1.0, 3.0, 1.0), (1e308, 1.5e308, 1.25e308), (-1.5e308, -1e308, -1.25e308),
+        (-FMAX, FMAX, 0.0), (-math.inf, math.inf, 0.0), (-math.inf, 5.0, -FMAX),
+        (5.0, math.inf, FMAX), (FMAX, math.inf, FMAX),
+    ])
+    def test_midpoint_never_overflows(self, lo, hi, mid):
+        v = Interval(lo, hi)
+        assert v.mid == mid and v.contains(v.mid)
+        left, right = Box([v]).bisect(0)
+        assert left[0].lo == lo and left[0].hi == right[0].lo and right[0].hi == hi
 
     def test_width_and_midpoint(self):
         v = Interval(-1.0, 3.0)
@@ -99,6 +123,27 @@ class TestIntervalArithmetic:
         q = Interval(1.0, 2.0) / Interval(2.0, 4.0)
         assert q.lo == 0.25 and q.hi == 1.0
 
+    def test_zero_times_the_whole_line_is_zero(self):
+        # IEEE 1788's set-based model: [0, 0] * [-inf, inf] = [0, 0]
+        line = Interval(-math.inf, math.inf)
+        for zero in (Interval(0.0, 0.0), Interval(-0.0, -0.0)):
+            assert zero * line == line * zero == Interval(0.0, 0.0)
+        assert Interval(0.0, 1.0) * Interval(2.0, math.inf) == Interval(0.0, math.inf)
+        assert line.scale(0.0) == Interval(0.0, 0.0)
+        # with a finite other operand a zero keeps its sign
+        v = Interval(-0.0, -0.0) * Interval(2.0, 3.0)
+        assert (v.lo.hex(), v.hi.hex()) == ("-0x0.0p+0", "-0x0.0p+0")
+
+    def test_unbounded_operands(self):
+        inf = math.inf
+        assert Interval(1.0, inf) + Interval(-inf, 2.0) == Interval(-inf, inf)
+        assert Interval(1.0, 2.0) / Interval(4.0, inf) == Interval(0.0, 0.5)
+        assert ipow(Interval(-inf, -2.0), 2) == Interval(4.0, inf)
+        assert isqrt(Interval(4.0, inf)) == Interval(2.0, inf)
+        # a finite overflow rounds outward: to inf above and to MAXF below
+        assert Interval(1e308, 1e308) + Interval(1e308, 1e308) == Interval(FMAX, inf)
+        assert Interval(-1e308, -1e308) * Interval(1e300, 1e300) == Interval(-inf, -FMAX)
+
 
 class TestElementary:
     def test_even_power_spanning_zero_starts_at_zero(self):
@@ -125,7 +170,13 @@ class TestElementary:
 
     def test_exp_overflow_saturates(self):
         v = iexp(Interval(0.0, 1e6))
-        assert v.hi == FMAX
+        assert v.hi == math.inf
+        # exp(710) is past the largest float, and so is half of it, which a
+        # clamp to the largest float would halve
+        v = iexp(Interval(709.5, 710.0))
+        assert v.hi == math.inf and (v * Interval(0.5, 0.5)).hi == math.inf
+        v = iexp(Interval(-math.inf, 0.0))
+        assert v.lo == 0.0 and 1.0 <= v.hi < 1.0 + 1e-15
 
     def test_arctan_anchor(self):
         v = iarctan(Interval(4.0, 8.0))
@@ -151,11 +202,16 @@ class TestElementary:
 
     @pytest.mark.parametrize("fn", [isin, icos])
     @pytest.mark.parametrize("lo,hi", [(-FMAX, FMAX), (-FMAX, -FMAX), (-FMAX, 0.0),
-                                       (FMAX, FMAX), (0.0, FMAX)])
+                                       (FMAX, FMAX), (0.0, FMAX), (-math.inf, math.inf),
+                                       (-math.inf, -FMAX), (-math.inf, 0.0), (FMAX, math.inf),
+                                       (0.0, math.inf)])
     def test_trig_of_saturated_interval(self, fn, lo, hi):
-        # a blown-up propagation saturates to +-FMAX and must stay propagatable
+        # a blown-up propagation reaches +-FMAX or +-inf and must stay
+        # propagatable; an unbounded interval holds whole periods
         v = fn(Interval(lo, hi))
         assert -1.0 <= v.lo <= v.hi <= 1.0
+        if math.isinf(lo) or math.isinf(hi):
+            assert v == Interval(-1.0, 1.0)
 
     @given(finite.filter(lambda x: abs(x) < 50), finite.filter(lambda x: abs(x) < 50),
            st.floats(0, 1))
@@ -216,6 +272,12 @@ class TestHausdorff:
     def test_interval_metric(self):
         assert hausdorff_q_interval(Interval(0, 2), Interval(0, 2)) == 0.0
         assert hausdorff_q_interval(Interval(0, 3), Interval(1, 2)) == 1.0
+
+    def test_equal_infinite_ends_are_zero_apart(self):
+        inf = math.inf
+        assert hausdorff_q_interval(Interval(0, inf), Interval(0, inf)) == 0.0
+        assert hausdorff_q_interval(Interval(-inf, 1), Interval(-inf, 3)) == 2.0
+        assert hausdorff_q_interval(Interval(0, inf), Interval(0, 1)) == inf
 
     def test_box_metric_is_max_over_dims(self):
         a = Box.from_pairs([(0, 3), (0, 2)])

@@ -9,11 +9,12 @@ sampled float points of the box, with no tolerance.
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import iv
 
-from mixmono import NATURAL, apply_method, eval_interval, parse_expr
+from mixmono import NATURAL, Box, apply_method, eval_interval, parse_expr
 from mixmono.expr import Binary, Const, Div, Pow, Prod, Sum, Unary, Var
 
 from conftest import rand_box, rand_instance
@@ -48,10 +49,14 @@ def _oracle(e, z):
 
 
 def _points(box, rng, count=8):
-    """Every corner of box, and count uniform float points clamped into it."""
+    """Every finite corner of box, and count uniform float points clamped
+    into it if its widths are finite."""
     lo, hi = np.asarray(box.lo), np.asarray(box.hi)
+    corners = [z for z in box.vertices() if np.isfinite(z).all()]
+    if not np.isfinite(box.widths()).all():
+        return corners
     samples = np.clip(rng.uniform(lo, hi, size=(count, len(box))), lo, hi)
-    return [*box.vertices(), *(tuple(map(float, p)) for p in samples)]
+    return [*corners, *(tuple(map(float, p)) for p in samples)]
 
 
 def _check(expr, box, rng):
@@ -91,3 +96,20 @@ OTHER_EXPRESSIONS = (
 def test_other_operators_hold_the_exact_image(text, seed):
     rng = np.random.default_rng(seed)
     _check(parse_expr(text, ["x1", "x2"]), rand_box(rng, 2), rng)
+
+
+SCALES = (100, 200, 300, 306, 307, 308)
+
+
+@pytest.mark.parametrize("k", SCALES)
+def test_natural_holds_the_exact_image_past_the_largest_float(k):
+    # the random boxes scaled by 10^k: their images, and at k = 308 their
+    # ends, pass the largest float, where an end must round outward to inf
+    for seed in range(300):
+        rng = np.random.default_rng(seed)
+        inst = rand_instance(rng)
+        with np.errstate(over="ignore"):
+            lo, hi = np.asarray(inst.box.lo) * 10.0**k, np.asarray(inst.box.hi) * 10.0**k
+        if (lo == np.inf).any() or (hi == -np.inf).any():
+            continue  # both ends of a side are past the largest float: no real point
+        _check(inst.expr, Box.from_bounds(lo.tolist(), hi.tolist()), rng)

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-import sys
 
 import numpy as np
 import pytest
@@ -80,7 +79,7 @@ class TestDiscreteReach:
         }
         """)
         x3 = reach_tube(model, REMAINDER, 1).final[2]
-        assert x3.lo == 0.0 and x3.hi == sys.float_info.max
+        assert x3.lo == 0.0 and x3.hi == math.inf
 
 
 class TestRefinement:

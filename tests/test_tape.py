@@ -37,7 +37,7 @@ from mixmono import (
     t_r_inclusion,
 )
 from mixmono.errors import DivisionByZeroInterval, DomainError, NotSignStable
-from mixmono.expr import ZERO_PARTIAL, ClarkeInterval
+from mixmono.expr import ZERO_PARTIAL
 from mixmono.inclusion import _lane_enclosures, subdivide_box
 from mixmono.interval import Interval, isin
 from mixmono.lanes import jacobian_lanes, point_lanes
@@ -56,8 +56,11 @@ EVALUATION_DIGEST = "6f8d5d520253bbea897b5e9d66e1838bab97775cddab2efb89f8fe5c8ca
 VECTOR_DIGEST = "811b50954bac4f352b5f0627cdcf68f4579509d5d64fbc230eb7ebc21c8d21fe"
 # sha256 of every continuous-time embedding derivative below, recorded
 # (with the interval engines among the methods) before the embedding
-# derivative moved into the inclusion module's one method dispatcher
-EMBEDDING_DIGEST = "c2f9c47f03499fa4ee340519bb496bc0fba5a9ec8cdc5b24894238ede9ed7b1d"
+# derivative moved into the inclusion module's one method dispatcher, and
+# re-recorded when intervals took ends in the extended reals: only model
+# big's stage 10 moved, outward (MAXF to inf, and a centered lower end 0 to
+# -inf)
+EMBEDDING_DIGEST = "44c7f49da1310c95b5d05599811dc46261d1b5ae4294dfd542083542447acd47"
 # sha256 of every discrete decomposition enclosure and remainder-form error
 # bound below, recorded while each row's candidates were still built as a
 # tuple of supporting-vector objects
@@ -245,7 +248,7 @@ def test_overridden_rows_are_never_evaluated():
     # the row's only entry is overridden, so 1/x1 over a box holding 0 is
     # never evaluated, and its interval division cannot raise
     e = parse_expr("1/x1", ["x1"])
-    override = ClarkeInterval(-1.0, 1.0)
+    override = Interval(-1.0, 1.0)
     jac = clarke_jacobian_bounds([e], Box.from_pairs([(-1, 1)]), {(0, 0): override})
     assert jac[0, 0] == override
 
@@ -302,7 +305,7 @@ def test_constant_partials_are_folded_and_prebuilt(monkeypatch):
     first, second = (clarke_jacobian_bounds(row, box).row(0) for _ in range(2))
     assert calls == []
     assert all(a is b for a, b in zip(first, second))
-    assert first == (ZERO_PARTIAL, ClarkeInterval(-0.5, -0.5), ClarkeInterval(-0.12, -0.12),
+    assert first == (ZERO_PARTIAL, Interval(-0.5, -0.5), Interval(-0.12, -0.12),
                      ZERO_PARTIAL)
     # a variable's unit partial is one prebuilt entry too
     assert clarke_jacobian_bounds(model.dynamics[1:], box)[0, 0] is mixmono.expr._ONE_PARTIAL
@@ -329,7 +332,7 @@ def test_structural_zero_partials_share_one_entry():
     # an override and a computed zero, -0.0 ones too, keep their own entries
     names = ["x1", "x2", "x3"]
     box = Box.from_pairs([(0.0, 1.0), (1.0, 2.0), (0.0, 1.0)])
-    override = ClarkeInterval(0.0, 0.0)
+    override = Interval(0.0, 0.0)
     row = clarke_jacobian_bounds([parse_expr("x1 + x2", names)], box, {(0, 0): override}).row(0)
     assert row[0] is override and row[2] is ZERO_PARTIAL
     # the negated root's default and x2's column are (-0.0, -0.0) pairs
