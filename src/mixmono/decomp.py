@@ -8,7 +8,8 @@ the Cartesian product of per-coordinate (slope, branch) choices, and
 `RowCandidates` keeps them as those choices.  One scan of a row's bounds
 finds its all-zero vector and its candidate count; the choices are built
 only where they are read, since a sign-stable row evaluates the all-zero
-vector alone, at a corner gathered straight from the arguments:
+vector alone, at a corner gathered straight from the arguments by one
+gatherer per branch pattern (`_gatherer`), shared by every row and call:
 
 * remainder: every candidate of `supporting_vectors` (the tightest
   tractable form);
@@ -32,7 +33,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, lru_cache
 from operator import itemgetter
 from typing import Sequence
 
@@ -46,15 +47,17 @@ from .errors import (
     UnboundedBothSides,
 )
 from .expr import ZERO_PARTIAL, Expr, JacobianBounds, _fsum, eval_point
-from .interval import Box, Interval, excess, outward
+from .interval import _NEG, _POS, Box, Interval, excess, outward
 from .lanes import point_lanes
 
 
 class Branch(Enum):
     UPPER = "upper"
     LOWER = "lower"
+    __hash__ = object.__hash__  # members are singletons: a C-level hash for _gatherer's keys
 
 
+_UPPER, _LOWER = Branch.UPPER, Branch.LOWER
 CANDIDATE_CAP = 2**16
 
 # the slope bound of a pinned coordinate: one candidate value, 0.0
@@ -90,9 +93,9 @@ class RowCandidates:
     UnboundedBothSides or CandidateExplosion at the entry where the choices
     would; the shared ZERO_PARTIAL entry, one upper choice 0.0, is passed
     over by identity.  `corner` gathers the all-zero vector's corner from
-    the arguments (None without that vector).  `choices` is built when
-    first read, which only a row without an all-zero vector, or with a NaN
-    value at its corner, and error_bounds do.
+    the arguments: its branch pattern's `_gatherer` (None without it).
+    `choices` is built when first read, which only a row without an
+    all-zero vector, or with a NaN value at its corner, and error_bounds do.
     """
 
     def __init__(self, row: Sequence[Interval], selected: bool = False):
@@ -100,15 +103,15 @@ class RowCandidates:
         zero, count = [], 1
         for entry in row:
             if entry is ZERO_PARTIAL:
-                zero.append(Branch.UPPER)
+                zero.append(_UPPER)
                 continue
             lo, hi = entry.lo, entry.hi
-            upper, lower = math.isfinite(hi), math.isfinite(lo)
+            upper, lower = hi < _POS, lo > _NEG  # an Interval's ends are never NaN
             if upper and hi <= 0.0:  # the upper choice is 0.0; lo >= 0 would repeat it
-                zero.append(Branch.UPPER)
+                zero.append(_UPPER)
                 size = 1 + (lower and lo < 0.0)
             elif lower and lo >= 0.0:  # the lower choice is 0.0, the upper one hi > 0
-                zero.append(Branch.LOWER)
+                zero.append(_LOWER)
                 size = 1 + upper
             else:
                 zero.append(None)
@@ -122,14 +125,7 @@ class RowCandidates:
                         f"{count}+ supporting-vector candidates exceed cap {CANDIDATE_CAP}")
         self.zero = None if None in zero else tuple(zero)
         self.count = count
-        # (*a, *b) -> the all-zero vector's zeta_plus, as a tuple: b_j where
-        # its branch is the upper one, a_j where it is the lower one
-        self.corner = None
-        if self.zero is not None:
-            n = len(zero)
-            index = [j + n if tag is Branch.UPPER else j for j, tag in enumerate(zero)]
-            # itemgetter takes at least one index, and with one returns no tuple
-            self.corner = itemgetter(*index) if n > 1 else lambda ab: tuple(ab[k] for k in index)
+        self.corner = None if self.zero is None else _gatherer(self.zero)
 
     @cached_property
     def choices(self) -> tuple[tuple[tuple[float, Branch], ...], ...]:
@@ -140,6 +136,16 @@ class RowCandidates:
 
     def __len__(self) -> int:
         return self.count
+
+
+@lru_cache(maxsize=1024)
+def _gatherer(zero: tuple[Branch, ...]):
+    """(*a, *b) -> the all-zero vector's corner for the branches zero, a
+    tuple of b_j on an upper and a_j on a lower branch; shared by all rows."""
+    n = len(zero)
+    index = [j + n if tag is _UPPER else j for j, tag in enumerate(zero)]
+    # itemgetter takes at least one index, and with one returns no tuple
+    return itemgetter(*index) if n > 1 else lambda ab: tuple(ab[k] for k in index)
 
 
 def supporting_vectors(jac_row: Sequence[Interval]) -> RowCandidates:

@@ -61,7 +61,7 @@ from .interval import (
     outward,
 )
 
-_INF = math.inf
+_NEG, _INF = -math.inf, math.inf
 
 # ---------------------------------------------------------------------------
 # Node types
@@ -384,10 +384,6 @@ def _row_overrides(overrides: dict | None, i: int, n: int) -> dict:
     return {j: overrides[(i, j)] for j in range(n) if (i, j) in overrides}
 
 
-def _entry(pair: tuple[float, float], prebuilt: dict) -> Interval:
-    return prebuilt.get(id(pair)) or Interval(*pair)
-
-
 def clarke_jacobian_bounds(
     exprs: Sequence[Expr],
     box: Box,
@@ -396,14 +392,15 @@ def clarke_jacobian_bounds(
     """Symbolic Clarke differentiation + natural interval evaluation.
 
     Each row runs its tape's compiled Clarke pass (`Tape.clarke`) once over
-    the box.  overrides replaces individual (row, col) entries, e.g. with
-    tighter analytically-known bounds from a model file.  A row whose
-    entries are all overridden is never evaluated.  A row that reads a
-    variable outside the box raises DimensionMismatch.  Every entry that the
-    pass gives as the pair Z is the shared ZERO_PARTIAL, and every partial it
-    folded to a constant is an entry built when it compiled (`Tape.clarke`),
-    the same object on every call; each entry is still checked for bounds
-    unbounded on both sides on every call.
+    the box and is filled from its sparse (default, partials): the default's
+    entry, built once, then each partial and each override in its column.
+    overrides replaces individual (row, col) entries, e.g. with tighter
+    analytically-known bounds from a model file; a row whose entries are all
+    overridden is never evaluated.  A row that reads a variable outside the
+    box raises DimensionMismatch.  Every entry the pass gives as the pair Z
+    is the shared ZERO_PARTIAL, and every partial it folded to a constant an
+    entry built when it compiled, the same object on every call; each entry
+    is still checked for bounds unbounded on both sides on every call.
     """
     n_z = len(box)
     rows = []
@@ -412,22 +409,22 @@ def clarke_jacobian_bounds(
         if e.tape.max_var >= n_z:
             raise DimensionMismatch(f"row {i} references variable outside box")
         fixed = _row_overrides(overrides, i, n_z)
+        row = [None] * n_z
         if len(fixed) < n_z:
             run = e.tape.clarke
             default, partials = run(box.dims)
-        row = []
-        shared = None  # the default's entry, built where a column first reads it
-        for j in range(n_z):
-            if j in fixed:
-                row.append(fixed[j])
-            elif j in partials:
-                row.append(_entry(partials[j], run.entries))
-            else:
-                if shared is None:
-                    shared = _entry(default, run.entries)
-                row.append(shared)
-        bad += [(i, j) for j, entry in enumerate(row)
-                if entry is not ZERO_PARTIAL and entry.unbounded_both]
+            prebuilt = run.entries
+            # the default is a signed zero pair, so its entry never raises
+            row = [prebuilt.get(id(default)) or Interval(*default)] * n_z
+            for j, pair in partials.items():
+                if j not in fixed:
+                    row[j] = prebuilt.get(id(pair)) or Interval(*pair)
+        for j, entry in fixed.items():
+            row[j] = entry
+        for entry in row:  # the row's positions are listed once one entry has no finite side
+            if entry.lo == _NEG and entry.hi == _INF:
+                bad += [(i, j) for j, x in enumerate(row) if x.unbounded_both]
+                break
         rows.append(tuple(row))
     if bad:
         raise UnboundedBothSides(f"Clarke bounds unbounded on both sides at {bad}")
@@ -683,7 +680,8 @@ class Tape:
                 a = [local[c].get(j, local[c][None]) for c in kids]
                 name = f"d{k}" if j is None else f"p{k}_{j}"
                 nonzero = [i for i, x in enumerate(a) if x not in zero]
-                if op in _VANISH and not nonzero or apply == "Z":  # Z: x^0's rule
+                if (op in _VANISH and not nonzero or apply == "Z"  # Z: x^0's rule
+                        or op in ("sqrt", "arctan") and a == ["Z"]):
                     here[j] = "Z"
                 elif op == "sum" and len(nonzero) == 1:  # _xsum(x) is _xadd(Z, x)
                     x = a[nonzero[0]]
@@ -925,7 +923,7 @@ _CLARKE_CODE = {
     "max": ("max_rule({0}, {1})", "{f}({0}, {1})"),
     "prod": ("", "xprod({f}, ({kids},))"),
 }
-# Tape.clarke folds and rewrites partials on four facts about the pair
+# Tape.clarke folds and rewrites partials on five facts about the pair
 # operators that any change to them must keep:
 # - _corner gives an exact 0.0 for any zero operand, so _xmul with a (signed)
 #   zero pair is exactly Z; so is every rule of _VANISH whose partials are
@@ -937,6 +935,8 @@ _CLARKE_CODE = {
 # - x * 1 and 0.0 + x are exact, so _xmul(X, ONE), _xsum(X) and _xadd(Z, X)
 #   are _xnorm(X), and _xprod with one nonzero term is its _xmul chain,
 #   normalized.
+# - _xdiv_pos(Z, den) is Z for every den >= 0, so the sqrt and arctan rules
+#   of Z itself are Z; a signed zero pair can divide to (-0.0, -0.0).
 # The rules of the other ops map zero partials to a zero pair whose signs
 # they decide (_xneg(Z) is (-0.0, -0.0)), so those lines stay where the
 # root reads them.

@@ -30,6 +30,7 @@ from .errors import (
     CellBudgetExceeded,
     EmptyIntersection,
     InfiniteJacobianEntry,
+    UnboundedBothSides,
     ValidationError,
 )
 from .expr import (
@@ -98,6 +99,18 @@ class _ClarkeProvider:
 
     def __call__(self, box: Box) -> JacobianBounds:
         return clarke_jacobian_bounds(self.f, box, self.overrides)
+
+    def row(self, i: int) -> JacProvider:
+        """Row i's bounds alone, an unbounded entry listed at (i, j)."""
+        f = self.f[i:i + 1]
+        fixed = {(0, j): v for (r, j), v in (self.overrides or {}).items() if r == i}
+
+        def row(box: Box) -> JacobianBounds:
+            try:
+                return clarke_jacobian_bounds(f, box, fixed)
+            except UnboundedBothSides as exc:  # its message lists only positions (0, j)
+                raise UnboundedBothSides(str(exc).replace("(0, ", f"({i}, ")) from None
+        return row
 
 
 def default_jac_provider(
@@ -178,33 +191,36 @@ def _enclose(kind: str, f: Sequence[Expr], box: Box, jac_provider: JacProvider) 
 
 
 def _bounds(method: MethodId, f: Sequence[Expr], hi: Sequence[float], lo: Sequence[float],
-            jac_provider: JacProvider, pinned: bool = False,
-            rest: Box = Box(())) -> list[tuple[float, float]]:
+            jac_provider: JacProvider, rows: Sequence[JacProvider] | None = None,
+            rest: Sequence[Interval] = ()) -> list[tuple[float, float]]:
     """Raw (upper, lower) bounds of each row of f for the arguments (hi, lo),
-    followed by the ends of rest's intervals.
+    whose last len(rest) entries are the ends of rest's intervals.
 
-    Unpinned, hi/lo are a box's corners and each engine gives its usual
-    enclosure.  Pinned, they are the continuous-time embedding's upper and
-    lower states, which need not be ordered, and rest its disturbance, whose
-    intervals the hull takes as they are; row i pins its own coordinate:
-    decomposition engines evaluate decompose(..., pinned=True), interval
-    engines enclose f_i over the hull's faces at hi[i] and lo[i] with row i
-    of the Jacobian as slopes.  best_of keeps each row's tightest member
-    bound; the members share each distinct box's Jacobian.
+    Without rows, hi/lo are a box's corners and each engine gives its usual
+    enclosure.  With rows, each row's _ClarkeProvider.row, they are the
+    continuous-time embedding's unordered upper and lower states, then the
+    disturbance's ends, and rest its intervals; row i pins its own
+    coordinate: decomposition engines evaluate decompose(..., pinned=True),
+    interval engines enclose f_i over the hull's faces at hi[i] and lo[i]
+    with rows[i] as slopes.  best_of keeps each row's tightest member bound;
+    its members share each box's Jacobian and row, and a row whose faces are
+    the hull (hi[i] == lo[i]) reads the hull's Jacobian.
     """
     jac = functools.cache(jac_provider) if method.members else jac_provider
-    hull = Box((*(Interval(min(a, b), max(a, b)) for a, b in zip(lo, hi)), *rest.dims))
-    hi, lo = (*hi, *rest.hi), (*lo, *rest.lo)
+    k = len(hi) - len(rest)
+    hull = Box((*(Interval(min(a, b), max(a, b)) for a, b in zip(lo[:k], hi[:k])), *rest))
+    if rows is not None and method.members:
+        rows = [functools.cache(r) if hi[i] != lo[i] else lambda box, i=i:
+                JacobianBounds(jac(box).entries[i:i + 1]) for i, r in enumerate(rows)]
     members = []
     for m in method.members or (method,):
-        if not pinned:
+        if rows is None:
             members.append([(d.hi, d.lo) for d in _enclose(m.kind, f, hull, jac)])
         elif m.kind in SELECTORS:
             members.append(decompose(f, jac(hull), m.kind, hi, lo, pinned=True))
         else:
             def face(i, x, kind=m.kind):
-                return _enclose(kind, [f[i]], hull.replace(i, Interval.point(x[i])),
-                                lambda box: JacobianBounds(jac(box).entries[i:i + 1]))[0]
+                return _enclose(kind, [f[i]], hull.replace(i, Interval.point(x[i])), rows[i])[0]
             members.append([(face(i, hi).hi, face(i, lo).lo) for i in range(len(f))])
     return _meet(members) if method.members else members[0]
 

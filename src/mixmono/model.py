@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import re
 from importlib import resources
 from pathlib import Path
@@ -531,15 +532,18 @@ def write_plot(
     t_span = (t_max - t_min) or 1.0
     for dim in range(n):
         top = legend_h + dim * panel_h
-        v_lo = min(rec.box[dim].lo for tube in tubes.values() for rec in tube)
-        v_hi = max(rec.box[dim].hi for tube in tubes.values() for rec in tube)
-        v_span = (v_hi - v_lo) or 1.0
+        # the finite ends span the panel (halved, so no width overflows)
+        ends = [x for tube in tubes.values() for rec in tube
+                for x in (rec.box[dim].lo, rec.box[dim].hi) if math.isfinite(x)]
+        v_lo, v_hi = (min(ends), max(ends)) if ends else (0.0, 0.0)
+        v_span = (0.5 * v_hi - 0.5 * v_lo) or 1.0
 
         def sx(t: float) -> float:
             return margin + (t - t_min) / t_span * (width - 2 * margin)
 
         def sy(v: float) -> float:
-            return top + panel_h - 30 - (v - v_lo) / v_span * (panel_h - 60)
+            v = min(max(v, v_lo), v_hi)  # an infinite end is drawn at the edge
+            return top + panel_h - 30 - (0.5 * v - 0.5 * v_lo) / v_span * (panel_h - 60)
 
         parts.append(
             f'<rect x="{margin}" y="{top+20}" width="{width-2*margin}" '

@@ -127,13 +127,19 @@ def embed_step_discrete(model: SystemModel, method: MethodId, current: Box) -> B
     return apply_method(method, model.dynamics, z, model.jac_provider())
 
 
-def _embedding_derivative(model: SystemModel, method: MethodId, xu: list[float],
-                          xl: list[float]) -> tuple[list[float], list[float]]:
-    """Time derivatives of the upper and lower bound trajectories: the
-    method's bounds of the dynamics with each row's own coordinate pinned."""
-    rows = _bounds(method, model.dynamics, xu, xl, model.jac_provider(), pinned=True,
-                   rest=model.disturbance)
-    return [du for du, _ in rows], [dl for _, dl in rows]
+def _embedding_field(model: SystemModel, method: MethodId):
+    """y -> dy/dt of the embedding state y, its upper then its lower bounds:
+    the method's bounds of the dynamics, each row's own coordinate pinned;
+    the Jacobian providers and the disturbance's ends are built once."""
+    provider, rest, n = model.jac_provider(), model.disturbance, len(model.dynamics)
+    rows, rest_hi, rest_lo = [provider.row(i) for i in range(n)], rest.hi, rest.lo
+
+    def derivative(y: list[float]) -> list[float]:
+        bounds = _bounds(method, model.dynamics, (*y[:n], *rest_hi), (*y[n:], *rest_lo), provider,
+                         rows, rest.dims)
+        return [du for du, _ in bounds] + [dl for _, dl in bounds]
+
+    return derivative
 
 
 def embed_integrate_continuous(
@@ -149,11 +155,7 @@ def embed_integrate_continuous(
     if substeps < 1:
         raise ValidationError("substeps must be >= 1")
     n = len(current)
-
-    def deriv(y: list[float]) -> list[float]:
-        du, dl = _embedding_derivative(model, method, y[:n], y[n:])
-        return du + dl
-
+    deriv = _embedding_field(model, method)
     y = list(current.hi) + list(current.lo)  # upper bounds, then lower bounds
     h = dt / substeps
     for _ in range(substeps):

@@ -103,32 +103,24 @@ def set_invert(
     if ruled_out(lo, hi):
         raise EmptySolution("the full prior box is inconsistent with the constraint")
 
-    eps = cfg.epsilon
+    def edge(i: int, a: float, b: float, lower: bool) -> float:
+        """Dimension i's lower (or upper) edge, moved inward over [a, b]."""
+        while b - a > cfg.epsilon:
+            m = 0.5 * (a + b)  # where a + b overflows, a/2 + b/2 as in Interval.mid
+            if not a < m < b and not a < (m := 0.5 * a + 0.5 * b) < b:
+                break  # epsilon is below the local float resolution
+            lo[i], hi[i] = (a, m) if lower else (m, b)
+            if ruled_out(lo, hi) is lower:
+                a = m
+            else:
+                b = m
+        return a if lower else b
+
     for _ in range(cfg.passes):
         for i in range(n_x):
+            # raise the lower edge, then lower the upper one within what
+            # survived, discarding each certified-inconsistent half
             top = hi[i]
-            # raise the lower edge: discard certified-inconsistent lower halves
-            a, b = lo[i], top
-            while b - a > eps:
-                m = 0.5 * (a + b)
-                if not a < m < b:
-                    break  # epsilon is below the local float resolution
-                lo[i], hi[i] = a, m
-                if ruled_out(lo, hi):
-                    a = m
-                else:
-                    b = m
-            new_lo = a
-            # lower the upper edge symmetrically, within what survived
-            a, b = new_lo, top
-            while b - a > eps:
-                m = 0.5 * (a + b)
-                if not a < m < b:
-                    break
-                lo[i], hi[i] = m, b
-                if ruled_out(lo, hi):
-                    b = m
-                else:
-                    a = m
-            lo[i], hi[i] = new_lo, b
+            new_lo = edge(i, lo[i], top, True)
+            lo[i], hi[i] = new_lo, edge(i, new_lo, top, False)
     return Box(map(Interval, lo, hi))

@@ -175,6 +175,26 @@ class TestReach:
         assert code == 0
         assert "<svg" in p.read_text()
 
+    def test_plot_of_a_tube_with_infinite_ends(self, capsys, tmp_path):
+        # natural's vanderpol tube blows up to infinite ends: each panel is
+        # scaled by its finite ends, and every step has a point in it
+        p = tmp_path / "v.svg"
+        code, _, _ = run(
+            capsys,
+            "reach", "--model", "vanderpol", "--steps", "30",
+            "--method", "natural", "--plot", str(p),
+        )
+        assert code == 0
+        body = p.read_text()
+        assert "nan" not in body
+        lines = [line.split('points="')[1].split('"')[0] for line in body.splitlines()
+                 if line.startswith("<polyline")]
+        assert len(lines) == 4  # lo and hi of two states
+        for k, points in enumerate(lines):
+            top = 24 + 220 * (k // 2)  # the state's panel, below the legend
+            ys = [float(pt.split(",")[1]) for pt in points.split()]
+            assert len(ys) == 31 and all(top + 30 <= y <= top + 190 for y in ys)
+
     @pytest.mark.parametrize("command", ["reach", "compare"])
     @pytest.mark.parametrize("horizon", ["inf", "nan"])
     def test_non_finite_horizon_is_validation_error(self, capsys, command, horizon):

@@ -231,6 +231,28 @@ class TestCornerGather:
         assert eval_remainder_upper(cands, f, a, b) == eval_point(f, zip_corner(cands.zero, a, b))
         assert eval_remainder_lower(cands, f, a, b) == eval_point(f, zip_corner(cands.zero, b, a))
 
+    def test_rows_with_one_branch_pattern_share_one_gatherer(self):
+        # the gatherer depends on the branch pattern alone, so it is built
+        # once however many rows, with whatever bounds, have that pattern
+        first = RowCandidates([Interval(-2.0, -1.0), Interval(0.5, 3.0), ZERO_PARTIAL])
+        second = RowCandidates((Interval(-math.inf, 0.0), Interval(0.0, 1.0), Interval(0.0, 0.0)))
+        assert first.zero == second.zero == (Branch.UPPER, Branch.LOWER, Branch.UPPER)
+        assert first.corner is second.corner
+        other = RowCandidates([Interval(1.0, 2.0), Interval(0.5, 3.0), ZERO_PARTIAL])
+        assert other.corner is not first.corner
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_gatherer_of_every_pattern_is_the_explicit_gather(self, n):
+        # n = 1 is the one pattern length that itemgetter cannot serve
+        a, b = [0.5 + j for j in range(n)], [-0.25 * j - 1.0 for j in range(n)]
+        for zero in itertools.product((Branch.UPPER, Branch.LOWER), repeat=n):
+            row = [Interval(0.0, 0.0) if tag is Branch.UPPER else Interval(0.0, 1.0) for tag in zero]
+            cands = RowCandidates(row)
+            assert cands.zero == zero
+            for x, y in ((a, b), (b, a)):
+                got = cands.corner((*x, *y))
+                assert type(got) is tuple and list(got) == zip_corner(zero, x, y)
+
     @pytest.mark.parametrize("kind", ["remainder", "jacobian_sign", "tight_vertex"])
     def test_pinned_rows(self, kind):
         names = ["x1", "x2", "x3"]

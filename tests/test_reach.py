@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -25,8 +26,8 @@ from mixmono import (
     reach_tube,
 )
 from mixmono import inclusion, reach
-from mixmono.errors import InvertedBounds, ValidationError
-from mixmono.reach import _embedding_derivative, embed_integrate_continuous
+from mixmono.errors import InvertedBounds, UnboundedBothSides, ValidationError
+from mixmono.reach import _embedding_field, embed_integrate_continuous
 
 from conftest import box_subset, simulate_discrete, tube_contains
 
@@ -175,13 +176,14 @@ class TestContinuousReach:
           init: [[0, 1], [1, 2]];
         }
         """)
-        for model, xu, xl, expected in [
-            (linear, [1.0, 0.0], [0.0, 1.0], ([-1.0, 0.0], [1.0, -1.0])),
-            (big, [1.0, 1e10], [0.0, 1.0], ([math.inf, -1e10], [1e300, -1.0])),
+        # each state is the upper bounds, then the lower bounds
+        for model, y, expected in [
+            (linear, [1.0, 0.0, 0.0, 1.0], [-1.0, 0.0, 1.0, -1.0]),
+            (big, [1.0, 1e10, 0.0, 1.0], [math.inf, -1e10, 1e300, -1.0]),
         ]:
-            vertex = _embedding_derivative(model, TIGHT_VERTEX, xu, xl)
+            vertex = _embedding_field(model, TIGHT_VERTEX)(y)
             assert vertex == expected
-            assert vertex == _embedding_derivative(model, JACOBIAN_SIGN, xu, xl)
+            assert vertex == _embedding_field(model, JACOBIAN_SIGN)(y)
 
     @pytest.mark.parametrize("method", [CENTERED, MIXED_CENTERED])
     def test_centered_forms_read_their_own_jacobian_row(self, method):
@@ -198,6 +200,76 @@ class TestContinuousReach:
         x2 = reach_tube(model, method, 1).final[1]
         # x2(0.1) = 0.5*x1(0) + 0.0125 with x1(0) in [-1, 1]
         assert x2.lo <= -0.4875 and x2.hi >= 0.5125
+
+    @pytest.mark.parametrize("method, rows", [
+        (CENTERED, {1: 480}),
+        (MIXED_CENTERED, {1: 2400}),
+        (best_of_method([CENTERED, MIXED_CENTERED, REMAINDER]), {1: 2080, 3: 80}),
+    ])
+    def test_pinned_faces_evaluate_their_own_row_alone(self, monkeypatch, method, rows):
+        # each face of row i reads row i of the Jacobian: 2 steps of 10
+        # substeps, 4 RK4 stages, 3 rows, 2 faces, and one Jacobian per face
+        # (centered) or one per column of its 5 (mixed_centered).  best_of's
+        # members share each box's row: centered's faces are mixed_centered's
+        # last sub-boxes, and row i's sub-boxes i - 1 and i are one box, as
+        # coordinate i is pinned in both; remainder reads the hull's whole
+        # Jacobian once per stage
+        model = load_bundled("ct_abate")
+        counted = []
+        real = inclusion.clarke_jacobian_bounds
+
+        def counting(exprs, box, overrides=None):
+            counted.append(len(exprs))
+            return real(exprs, box, overrides)
+
+        monkeypatch.setattr(inclusion, "clarke_jacobian_bounds", counting)
+        reach_tube(model, method, 2)
+        assert Counter(counted) == rows
+
+    def test_a_pinned_face_reads_its_rows_overrides(self):
+        # the override of row 1's x1 column replaces x2' = 5*x1's slope 5,
+        # so the centered derivative of x2 spans 4 where it would span 10
+        text = """
+        system "shear" {
+          time: continuous(dt=0.1);
+          state: x1, x2;
+          dynamics { x1' = 0.5; x2' = 5*x1; }
+          init: [[-1, 1], [0, 0]];
+          jac_override { f_2/d_1 in [2, 2]; }
+        }
+        """
+        _, du2, _, dl2 = _embedding_field(parse_model(text), CENTERED)([1.0, 0.0, -1.0, 0.0])
+        assert (du2, dl2) == (2.0, -2.0)
+
+    @pytest.mark.parametrize("method", [CENTERED, MIXED_CENTERED, best_of_method([CENTERED, REMAINDER])])
+    def test_a_pinned_faces_unbounded_row_is_named_by_its_index(self, method):
+        # x2' = x1*sqrt(x2) has d/dx2 = x1 * [inf, inf] on x2's face at 0,
+        # with x1 in [-1, 1]: row 1's entry, not the one-row Jacobian's row 0
+        model = parse_model("""
+        system "root" {
+          time: continuous(dt=0.1);
+          state: x1, x2;
+          dynamics { x1' = 1; x2' = x1*sqrt(x2); }
+          init: [[-1, 1], [0, 1]];
+        }
+        """)
+        with pytest.raises(UnboundedBothSides) as caught:
+            _embedding_field(model, method)([1.0, 1.0, -1.0, 0.0])
+        assert str(caught.value) == "Clarke bounds unbounded on both sides at [(1, 1)]"
+
+    def test_a_pinned_face_does_not_evaluate_other_rows(self):
+        # x1's faces pin x1 and leave x2 in [-1, 1], where d(x1/x2)/dx1 = 1/x2
+        # is unbounded on both sides; x1' = 1 reads none of row 1, and x2's
+        # own faces pin x2 at -1 and 1
+        model = parse_model("""
+        system "ratio" {
+          time: continuous(dt=0.1);
+          state: x1, x2;
+          dynamics { x1' = 1; x2' = x1/x2; }
+          init: [[0, 1], [-1, 1]];
+        }
+        """)
+        assert _embedding_field(model, CENTERED)([1.0, 1.0, 0.0, -1.0]) == [1.0, 1.0, 1.0, -1.0]
 
     @pytest.mark.parametrize("first", [NATURAL, CENTERED])
     @pytest.mark.parametrize("widen", [0.0, 0.1])
@@ -216,15 +288,15 @@ class TestContinuousReach:
         method = best_of_method([first, JACOBIAN_SIGN, REMAINDER])
         xu = [v + widen for v in model.init.hi]
         xl = [v - widen for v in model.init.lo]
-        _embedding_derivative(model, method, xu, xl)
+        _embedding_field(model, method)(xu + xl)
         assert boxes and len(boxes) == len(set(boxes))
 
     def test_inverted_final_box_raises(self, monkeypatch):
         # the lower bound's derivative runs 1e-12 above the upper one's, so
         # the final lower bound ends above the upper by far less than 1e-9
         model = load_bundled("unicycle")
-        monkeypatch.setattr(reach, "_embedding_derivative",
-                            lambda model, method, xu, xl: ([0.0] * 3, [1e-12] * 3))
+        monkeypatch.setattr(reach, "_embedding_field",
+                            lambda model, method: lambda y: [0.0] * 3 + [1e-12] * 3)
         with pytest.raises(InvertedBounds):
             embed_integrate_continuous(model, REMAINDER, model.init, model.dt, 2)
 

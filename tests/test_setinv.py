@@ -130,6 +130,17 @@ class TestConfig:
         assert out[0].lo <= 1.5e12 <= 2.5e12 <= out[0].hi
 
 
+    def test_probes_near_the_largest_float_bisect(self):
+        # a + b overflows over [1e308, 1.7e308], so each probe splits at
+        # a/2 + b/2; the edges move as they do for the problem scaled by 1/10
+        big = invert(["x1"], ["x1"], Box.from_pairs([(1e308, 1.7e308)]), [1.5e308], [1.6e308])
+        small = invert(["x1"], ["x1"], Box.from_pairs([(1e307, 1.7e307)]), [1.5e307], [1.6e307])
+        assert small[0].lo == pytest.approx(1.5e307, rel=1e-12)
+        assert small[0].hi == pytest.approx(1.6e307, rel=1e-12)
+        assert big[0].lo == pytest.approx(10 * small[0].lo, rel=1e-12)
+        assert big[0].hi == pytest.approx(10 * small[0].hi, rel=1e-12)
+
+
 class TestSandwich:
     def test_output_keeps_all_consistent_grid_points(self, rng):
         texts = ["sin(x1) + x2^2", "x1 - abs(x2)"]

@@ -36,13 +36,13 @@ from mixmono import (
     t_o_vertex_inclusion,
     t_r_inclusion,
 )
-from mixmono.errors import DivisionByZeroInterval, DomainError, NotSignStable
+from mixmono.errors import DivisionByZeroInterval, DomainError, NotSignStable, UnboundedBothSides
 from mixmono.expr import ZERO_PARTIAL
 from mixmono.inclusion import _lane_enclosures, subdivide_box
 from mixmono.interval import Interval, isin
 from mixmono.lanes import jacobian_lanes, point_lanes
 from mixmono.model import bundled_models
-from mixmono.reach import _embedding_derivative
+from mixmono.reach import _embedding_field
 
 from conftest import rand_instance
 
@@ -342,6 +342,55 @@ def test_structural_zero_partials_share_one_entry():
     assert mixmono.decomp._PINNED is ZERO_PARTIAL
 
 
+def test_sqrt_and_arctan_of_the_zero_pair_fold(monkeypatch):
+    # _xdiv_pos(Z, den) is Z for every den >= 0: a range observation's
+    # column that it does not read is the shared entry, with no division
+    calls = []
+    fn = mixmono.expr._CLARKE_NAMES["xdiv_pos"]
+    monkeypatch.setitem(mixmono.expr._CLARKE_NAMES, "xdiv_pos",
+                        lambda a, den: calls.append(a) or fn(a, den))
+    d1 = load_bundled("unicycle").observation.exprs[0]  # sqrt((2 - x1)^2 + (1 - x2)^2)
+    box = Box.from_pairs([(0.0, 0.5), (0.0, 0.5), (0.5, 1.5)])
+    for _ in range(2):
+        row = clarke_jacobian_bounds([d1], box).row(0)
+        assert row[2] is ZERO_PARTIAL
+    assert len(calls) == 4 and (0.0, 0.0) not in calls  # the x1 and x2 columns
+    # a signed zero pair is not folded: it divides to (-0.0, -0.0)
+    e = parse_expr("sqrt(-x2)", ["x1", "x2"])
+    entry = clarke_jacobian_bounds([e], Box.from_pairs([(0.0, 1.0), (-2.0, -1.0)]))[0, 0]
+    assert (entry.lo.hex(), entry.hi.hex()) == ("-0x0.0p+0",) * 2
+
+
+@pytest.mark.parametrize("overrides, positions", [
+    (None, [(0, 0), (2, 0)]),
+    ({(1, 0): Interval(-math.inf, math.inf)}, [(0, 0), (1, 0), (2, 0)]),
+    ({(0, 0): Interval(-1.0, 1.0), (2, 2): Interval(-math.inf, math.inf)}, [(2, 0), (2, 2)]),
+])
+def test_unbounded_entries_are_listed_by_position(overrides, positions):
+    # d/dx1 of x2*sqrt(x1) over x1 in [0, 1], x2 in [-1, 1] has no finite
+    # side; an override in its place is listed only if it has none either
+    names = ["x1", "x2", "x3"]
+    f = [parse_expr(t, names) for t in ("x2*sqrt(x1) + x3", "x3 - x1", "sqrt(x1)*x2*x3")]
+    box = Box.from_pairs([(0.0, 1.0), (-1.0, 1.0), (0.5, 2.0)])
+    with pytest.raises(UnboundedBothSides) as caught:
+        clarke_jacobian_bounds(f, box, overrides)
+    assert str(caught.value) == f"Clarke bounds unbounded on both sides at {positions}"
+
+
+def test_unbounded_default_is_listed_in_each_column_that_reads_it(monkeypatch):
+    # every default the pass computes is a zero pair; a pass that gave an
+    # unbounded one would have it listed wherever no partial or override is
+    names = ["x1", "x2", "x3"]
+    e = parse_expr("x1*x3", names)
+    run = lambda dims: ((-math.inf, math.inf), {0: (0.5, 2.0)})
+    run.entries = {}
+    monkeypatch.setitem(e.tape.__dict__, "clarke", run)
+    box = Box.from_pairs([(0.0, 1.0), (-1.0, 1.0), (0.5, 2.0)])
+    with pytest.raises(UnboundedBothSides) as caught:
+        clarke_jacobian_bounds([parse_expr("x1", names), e], box, {(1, 2): Interval(0.0, 1.0)})
+    assert str(caught.value) == "Clarke bounds unbounded on both sides at [(1, 1)]"
+
+
 def test_integer_box_ends_come_out_as_floats():
     # a box given as ints computes like one given as floats: through the
     # scalar engines as through the lanes
@@ -460,13 +509,13 @@ def test_embedding_derivative_is_bit_identical():
         for xu, xl in _stages(model, rng):
             for method in methods:
                 try:
-                    du, dl = _embedding_derivative(model, method, xu, xl)
+                    derivative = _embedding_field(model, method)(xu + xl)
                 except NotSignStable as exc:
                     h.update(f"NotSignStable{exc.entries}".encode())
                 except Exception as exc:  # the error type is part of the pinned behaviour
                     h.update(type(exc).__name__.encode())
                 else:
-                    for x in du + dl:
+                    for x in derivative:
                         h.update(float(x).hex().encode())
     assert h.hexdigest() == EMBEDDING_DIGEST
 
