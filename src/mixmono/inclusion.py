@@ -140,12 +140,12 @@ def _centered(
     midpoint; a value f_i(m) past the largest float rounds outward, and a
     NaN one gives the whole line."""
     m = box.midpoint()
+    devs = [d - Interval.point(x) for d, x in zip(box, m)]
     dims = []
     for i, e in enumerate(f):
         v = eval_point(e, m)
         acc = Interval(*outward(v, v)) if v == v else Interval(-math.inf, math.inf)
-        for j, entry in enumerate(slopes(i)):
-            dev = box[j] - Interval.point(m[j])
+        for entry, dev in zip(slopes(i), devs):
             acc = acc + entry * dev
         dims.append(acc)
     return Box(dims)
@@ -162,12 +162,18 @@ def t_m_inclusion(f: Sequence[Expr], jac_provider: JacProvider, box: Box) -> Box
 
     Coordinate j's slope interval is evaluated over the sub-box whose first j
     coordinates are full and whose remaining coordinates are pinned at the
-    midpoint, which tightens the plain centered form.
+    midpoint, which tightens the plain centered form.  Sub-box j shares sub-box
+    j - 1's Jacobian where coordinate j is m_j already, signed zeros included.
     """
     m = box.midpoint()
     n = len(box)
     sub_jacs = []
     for j in range(n):
+        d, x = box[j], m[j]
+        if j and d.lo == d.hi == x and (math.copysign(1.0, d.lo) == math.copysign(1.0, d.hi)
+                                        == math.copysign(1.0, x)):
+            sub_jacs.append(sub_jacs[-1])
+            continue
         sub = Box(
             box[t] if t <= j else Interval.point(m[t]) for t in range(n)
         )

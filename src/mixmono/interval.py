@@ -22,6 +22,11 @@ Ends lie in the extended reals (IEEE Std 1788-2015's set-based model):
 [lo, hi] is the set of reals between them, and [0, 0] * [-inf, inf] is
 [0, 0].  A finite result past the largest float rounds outward, to +-inf on
 its own side and to +-MAXF on the other (`outward`, also for decomp's rows).
+
+Ends are checked where they enter, by the constructor and `Interval.point`.
+The operators build their results unchecked (`_iv`): from valid operands, an
+end rounded outward never crosses its partner or reaches the infinity on its
+wrong side, as overflow there stops at +-MAXF.
 """
 
 from __future__ import annotations
@@ -111,21 +116,25 @@ def outward(lo: float, hi: float) -> tuple[float, float]:
     return (_MAXF if lo > _MAXF else lo), (-_MAXF if hi < -_MAXF else hi)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Interval:
     """The set of reals x with lo <= x <= hi: lo < inf and hi > -inf, so
-    NaN, lo > hi and the empty [inf, inf] and [-inf, -inf] are rejected."""
+    the constructor and `point` reject NaN, lo > hi and the empty [inf, inf]
+    and [-inf, -inf].  The operators' results skip this check (`_iv`): valid
+    operands' ends, rounded outward, stay valid."""
 
     lo: float
     hi: float
 
-    def __post_init__(self):
-        if not _NEG < self.hi >= self.lo < _POS:
-            raise DomainError(f"interval ends are NaN, inverted or empty: [{self.lo}, {self.hi}]")
+    def __init__(self, lo: float, hi: float):
+        if not _NEG < hi >= lo < _POS:
+            raise DomainError(f"interval ends are NaN, inverted or empty: [{lo}, {hi}]")
+        _set_lo(self, lo)
+        _set_hi(self, hi)
 
     @staticmethod
     def point(x: float) -> "Interval":
-        return Interval(x, x)
+        return _iv(x, x) if _NEG < x < _POS else Interval(x, x)
 
     @property
     def width(self) -> float:
@@ -159,13 +168,13 @@ class Interval:
     # --- arithmetic -------------------------------------------------
 
     def __add__(self, other: "Interval") -> "Interval":
-        return Interval(_add(self.lo, other.lo, _NEG), _add(self.hi, other.hi, _POS))
+        return _iv(_add(self.lo, other.lo, _NEG), _add(self.hi, other.hi, _POS))
 
     def __sub__(self, other: "Interval") -> "Interval":
-        return Interval(_add(self.lo, -other.hi, _NEG), _add(self.hi, -other.lo, _POS))
+        return _iv(_add(self.lo, -other.hi, _NEG), _add(self.hi, -other.lo, _POS))
 
     def __neg__(self) -> "Interval":
-        return Interval(-self.hi, -self.lo)
+        return _iv(-self.hi, -self.lo)
 
     def __mul__(self, other: "Interval") -> "Interval":
         # the corner that attains each end follows from the signs; y is an
@@ -173,37 +182,48 @@ class Interval:
         x, y = (self, other) if other.lo >= 0.0 or other.hi <= 0.0 else (other, self)
         a, b, c, d = x.lo, x.hi, y.lo, y.hi
         if c >= 0.0:
-            return Interval(_mul(a, c if a >= 0.0 else d, _NEG),
-                            _mul(b, d if b >= 0.0 else c, _POS))
+            return _iv(_mul(a, c if a >= 0.0 else d, _NEG),
+                       _mul(b, d if b >= 0.0 else c, _POS))
         if d <= 0.0:
-            return Interval(_mul(b, c if b >= 0.0 else d, _NEG),
-                            _mul(a, d if a >= 0.0 else c, _POS))
-        return Interval(min(_mul(a, d, _NEG), _mul(b, c, _NEG)),
-                        max(_mul(a, c, _POS), _mul(b, d, _POS)))
+            return _iv(_mul(b, c if b >= 0.0 else d, _NEG),
+                       _mul(a, d if a >= 0.0 else c, _POS))
+        return _iv(min(_mul(a, d, _NEG), _mul(b, c, _NEG)),
+                   max(_mul(a, c, _POS), _mul(b, d, _POS)))
 
     def __truediv__(self, other: "Interval") -> "Interval":
         a, b, c, d = self.lo, self.hi, other.lo, other.hi
         if c > 0.0:
-            return Interval(_div(a, d if a >= 0.0 else c, _NEG),
-                            _div(b, c if b >= 0.0 else d, _POS))
+            return _iv(_div(a, d if a >= 0.0 else c, _NEG),
+                       _div(b, c if b >= 0.0 else d, _POS))
         if d < 0.0:
-            return Interval(_div(b, d if b >= 0.0 else c, _NEG),
-                            _div(a, c if a >= 0.0 else d, _POS))
+            return _iv(_div(b, d if b >= 0.0 else c, _NEG),
+                       _div(a, c if a >= 0.0 else d, _POS))
         raise DivisionByZeroInterval(f"divisor {other} contains zero")
 
     def scale(self, a: float) -> "Interval":
         lo, hi = (self.lo, self.hi) if a >= 0.0 else (self.hi, self.lo)
-        return Interval(_mul(a, lo, _NEG), _mul(a, hi, _POS))
+        return _iv(_mul(a, lo, _NEG), _mul(a, hi, _POS))
 
     def hull(self, other: "Interval") -> "Interval":
-        return Interval(min(self.lo, other.lo), max(self.hi, other.hi))
+        return _iv(min(self.lo, other.lo), max(self.hi, other.hi))
 
     def intersect(self, other: "Interval") -> "Interval | None":
         lo, hi = max(self.lo, other.lo), min(self.hi, other.hi)
-        return None if lo > hi else Interval(lo, hi)
+        return None if lo > hi else _iv(lo, hi)
 
     def __repr__(self) -> str:
         return f"[{self.lo:g}, {self.hi:g}]"
+
+
+_set_lo, _set_hi = Interval.lo.__set__, Interval.hi.__set__
+
+
+def _iv(lo: float, hi: float) -> Interval:
+    """Interval(lo, hi) without the check, for ends known to be valid."""
+    iv = object.__new__(Interval)
+    _set_lo(iv, lo)
+    _set_hi(iv, hi)
+    return iv
 
 
 def _pow_float(x: float, n: int) -> float:
@@ -220,23 +240,23 @@ def ipow(x: Interval, n: int) -> Interval:
     go through interval division (and hence reject 0-containing bases).
     """
     if n == 0:
-        return Interval(1.0, 1.0)
+        return _iv(1.0, 1.0)
     if n == 1:
         return x
     if n < 0:
-        return Interval(1.0, 1.0) / ipow(x, -n)
+        return _iv(1.0, 1.0) / ipow(x, -n)
     # even powers fall over the negatives, so there the ends swap
     lo, hi = (x.hi, x.lo) if n % 2 == 0 and x.hi < 0.0 else (x.lo, x.hi)
     if n % 2 == 0 and lo <= 0.0 <= hi:
-        return Interval(0.0, max(_pow(lo, n, _POS), _pow(hi, n, _POS)))
-    return Interval(_pow(lo, n, _NEG), _pow(hi, n, _POS))
+        return _iv(0.0, max(_pow(lo, n, _POS), _pow(hi, n, _POS)))
+    return _iv(_pow(lo, n, _NEG), _pow(hi, n, _POS))
 
 
 def isqrt(x: Interval) -> Interval:
     if x.lo < 0.0:
         raise DomainError(f"sqrt of interval with negative lower bound: {x}")
     lo, hi = math.sqrt(x.lo), math.sqrt(x.hi)
-    return Interval(_quotient(lo, lo, x.lo, _NEG), _quotient(hi, hi, x.hi, _POS))
+    return _iv(_quotient(lo, lo, x.lo, _NEG), _quotient(hi, hi, x.hi, _POS))
 
 
 def _exp_float(x: float) -> float:
@@ -247,7 +267,7 @@ def _exp_float(x: float) -> float:
 
 
 def iexp(x: Interval) -> Interval:
-    return Interval(max(0.0, _libm(_exp_float(x.lo), _NEG)), _libm(_exp_float(x.hi), _POS))
+    return _iv(max(0.0, _libm(_exp_float(x.lo), _NEG)), _libm(_exp_float(x.hi), _POS))
 
 
 def _libm_out(lo: float, hi: float) -> tuple[float, float]:
@@ -259,7 +279,7 @@ def _libm_out(lo: float, hi: float) -> tuple[float, float]:
 
 
 def iarctan(x: Interval) -> Interval:
-    return Interval(*_libm_out(math.atan(x.lo), math.atan(x.hi)))
+    return _iv(*_libm_out(math.atan(x.lo), math.atan(x.hi)))
 
 
 def iabs(x: Interval) -> Interval:
@@ -267,22 +287,22 @@ def iabs(x: Interval) -> Interval:
         return x
     if x.hi <= 0.0:
         return -x
-    return Interval(0.0, max(-x.lo, x.hi))
+    return _iv(0.0, max(-x.lo, x.hi))
 
 
 def imin(x: Interval, y: Interval) -> Interval:
-    return Interval(min(x.lo, y.lo), min(x.hi, y.hi))
+    return _iv(min(x.lo, y.lo), min(x.hi, y.hi))
 
 
 def imax(x: Interval, y: Interval) -> Interval:
-    return Interval(max(x.lo, y.lo), max(x.hi, y.hi))
+    return _iv(max(x.lo, y.lo), max(x.hi, y.hi))
 
 
 def _trig_range(x: Interval, fn, crest_phase: float, trough_phase: float) -> Interval:
     """Range of sin/cos over x: endpoint values plus any interior extrema.
     An unbounded x holds whole periods (and libm raises on inf)."""
     if not x.finite_both:
-        return Interval(-1.0, 1.0)
+        return _iv(-1.0, 1.0)
     a, b = fn(x.lo), fn(x.hi)
     lo, hi = _libm_out(a, b) if a <= b else _libm_out(b, a)
     # k*2pi + phase inside [x.lo, x.hi] pins the extremum at +-1
@@ -290,7 +310,7 @@ def _trig_range(x: Interval, fn, crest_phase: float, trough_phase: float) -> Int
         hi = 1.0
     if _phase_inside(x, trough_phase):
         lo = -1.0
-    return Interval(max(lo, -1.0), min(hi, 1.0))
+    return _iv(max(lo, -1.0), min(hi, 1.0))
 
 
 def _phase_inside(x: Interval, phase: float) -> bool:
@@ -324,6 +344,9 @@ class Box:
 
     def __setattr__(self, name, value):
         raise AttributeError("Box is immutable")
+
+    def __reduce__(self):  # pickle and copy rebuild it, as __setattr__ blocks a slot restore
+        return Box, (self.dims,)
 
     # The constructors store float ends, so a box given as ints computes
     # and prints like one given as floats; 1.0 * x keeps a -0.0 and, unlike

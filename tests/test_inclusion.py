@@ -71,6 +71,22 @@ class TestIndividualMethods:
         assert box_subset(oracle, tm, slack=1e-9)
         assert tm[0].width <= tc[0].width + 1e-12
 
+    def test_mixed_centered_shares_only_bit_identical_sub_boxes(self):
+        # x2 = [-0, -0] is its midpoint, so sub-box 1 is sub-box 0; x3 =
+        # [0, -0] has the midpoint 0.0, whose sign differs from its upper
+        # end, and x4 = [2, 2] is its midpoint again
+        exprs = [parse_expr("x1*x2 + x3*x4 + x1*x3", ["x1", "x2", "x3", "x4"])]
+        box = Box.from_pairs([(-1, 1), (-0.0, -0.0), (0.0, -0.0), (2, 2)])
+        seen = []
+
+        def provider(sub):
+            seen.append(tuple((d.lo, d.hi, math.copysign(1.0, d.hi)) for d in sub))
+            return clarke_jacobian_bounds(exprs, sub)
+
+        t_m_inclusion(exprs, provider, box)
+        assert seen == [((-1.0, 1.0, 1.0), (-0.0, -0.0, -1.0), (0.0, 0.0, 1.0), (2.0, 2.0, 1.0)),
+                        ((-1.0, 1.0, 1.0), (-0.0, -0.0, -1.0), (0.0, -0.0, -1.0), (2.0, 2.0, 1.0))]
+
     def test_centered_nan_midpoint_value_gives_the_whole_line(self):
         # the slope bounds are finite, but both products are past the
         # largest float at the midpoint, where inf - inf is NaN

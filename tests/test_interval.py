@@ -2,15 +2,22 @@
 
 from __future__ import annotations
 
+import copy
+import hashlib
+import itertools
 import math
+import operator
+import pickle
+import struct
 import sys
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mixmono import Box, Interval, hausdorff_q
+from mixmono import NATURAL, Box, Interval, hausdorff_q, load_bundled, reach_tube
 from mixmono.errors import DimensionMismatch, DivisionByZeroInterval, DomainError
 from mixmono.interval import (
     hausdorff_q_interval,
@@ -54,10 +61,30 @@ class TestIntervalBasics:
         assert Interval(-FMAX, FMAX).finite_both
 
     @pytest.mark.parametrize("lo,hi", [(math.inf, math.inf), (-math.inf, -math.inf),
-                                       (math.nan, math.inf), (-math.inf, math.nan)])
+                                       (math.nan, math.inf), (-math.inf, math.nan),
+                                       (1.0, math.nan), (2.0, 1.0)])
     def test_empty_and_nan_rejected(self, lo, hi):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError) as caught:
             Interval(lo, hi)
+        assert str(caught.value) == f"interval ends are NaN, inverted or empty: [{lo}, {hi}]"
+
+    @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+    def test_point_rejects_what_the_constructor_rejects(self, x):
+        with pytest.raises(DomainError) as caught:
+            Interval.point(x)
+        assert str(caught.value) == f"interval ends are NaN, inverted or empty: [{x}, {x}]"
+
+    def test_frozen_equality_hash_and_repr(self):
+        v = Interval(-0.0, 2.5)
+        with pytest.raises(FrozenInstanceError):
+            v.lo = 1.0
+        assert v == Interval(0.0, 2.5) and v != Interval(0.0, 3.0) and v != (0.0, 2.5)
+        assert hash(v) == hash(Interval(0.0, 2.5)) == hash((0.0, 2.5))
+        assert repr(v) == "[-0, 2.5]" and repr(Interval.point(1e300)) == "[1e+300, 1e+300]"
+
+    def test_slotted(self):
+        # an interval holds its two ends and no instance dict
+        assert Interval.__slots__ == ("lo", "hi") and not hasattr(Interval(1.0, 2.0), "__dict__")
 
     def test_overflow_rule(self):
         # a finite overflow rounds outward; an end on its own side stays
@@ -223,6 +250,53 @@ class TestElementary:
         assert v.lo - 1e-12 <= math.sin(x) <= v.hi + 1e-12
 
 
+# ends that probe every special case of the extended reals: infinities, the
+# largest float, a product that overflows, small integers, the smallest
+# normal and subnormal floats and both zeros
+GRID_ENDS = [s * x for x in (math.inf, FMAX, 1e300, 3.0, 1.0, 0.5,
+                             2.2250738585072014e-308, 5e-324, 0.0) for s in (1.0, -1.0)]
+GRID = [Interval(lo, hi) for lo in GRID_ENDS for hi in GRID_ENDS
+        if -math.inf < hi >= lo < math.inf]
+GRID_UNARY = [operator.neg, isqrt, iexp, iarctan, iabs, isin, icos,
+              *(lambda x, n=n: ipow(x, n) for n in range(-3, 6))]
+GRID_BINARY = [operator.add, operator.sub, operator.mul, operator.truediv,
+               Interval.hull, Interval.intersect, imin, imax]
+# sha256 of every grid result, recorded before the operators built their
+# results without the constructor's check
+GRID_DIGEST = "8700a3e07fc25c62e5b1fff0de10995ef85e32fb9de38b61f512e12974a02698"
+
+
+def _grid_results():
+    def run(fn, *args):
+        try:
+            return fn(*args)
+        except Exception as exc:  # the error class is part of the result
+            return exc
+    yield from (run(Interval.point, x) for x in GRID_ENDS + [math.nan])
+    for x in GRID:
+        yield from (run(fn, x) for fn in GRID_UNARY)
+        yield from (run(x.scale, a) for a in GRID_ENDS + [math.nan])
+    for x, y in itertools.product(GRID, repeat=2):
+        yield from (run(fn, x, y) for fn in GRID_BINARY)
+
+
+class TestSpecialValueGrid:
+    def test_every_operator_result_is_a_valid_interval(self):
+        assert len(GRID) == 170
+        h, count, invalid = hashlib.sha256(), 0, []
+        for r in _grid_results():
+            count += 1
+            if isinstance(r, Interval):
+                if not -math.inf < r.hi >= r.lo < math.inf:
+                    invalid.append((r.lo, r.hi))
+                h.update(struct.pack("<2d", r.lo, r.hi))
+            else:
+                h.update(b"None" if r is None else type(r).__name__.encode())
+        assert count == 237169
+        assert invalid == []
+        assert h.hexdigest() == GRID_DIGEST
+
+
 class TestBox:
     def test_from_bounds_and_accessors(self):
         b = Box.from_bounds([0.0, -1.0], [1.0, 2.0])
@@ -266,6 +340,19 @@ class TestBox:
     def test_point_box(self):
         b = Box.point([1.0, 2.0])
         assert b.widths() == (0.0, 0.0)
+
+    def test_pickle_and_copy(self):
+        model = load_bundled("unicycle")
+        box = Box.from_pairs([(-0.0, 1), (-math.inf, 3)])
+        for clone in (lambda x: pickle.loads(pickle.dumps(x)), copy.copy, copy.deepcopy):
+            for x in (box, Interval(1.0, 2.0), model):
+                y = clone(x)
+                assert y == x and type(y) is type(x)
+            assert math.copysign(1.0, clone(box)[0].lo) == -1.0
+            with pytest.raises(AttributeError):
+                clone(box).dims = ()
+        copied = copy.deepcopy(model)
+        assert reach_tube(copied, NATURAL, 1).final == reach_tube(model, NATURAL, 1).final
 
 
 class TestHausdorff:

@@ -203,17 +203,17 @@ class TestContinuousReach:
 
     @pytest.mark.parametrize("method, rows", [
         (CENTERED, {1: 480}),
-        (MIXED_CENTERED, {1: 2400}),
+        (MIXED_CENTERED, {1: 2080}),
         (best_of_method([CENTERED, MIXED_CENTERED, REMAINDER]), {1: 2080, 3: 80}),
     ])
     def test_pinned_faces_evaluate_their_own_row_alone(self, monkeypatch, method, rows):
         # each face of row i reads row i of the Jacobian: 2 steps of 10
         # substeps, 4 RK4 stages, 3 rows, 2 faces, and one Jacobian per face
-        # (centered) or one per column of its 5 (mixed_centered).  best_of's
-        # members share each box's row: centered's faces are mixed_centered's
-        # last sub-boxes, and row i's sub-boxes i - 1 and i are one box, as
-        # coordinate i is pinned in both; remainder reads the hull's whole
-        # Jacobian once per stage
+        # (centered) or one per distinct sub-box of its 5 (mixed_centered):
+        # row i's sub-boxes i - 1 and i are one box, as coordinate i is pinned
+        # in both, so rows 1 and 2 read 4.  best_of's members share each box's
+        # row: centered's faces are mixed_centered's last sub-boxes; remainder
+        # reads the hull's whole Jacobian once per stage
         model = load_bundled("ct_abate")
         counted = []
         real = inclusion.clarke_jacobian_bounds
