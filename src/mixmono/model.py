@@ -221,6 +221,8 @@ def parse_model(text: str) -> SystemModel:
             )
         if any(len(row) != len(noise) for row in V):
             raise ValidationError("noisematrix column count does not match noise box")
+        if any(math.isnan(c) for row in V for c in row):
+            raise ValidationError(f"noisematrix holds NaN (line {vm_line})")
         observation = Observation(
             exprs=tuple(obs_exprs),
             names=tuple(obs_names),

@@ -46,6 +46,8 @@ def measurement_to_constraint(
         )
     if any(a > b for a, b in zip(v_lo, v_hi)):
         raise ValidationError("noise bounds inverted")
+    if any(math.isnan(float(c)) for row in V for c in row):
+        raise ValidationError("noise matrix holds NaN")  # scale(nan) would drop the term
     noise = [Interval(float(a), float(b)) for a, b in zip(v_lo, v_hi)]
     rows = []
     for y_r, V_r in zip(y, V):

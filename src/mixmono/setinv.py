@@ -7,11 +7,17 @@ chosen inclusion engine proves its image misses the target entirely, so the
 result always contains every consistent point of the prior.
 
 The sweep keeps the probe box as two float lists, its lower and upper ends.
-A decomposition engine tests a probe by `decompose` on those lists against
-the one Jacobian bound of the prior, through `outward_rows`, the overflow
-rule and InvertedBounds check of `enclose`; every other engine, and best_of,
-gets a Box built from the ends and goes through `apply_method`.  The boxes
-are the same either way, bit for bit.
+With a decomposition engine the whole prior goes through `decompose`, which
+builds each row's candidates (kept on the prior's one Jacobian bound); each
+later probe evaluates every row by `eval_remainder_upper`/`_lower` on the
+lists directly, with one memo of corner values per row and call, through
+the overflow rule and InvertedBounds check of `outward_rows`.  A probe moves
+one end of one coordinate, so most corners are an earlier probe's; a memo
+entry is read on an exact key match only, so a corner with a zero coordinate
+of either sign is evaluated afresh, and a NaN value still takes the full
+candidate loop.  Every other engine, and best_of, gets a Box built from the
+ends and goes through `apply_method`.  The boxes are the same either way, bit
+for bit.
 """
 
 from __future__ import annotations
@@ -20,7 +26,8 @@ import operator
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .decomp import SELECTORS, decompose, outward_rows
+from .decomp import (SELECTORS, decompose, eval_remainder_lower, eval_remainder_upper,
+                     outward_rows, row_candidates)
 from .errors import DimensionMismatch, EmptySolution, ValidationError
 from .expr import Expr, JacobianBounds
 from .inclusion import REMAINDER, MethodId, apply_method
@@ -82,25 +89,33 @@ def set_invert(
         if not lo <= hi:
             raise ValidationError(f"constraint bounds NaN or inverted: [{lo}, {hi}]")
 
-    method = cfg.method
+    method, lo, hi = cfg.method, list(prior.lo), list(prior.hi)
     if method.kind in SELECTORS:
+        kind = method.kind
+        # decompose builds each row's candidates, raising in enclose's order
+        whole = outward_rows(decompose(nu, jac, kind, hi, lo), kind)
+        rows = [(f_i, row_candidates(jac, kind, i), {}) for i, f_i in enumerate(nu)]
+
         def bounds(lo, hi):
-            return outward_rows(decompose(nu, jac, method.kind, hi, lo), method.kind)
+            ab, ba = (*hi, *lo), (*lo, *hi)
+            return outward_rows([(eval_remainder_upper(cands, f_i, hi, lo, ab, memo),
+                                  eval_remainder_lower(cands, f_i, hi, lo, ba, memo))
+                                 for f_i, cands, memo in rows], kind)
     else:
         provider = lambda _box: jac  # sound: bounds over the prior cover sub-boxes
 
         def bounds(lo, hi):
             return [(d.lo, d.hi) for d in apply_method(method, nu, Box(map(Interval, lo, hi)),
                                                         provider)]
+        whole = bounds(lo, hi)
 
-    def ruled_out(lo, hi) -> bool:
-        for (lower, upper), a, b in zip(bounds(lo, hi), y_lo, y_hi):
+    def misses(enclosure) -> bool:
+        for (lower, upper), a, b in zip(enclosure, y_lo, y_hi):
             if upper < a or lower > b:
                 return True
         return False
 
-    lo, hi = list(prior.lo), list(prior.hi)
-    if ruled_out(lo, hi):
+    if misses(whole):
         raise EmptySolution("the full prior box is inconsistent with the constraint")
 
     def edge(i: int, a: float, b: float, lower: bool) -> float:
@@ -110,7 +125,7 @@ def set_invert(
             if not a < m < b and not a < (m := 0.5 * a + 0.5 * b) < b:
                 break  # epsilon is below the local float resolution
             lo[i], hi[i] = (a, m) if lower else (m, b)
-            if ruled_out(lo, hi) is lower:
+            if misses(bounds(lo, hi)) is lower:
                 a = m
             else:
                 b = m

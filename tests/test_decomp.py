@@ -12,6 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mixmono import (
+    JACOBIAN_SIGN,
+    REMAINDER,
+    TIGHT_VERTEX,
     Box,
     Branch,
     Interval,
@@ -20,6 +23,7 @@ from mixmono import (
     error_bounds,
     eval_point,
     parse_expr,
+    parse_model,
     supporting_vectors,
     t_l_inclusion,
     t_o_vertex_inclusion,
@@ -36,11 +40,13 @@ from mixmono.decomp import (
 from mixmono.errors import (
     CandidateExplosion,
     DimensionMismatch,
+    DomainError,
     InvertedBounds,
     NotSignStable,
     UnboundedBothSides,
 )
 from mixmono.expr import ZERO_PARTIAL
+from mixmono.reach import _embedding_field
 
 from conftest import box_subset, rand_instance
 
@@ -204,6 +210,21 @@ class TestSupportingVectors:
         assert [choice for (choice,) in cands.choices] == [choice for _, choice in table]
 
 
+PINNED_MODEL = """
+system "pin" {
+  time: continuous(dt=0.1);
+  state: a, b;
+  disturbance: w in [[-0.1, 0.1]];
+  dynamics {
+    a' = b*b + w;
+    b' = 0.5*b - a;
+  }
+  init: [[0, 1], [1, 2]];
+  jac_override { f_1/d_1 in [-1, 2]; }
+}
+"""
+
+
 def zip_corner(zero, a, b) -> list[float]:
     """The all-zero vector's zeta_plus, zipped the way _extremum built it
     before it gathered the corner."""
@@ -268,6 +289,29 @@ class TestCornerGather:
             want.append((eval_point(f_i, zip_corner(zero, hi, b_up)),
                          eval_point(f_i, zip_corner(zero, lo, a_lo))))
         assert [[x.hex() for x in row] for row in got] == [[x.hex() for x in r] for r in want]
+
+    @pytest.mark.parametrize("method", [REMAINDER, JACOBIAN_SIGN, TIGHT_VERTEX], ids=str)
+    def test_pinned_row_that_does_not_read_its_coordinate(self, method):
+        # a' reads b and w only, and its override gives column a a slope
+        # spanning 0: the pin still zeroes that slope, and the unpinned
+        # arguments a' takes give the derivative of the pinned ones
+        model = parse_model(PINNED_MODEL)
+        f = model.dynamics
+        assert 0 not in f[0].tape.reads and 1 in f[1].tape.reads
+        y = [1.0, 2.0, 0.0, 1.0]  # upper states, then lower ones
+        hi, lo = (*y[:2], *model.disturbance.hi), (*y[2:], *model.disturbance.lo)
+        jac = model.jac_provider()(Box(map(Interval, lo, hi)))
+        assert jac.row(0)[0] == Interval(-1.0, 2.0)
+        upper, lower = [], []
+        for i, f_i in enumerate(f):
+            cands = row_candidates(jac, method.kind, i, pinned=True)
+            assert cands.row[i] == Interval(0.0, 0.0)
+            b_up, a_lo = list(lo), list(hi)
+            b_up[i], a_lo[i] = hi[i], lo[i]
+            upper.append(eval_remainder_upper(cands, f_i, hi, b_up))
+            lower.append(eval_remainder_lower(cands, f_i, a_lo, lo))
+        got = _embedding_field(model, method)(y)
+        assert list(map(float.hex, got)) == list(map(float.hex, upper + lower))
 
     def test_nan_corner_of_a_wide_row_takes_the_full_product(self):
         # x1 = -1000 at the all-zero vector's corner makes inf - inf; the
@@ -371,6 +415,14 @@ class TestOverflow:
         jac = clarke_jacobian_bounds([f], box)
         for engine in (t_r_inclusion, t_l_inclusion):
             assert engine([f], jac, box)[0] == Interval(-math.inf, math.inf)
+
+    def test_an_unread_infinite_coordinate_is_no_excuse(self):
+        # sqrt(-1) is a domain error wherever x2, which f does not read, is;
+        # so a pinned row may take any value in a column it does not read
+        f = parse_expr("sqrt(x1)", ["x1", "x2"])
+        for x2 in (0.0, math.inf, -math.inf):
+            with pytest.raises(DomainError):
+                eval_point(f, [-1.0, x2])
 
 
 class TestDecompositionFunction:

@@ -23,6 +23,7 @@ from mixmono import (
 )
 from mixmono.reach import TimeSemantics
 from mixmono.errors import IoError, ModelSyntaxError, ValidationError
+from mixmono.cli import main
 from mixmono.model import bundled_models
 
 MINIMAL = """
@@ -106,6 +107,17 @@ class TestParseModel:
         )
         with pytest.raises(ValidationError, match="line 11"):
             parse_model(text)
+
+
+    def test_nan_noise_gain_rejected_with_line(self, tmp_path, capsys):
+        text = model_to_text(load_bundled("unicycle")).replace(
+            "noisematrix: [[1", "noisematrix: [[nan")
+        with pytest.raises(ValidationError, match=r"NaN \(line \d+\)"):
+            parse_model(text)
+        path = tmp_path / "nan_gain.mm"
+        path.write_text(text)
+        assert main(["reach", "--model", str(path), "--steps", "1"]) == 2
+        assert "NaN" in capsys.readouterr().err
 
 
 class TestBundledModels:

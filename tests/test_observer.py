@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -80,6 +81,12 @@ class TestConstraintMapping:
             measurement_to_constraint([0.0, 1.0], [[1.0], [1.0, 2.0]], [0.0], [1.0])
         with pytest.raises(ValidationError):
             measurement_to_constraint([0.0], [[1.0]], [1.0], [0.0])
+
+    def test_nan_gain_rejected(self):
+        # a NaN gain times the noise interval is no bound; it must not drop
+        # the noise term and leave the point y
+        with pytest.raises(ValidationError, match="NaN"):
+            measurement_to_constraint([1.0], [[math.nan]], [-0.5], [0.5])
 
 
 class TestObserve:

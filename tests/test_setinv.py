@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import mixmono.decomp
 import mixmono.setinv
 from mixmono import (
     NATURAL,
@@ -16,7 +17,9 @@ from mixmono import (
     apply_method,
     best_of_method,
     clarke_jacobian_bounds,
+    eval_point,
     eval_vec,
+    load_bundled,
     parse_expr,
     set_invert,
 )
@@ -222,6 +225,14 @@ PROBLEMS = [
     # a degenerate dimension, and one narrower than epsilon
     (["x1*x2 + x2"], [(0.25, 0.25), (0.5, 2)], [0.7], [0.9], {}),
     (["x1 + x2"], [(0.1, 0.1004), (0, 3)], [1.0], [2.0], {}),
+    # signed zero ends: a corner with a zero coordinate is never reused
+    (["exp(x1) + x2", "x1*x2 + x1"], [(-0.0, 1), (0.0, 2)], [1.5, 0.1], [2.5, 1.0], {}),
+    # the second row does not read x1, so a probe that moves x1 leaves its
+    # corners where they were
+    (["x1 + x2", "x2*x2 + 1"], [(0, 2), (0.5, 1.5)], [1.2, 1.5], [2.0, 2.0], {}),
+    # d/dx2 of x1*x2 is x1, which spans 0: tight_vertex refuses the row
+    # (NotSignStable), and the other engines take its candidate loop
+    (["x1*x2", "x2 - x1"], [(-1, 1), (0.5, 2)], [0.2, 0.0], [0.6, 1.0], {}),
     # no point of the prior meets the target: EmptySolution
     (["x1 + x2"], [(0, 1), (0, 1)], [5.0], [6.0], {}),
     # an unsound override (d/dx1 of x1 is 1, not 0): InvertedBounds
@@ -277,3 +288,22 @@ def test_zero_dimensional_prior():
         assert set_invert(nu, jac, prior, [2.0], [3.0], cfg) == prior
         with pytest.raises(EmptySolution):
             set_invert(nu, jac, prior, [3.0], [4.0], cfg)
+
+
+def test_probes_reuse_corner_values(monkeypatch):
+    # one observer update of the unicycle: 37 probes of 4 rows read 296
+    # corner values when every probe evaluates every corner, and 188 with
+    # the whole prior through decompose and the later probes' memo
+    obs = load_bundled("unicycle").observation
+    prior = Box.from_pairs([[0.05, 0.16], [0.15, 0.26], [0.95, 1.06]])
+    y = [eval_point(e, [0.1, 0.2, 1.0]) for e in obs.exprs]
+    jac = clarke_jacobian_bounds(obs.exprs, prior)
+    calls = []
+    real = mixmono.decomp.eval_point
+    monkeypatch.setattr(mixmono.decomp, "eval_point", lambda *args: calls.append(1) or real(*args))
+    out = set_invert(obs.exprs, jac, prior, [v - 0.01 for v in y], [v + 0.01 for v in y],
+                     InversionConfig(epsilon=2e-3))
+    assert len(calls) <= 197
+    assert [x.hex() for d in out for x in (d.lo, d.hi)] == [
+        "0x1.051eb851eb852p-4", "0x1.103d70a3d70a4p-3", "0x1.3333333333333p-3",
+        "0x1.087ae147ae148p-2", "0x1.eacccccccccccp-1", "0x1.0a163d70a3d70p+0"]
