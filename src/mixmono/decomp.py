@@ -219,9 +219,8 @@ def eval_remainder_lower(
 
 def _extremum(candidates: RowCandidates, f_i, a, b, sign: float, ab=None, memo=None) -> float:
     """sign * min over candidates of sign * (f_i(zeta_plus) + m . (zeta_minus - zeta_plus)),
-    the remainder summed from the terms of `_corners`; ab, if given, is (*a, *b).
-    memo maps the all-zero vector's corners to their values; a corner with a
-    zero coordinate (0.0 == -0.0) is never stored, nor is an error."""
+    the remainder summed from the terms of `_corners`; ab, if given, is (*a, *b), and memo
+    the all-zero vector's corner values, never one with a zero (0.0 == -0.0) or an error."""
     # an all-zero slope vector exists only when every coordinate is
     # sign-stable; its corner value is then the exact extremum, so no other
     # candidate can be mathematically better (only spuriously, by rounding)

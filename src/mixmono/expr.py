@@ -134,6 +134,11 @@ _UNARY_FUNCS = ("sin", "cos", "exp", "sqrt", "arctan", "abs")
 _BINARY_FUNCS = ("min", "max")
 
 
+def max_var_index(e: Expr) -> int:
+    """Largest variable index referenced, or -1 for a constant tree."""
+    return e.tape.max_var
+
+
 # ---------------------------------------------------------------------------
 # Parser
 # ---------------------------------------------------------------------------
@@ -487,13 +492,13 @@ class Tape:
     """An expression tree lowered to a flat post-order list of nodes.
 
     nodes[k] is (op, arg, kids): kids are the slots of earlier nodes, arg is
-    the constant, variable index or exponent (None for other ops), and the
-    root is the last node; `reads` holds the variable indices it reads.
-    `point` is straight-line code compiled on first
-    use, one local t<k> per node that is not a leaf; `interval` and `vec`
-    bind its code object to other operators.  `clarke` is a forward pass that
-    carries every node's partials sparsely: a default plus one local per
-    column its subtree reads, so at most one line per node and column.
+    the constant, variable index or exponent (None for other ops), the root
+    is the last node and `reads` the set of variable indices.  `point` is
+    straight-line code compiled on first use, one local t<k> per node that
+    is not a leaf; `interval` and `vec` bind its code object to other
+    operators.  `clarke` is a forward pass that carries every node's partials
+    sparsely: a default plus one local per column its subtree reads, so at
+    most one line per node and column.
     """
 
     def __init__(self, root: Expr):

@@ -21,7 +21,7 @@ from .errors import (
     NonFiniteState,
     ValidationError,
 )
-from .expr import Expr, clarke_jacobian_bounds
+from .expr import Expr, clarke_jacobian_bounds, max_var_index
 from .inclusion import MethodId, _bounds, apply_method, default_jac_provider
 from .interval import Box, Interval
 from .setinv import InversionConfig, set_invert
@@ -81,7 +81,7 @@ class SystemModel:
             raise ValidationError("init/disturbance box dimensions do not match declarations")
         n_z = self.n_x + self.n_w
         for e in self.dynamics:
-            if e.tape.max_var >= n_z:
+            if max_var_index(e) >= n_z:
                 raise ValidationError("dynamics reference an undeclared variable")
         if not 0 < self.dt < math.inf:
             raise ValidationError(f"dt must be positive and finite, got {self.dt}")

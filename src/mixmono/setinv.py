@@ -8,16 +8,13 @@ result always contains every consistent point of the prior.
 
 The sweep keeps the probe box as two float lists, its lower and upper ends.
 With a decomposition engine the whole prior goes through `decompose`, which
-builds each row's candidates (kept on the prior's one Jacobian bound); each
-later probe evaluates every row by `eval_remainder_upper`/`_lower` on the
-lists directly, with one memo of corner values per row and call, through
-the overflow rule and InvertedBounds check of `outward_rows`.  A probe moves
-one end of one coordinate, so most corners are an earlier probe's; a memo
-entry is read on an exact key match only, so a corner with a zero coordinate
-of either sign is evaluated afresh, and a NaN value still takes the full
-candidate loop.  Every other engine, and best_of, gets a Box built from the
-ends and goes through `apply_method`.  The boxes are the same either way, bit
-for bit.
+builds each row's candidates; every later probe evaluates every row by
+`eval_remainder_upper`/`_lower` on the lists, through `outward_rows`' overflow
+rule and InvertedBounds check, with a memo of each row's corner values for
+the call.  A memo entry is read on an exact key match only: a corner with a
+zero coordinate of either sign is evaluated afresh.  Every other engine, and
+best_of, gets a Box built from the ends and goes through `apply_method`.  The
+boxes are the same either way, bit for bit.
 """
 
 from __future__ import annotations
