@@ -197,11 +197,12 @@ def eval_remainder_upper(
     f_i: Expr,
     a: Sequence[float],
     b: Sequence[float],
-    gathered=None, memo=None,
+    memo: dict | None = None,
+    gathered: tuple | None = None,
 ) -> float:
     """min over candidates of f_i(zeta_plus) + m . (zeta_minus - zeta_plus);
-    gathered, if given, is (*a, *b), and memo f_i's corner values (`_extremum`)."""
-    return _extremum(candidates, f_i, a, b, 1.0, gathered, memo)
+    memo, if given, holds f_i's corner values and gathered is (*a, *b) (`_extremum`)."""
+    return _extremum(candidates, f_i, a, b, 1.0, memo, gathered)
 
 
 def eval_remainder_lower(
@@ -209,26 +210,29 @@ def eval_remainder_lower(
     f_i: Expr,
     a: Sequence[float],
     b: Sequence[float],
-    gathered=None, memo=None,
+    memo: dict | None = None,
+    gathered: tuple | None = None,
 ) -> float:
     """max over candidates of f_i(zeta_minus) + m . (zeta_plus - zeta_minus);
-    gathered, if given, is (*b, *a), and memo f_i's corner values (`_extremum`)."""
+    memo, if given, holds f_i's corner values and gathered is (*b, *a) (`_extremum`)."""
     # swapping a and b swaps zeta_plus and zeta_minus
-    return _extremum(candidates, f_i, b, a, -1.0, gathered, memo)
+    return _extremum(candidates, f_i, b, a, -1.0, memo, gathered)
 
 
-def _extremum(candidates: RowCandidates, f_i, a, b, sign: float, ab=None, memo=None) -> float:
+def _extremum(candidates: RowCandidates, f_i, a, b, sign: float, memo=None, ab=None) -> float:
     """sign * min over candidates of sign * (f_i(zeta_plus) + m . (zeta_minus - zeta_plus)),
-    the remainder summed from the terms of `_corners`; ab, if given, is (*a, *b), and memo
-    the all-zero vector's corner values, never one with a zero (0.0 == -0.0) or an error."""
+    the remainder summed from the terms of `_corners`.  memo, given with ab = (*a, *b),
+    maps the all-zero vector's corners to their values; it never holds a corner with
+    a zero (0.0 == -0.0), and an error is never stored."""
     # an all-zero slope vector exists only when every coordinate is
     # sign-stable; its corner value is then the exact extremum, so no other
     # candidate can be mathematically better (only spuriously, by rounding)
     if candidates.zero is not None:
-        z = candidates.corner((*a, *b) if ab is None else ab)
-        if memo is None or (val := memo.get(z)) is None:
+        if memo is None:
+            val = eval_point(f_i, candidates.corner((*a, *b)))
+        elif (val := memo.get(z := candidates.corner(ab))) is None:
             val = eval_point(f_i, z)
-            if memo is not None and 0.0 not in z:
+            if 0.0 not in z:
                 memo[z] = val
         if not math.isnan(val):
             return val
@@ -255,11 +259,9 @@ def decompose(
     (box.hi/box.lo for an enclosure).  With pinned set (the continuous-time
     embedding) row i is pinned: its slope in column i is zero, its upper
     value is taken at (a, b with b[i] = a[i]) and its lower value at (a with
-    a[i] = b[i], b), or at (a, b) if f_i does not read coordinate i, which
-    then enters neither its corner values nor, at the pinned slope zero,
-    their remainder terms.  The tight_vertex stability check reads the same
-    pinned rows, so the pinned entry never fails it.  A row of jac whose
-    column count is not the length of a raises DimensionMismatch.
+    a[i] = b[i], b).  The tight_vertex stability check reads the same pinned
+    rows, so the pinned entry never fails it.  A row of jac whose column
+    count is not the length of a raises DimensionMismatch.
     """
     if kind == "tight_vertex":
         bad = [
@@ -270,21 +272,20 @@ def decompose(
         ]
         if bad:
             raise NotSignStable(bad)
-    ab, ba = (*a, *b), (*b, *a)  # the gathered arguments of an unpinned row
     rows = []
     for i, f_i in enumerate(f):
         cands = row_candidates(jac, kind, i, pinned)
         if len(cands.row) != len(a):
             raise DimensionMismatch(
                 f"row {i} of the bounds has {len(cands.row)} columns, the box {len(a)} dims")
-        if pinned and i in f_i.tape.reads:
-            rows.append((
-                eval_remainder_upper(cands, f_i, a, (*b[:i], a[i], *b[i + 1:])),
-                eval_remainder_lower(cands, f_i, (*a[:i], b[i], *a[i + 1:]), b),
-            ))
-        else:
-            rows.append((eval_remainder_upper(cands, f_i, a, b, ab),
-                         eval_remainder_lower(cands, f_i, a, b, ba)))
+        a_lo, b_up = a, b
+        if pinned:
+            a_lo = (*a[:i], b[i], *a[i + 1:])
+            b_up = (*b[:i], a[i], *b[i + 1:])
+        rows.append((
+            eval_remainder_upper(cands, f_i, a, b_up),
+            eval_remainder_lower(cands, f_i, a_lo, b),
+        ))
     return rows
 
 

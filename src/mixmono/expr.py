@@ -314,11 +314,11 @@ def _fmt(e: Expr, names: Sequence[str], parent_prec: int) -> str:
 
 def eval_point(e: Expr, z: Sequence[float]) -> float:
     """Real evaluation of e at a point; NaN, as in IEEE 754, where libm
-    rejects an infinite coordinate that e reads (cos(inf))."""
+    rejects an infinite coordinate (cos(inf))."""
     try:
         return e.tape.point(z)
     except (ValueError, ZeroDivisionError) as exc:
-        if isinstance(exc, ValueError) and not all(math.isfinite(z[k]) for k in e.tape.reads):
+        if isinstance(exc, ValueError) and not all(map(math.isfinite, z)):
             return math.nan
         raise DomainError(str(exc)) from exc
     except IndexError as exc:
@@ -492,13 +492,12 @@ class Tape:
     """An expression tree lowered to a flat post-order list of nodes.
 
     nodes[k] is (op, arg, kids): kids are the slots of earlier nodes, arg is
-    the constant, variable index or exponent (None for other ops), the root
-    is the last node and `reads` the set of variable indices.  `point` is
-    straight-line code compiled on first use, one local t<k> per node that
-    is not a leaf; `interval` and `vec` bind its code object to other
-    operators.  `clarke` is a forward pass that carries every node's partials
-    sparsely: a default plus one local per column its subtree reads, so at
-    most one line per node and column.
+    the constant, variable index or exponent (None for other ops), and the
+    root is the last node.  `point` is straight-line code compiled on first
+    use, one local t<k> per node that is not a leaf; `interval` and `vec`
+    bind its code object to other operators.  `clarke` is a forward pass that
+    carries every node's partials sparsely: a default plus one local per
+    column its subtree reads, so at most one line per node and column.
     """
 
     def __init__(self, root: Expr):
@@ -527,8 +526,7 @@ class Tape:
 
         lower(root)
         self.nodes = tuple(nodes)
-        self.reads = frozenset(arg for op, arg, _ in nodes if op == "var")
-        self.max_var = max(self.reads, default=-1)
+        self.max_var = max((arg for op, arg, _ in nodes if op == "var"), default=-1)
 
     def _ref(self, k: int) -> str:
         """How the code reads node k's value: a leaf in place, else t<k>."""

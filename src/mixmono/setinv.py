@@ -8,11 +8,11 @@ result always contains every consistent point of the prior.
 
 The sweep keeps the probe box as two float lists, its lower and upper ends.
 With a decomposition engine the whole prior goes through `decompose`, which
-builds each row's candidates; every later probe evaluates every row by
-`eval_remainder_upper`/`_lower` on the lists, through `outward_rows`' overflow
-rule and InvertedBounds check, with a memo of each row's corner values for
-the call.  A memo entry is read on an exact key match only: a corner with a
-zero coordinate of either sign is evaluated afresh.  Every other engine, and
+builds each row's candidates; every later probe gathers its arguments once and
+evaluates every row by `eval_remainder_upper`/`_lower`, through `outward_rows`'
+overflow rule and InvertedBounds check, with a memo of each row's corner values
+for the call.  A memo entry is read on an exact key match only: a corner with
+a zero coordinate of either sign is evaluated afresh.  Every other engine, and
 best_of, gets a Box built from the ends and goes through `apply_method`.  The
 boxes are the same either way, bit for bit.
 """
@@ -95,8 +95,8 @@ def set_invert(
 
         def bounds(lo, hi):
             ab, ba = (*hi, *lo), (*lo, *hi)
-            return outward_rows([(eval_remainder_upper(cands, f_i, hi, lo, ab, memo),
-                                  eval_remainder_lower(cands, f_i, hi, lo, ba, memo))
+            return outward_rows([(eval_remainder_upper(cands, f_i, hi, lo, memo, ab),
+                                  eval_remainder_lower(cands, f_i, hi, lo, memo, ba))
                                  for f_i, cands, memo in rows], kind)
     else:
         provider = lambda _box: jac  # sound: bounds over the prior cover sub-boxes
