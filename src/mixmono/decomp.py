@@ -20,9 +20,10 @@ gatherer per branch pattern (`_gatherer`), shared by every row and call:
 
 `decompose` evaluates that function row by row for discrete-time enclosures
 and, with `pinned`, for the continuous-time embedding: there row i is the
-same function with coordinate i pinned, a zero slope in column i and equal
-arguments there.  `error_bounds` bounds the remainder form's error from the
-same candidates; its a-priori q_upper_hat is the sign-selected remainder.
+same function with coordinate i pinned: a zero slope in column i, whose one
+choice is the lower branch, so no argument is copied.  `error_bounds` bounds
+the remainder form's error from the same candidates; its a-priori
+q_upper_hat is the sign-selected remainder.
 `enclose_lanes` is `enclose` over many boxes at once (the lanes of lanes.py),
 with each box's candidates taken from its bounds by the same rules.
 """
@@ -60,7 +61,7 @@ class Branch(Enum):
 _UPPER, _LOWER = Branch.UPPER, Branch.LOWER
 CANDIDATE_CAP = 2**16
 
-# the slope bound of a pinned coordinate: one candidate value, 0.0
+# the slope bound of a pinned coordinate: one choice, 0.0 (RowCandidates' pin)
 _PINNED = ZERO_PARTIAL
 
 # the decomposition engines, named as their MethodId kinds
@@ -87,6 +88,8 @@ class RowCandidates:
     """A row's supporting vectors, kept as per-coordinate (slope, branch)
     choices; with selected, only the sign-selected vector: each
     coordinate's smallest-magnitude choice, the lower branch on a tie.
+    pin, the column of a pinned row (its entry _PINNED), takes its one
+    choice 0.0 on the lower branch.
 
     One scan of the row's bounds gives zero, the branches of the all-zero
     vector (None when there is none), and the candidate count, and raises
@@ -98,8 +101,8 @@ class RowCandidates:
     all-zero vector, or with a NaN value at its corner, and error_bounds do.
     """
 
-    def __init__(self, row: Sequence[Interval], selected: bool = False):
-        self.row, self.selected = row, selected
+    def __init__(self, row: Sequence[Interval], selected: bool = False, pin: int | None = None):
+        self.row, self.selected, self.pin = row, selected, pin
         zero, count = [], 1
         for entry in row:
             if entry is ZERO_PARTIAL:
@@ -123,13 +126,16 @@ class RowCandidates:
                 if count > CANDIDATE_CAP:
                     raise CandidateExplosion(
                         f"{count}+ supporting-vector candidates exceed cap {CANDIDATE_CAP}")
+        if pin is not None:
+            zero[pin] = _LOWER
         self.zero = None if None in zero else tuple(zero)
         self.count = count
         self.corner = None if self.zero is None else _gatherer(self.zero)
 
     @cached_property
     def choices(self) -> tuple[tuple[tuple[float, Branch], ...], ...]:
-        per_coord = map(_coordinate_choices, self.row)
+        per_coord = [[(0.0, _LOWER)] if j == self.pin else _coordinate_choices(entry)
+                     for j, entry in enumerate(self.row)]
         if self.selected:
             return tuple((min(reversed(c), key=lambda c: abs(c[0])),) for c in per_coord)
         return tuple(map(tuple, per_coord))
@@ -148,9 +154,9 @@ def _gatherer(zero: tuple[Branch, ...]):
     return itemgetter(*index) if n > 1 else lambda ab: tuple(ab[k] for k in index)
 
 
-def supporting_vectors(jac_row: Sequence[Interval]) -> RowCandidates:
-    """Cartesian product of per-coordinate branch choices for one row."""
-    return RowCandidates(jac_row)
+def supporting_vectors(jac_row: Sequence[Interval], pin: int | None = None) -> RowCandidates:
+    """Cartesian product of per-coordinate branch choices for one row; pin as in RowCandidates."""
+    return RowCandidates(jac_row, pin=pin)
 
 
 def _row(jac: JacobianBounds, i: int, pinned: bool) -> tuple[Interval, ...]:
@@ -160,22 +166,23 @@ def _row(jac: JacobianBounds, i: int, pinned: bool) -> tuple[Interval, ...]:
 
 
 def row_candidates(
-    jac: JacobianBounds, kind: str, i: int, pinned: bool = False
+    jac: JacobianBounds, kind: str, i: int, pinned: bool = False, row=None
 ) -> RowCandidates:
     """The candidates the engine `kind` may use in row i of jac.
 
     Built once per (kind, pinned, row) and kept on jac, so every
     decomposition against the same bounds (set_invert's many sub-boxes)
-    reuses them.
+    reuses them; row, if given, is `_row(jac, i, pinned)`.
     """
     key = (kind, pinned, i)
     cands = jac.derived.get(key)
     if cands is None:
-        row = _row(jac, i, pinned)
+        row = _row(jac, i, pinned) if row is None else row
+        pin = i if pinned else None
         if kind == "remainder":
-            cands = supporting_vectors(row)
+            cands = supporting_vectors(row, pin)
         else:
-            cands = RowCandidates(row, selected=True)
+            cands = RowCandidates(row, True, pin)
         jac.derived[key] = cands
     return cands
 
@@ -201,7 +208,7 @@ def eval_remainder_upper(
     gathered: tuple | None = None,
 ) -> float:
     """min over candidates of f_i(zeta_plus) + m . (zeta_minus - zeta_plus);
-    memo, if given, holds f_i's corner values and gathered is (*a, *b) (`_extremum`)."""
+    gathered, if given, is (*a, *b), and memo holds f_i's corner values (`_extremum`)."""
     return _extremum(candidates, f_i, a, b, 1.0, memo, gathered)
 
 
@@ -214,25 +221,24 @@ def eval_remainder_lower(
     gathered: tuple | None = None,
 ) -> float:
     """max over candidates of f_i(zeta_minus) + m . (zeta_plus - zeta_minus);
-    memo, if given, holds f_i's corner values and gathered is (*b, *a) (`_extremum`)."""
+    gathered, if given, is (*b, *a), and memo holds f_i's corner values (`_extremum`)."""
     # swapping a and b swaps zeta_plus and zeta_minus
     return _extremum(candidates, f_i, b, a, -1.0, memo, gathered)
 
 
 def _extremum(candidates: RowCandidates, f_i, a, b, sign: float, memo=None, ab=None) -> float:
     """sign * min over candidates of sign * (f_i(zeta_plus) + m . (zeta_minus - zeta_plus)),
-    the remainder summed from the terms of `_corners`.  memo, given with ab = (*a, *b),
-    maps the all-zero vector's corners to their values; it never holds a corner with
-    a zero (0.0 == -0.0), and an error is never stored."""
+    the remainder summed from the terms of `_corners`.  ab, if given, is (*a, *b); memo,
+    given with ab, maps the all-zero vector's corners to their values; it never holds a
+    corner with a zero (0.0 == -0.0), and an error is never stored."""
     # an all-zero slope vector exists only when every coordinate is
     # sign-stable; its corner value is then the exact extremum, so no other
     # candidate can be mathematically better (only spuriously, by rounding)
     if candidates.zero is not None:
-        if memo is None:
-            val = eval_point(f_i, candidates.corner((*a, *b)))
-        elif (val := memo.get(z := candidates.corner(ab))) is None:
+        z = candidates.corner((*a, *b) if ab is None else ab)
+        if memo is None or (val := memo.get(z)) is None:
             val = eval_point(f_i, z)
-            if 0.0 not in z:
+            if memo is not None and 0.0 not in z:
                 memo[z] = val
         if not math.isnan(val):
             return val
@@ -257,34 +263,29 @@ def decompose(
 
     kind is one of SELECTORS; a/b are the two evaluation arguments
     (box.hi/box.lo for an enclosure).  With pinned set (the continuous-time
-    embedding) row i is pinned: its slope in column i is zero, its upper
-    value is taken at (a, b with b[i] = a[i]) and its lower value at (a with
-    a[i] = b[i], b).  The tight_vertex stability check reads the same pinned
-    rows, so the pinned entry never fails it.  A row of jac whose column
-    count is not the length of a raises DimensionMismatch.
+    embedding) row i is pinned: its slope in column i is zero, on the lower
+    branch, so its upper value is taken at (a, b with b[i] = a[i]) and its
+    lower value at (a with a[i] = b[i], b) with no argument copied.  The
+    tight_vertex stability check reads the same pinned rows, built once, so
+    the pinned entry never fails it.  A row of jac whose column count is not
+    the length of a raises DimensionMismatch.
     """
+    built = None
     if kind == "tight_vertex":
-        bad = [
-            (i, j)
-            for i in range(jac.rows)
-            for j, entry in enumerate(_row(jac, i, pinned))
-            if entry.lo < 0.0 < entry.hi
-        ]
+        built = [_row(jac, i, pinned) for i in range(jac.rows)]
+        bad = [(i, j) for i, row in enumerate(built) for j, entry in enumerate(row)
+               if entry.lo < 0.0 < entry.hi]
         if bad:
             raise NotSignStable(bad)
-    rows = []
+    ab, ba, rows = (*a, *b), (*b, *a), []
     for i, f_i in enumerate(f):
-        cands = row_candidates(jac, kind, i, pinned)
+        cands = row_candidates(jac, kind, i, pinned, built[i] if built else None)
         if len(cands.row) != len(a):
             raise DimensionMismatch(
                 f"row {i} of the bounds has {len(cands.row)} columns, the box {len(a)} dims")
-        a_lo, b_up = a, b
-        if pinned:
-            a_lo = (*a[:i], b[i], *a[i + 1:])
-            b_up = (*b[:i], a[i], *b[i + 1:])
         rows.append((
-            eval_remainder_upper(cands, f_i, a, b_up),
-            eval_remainder_lower(cands, f_i, a_lo, b),
+            eval_remainder_upper(cands, f_i, a, b, None, ab),
+            eval_remainder_lower(cands, f_i, a, b, None, ba),
         ))
     return rows
 

@@ -3,7 +3,9 @@
 Each tree is lowered once, on first use, to a flat post-order `Tape` that
 is kept on the root node (`Expr.tape`).  Its values are straight-line code
 compiled through one op->code table and bound three ways: point values,
-natural interval values, and numpy values over many points (`eval_vec`).
+natural interval values, and numpy values over many points (`eval_vec`).  A
+sum of two terms compiles to two additions, bit for bit the point value of
+fsum, and a longer sum to one fsum call (a left fold of + when bound).
 Clarke-derivative bounds come from one compiled forward pass that carries
 all partials of every node at once (forward-mode interval differentiation),
 and evaluates only what the root's partials read and what can raise.  What
@@ -377,10 +379,8 @@ class JacobianBounds:
         return self.entries[ij[0]][ij[1]]
 
 
-def _row_overrides(overrides: dict | None, i: int, n: int) -> dict:
+def _row_overrides(overrides: dict, i: int, n: int) -> dict:
     """Row i's overridden entries of an n-column Jacobian, {column: bound}."""
-    if not overrides:
-        return {}
     return {j: overrides[(i, j)] for j in range(n) if (i, j) in overrides}
 
 
@@ -408,7 +408,7 @@ def clarke_jacobian_bounds(
     for i, e in enumerate(exprs):
         if e.tape.max_var >= n_z:
             raise DimensionMismatch(f"row {i} references variable outside box")
-        fixed = _row_overrides(overrides, i, n_z)
+        fixed = _row_overrides(overrides, i, n_z) if overrides else {}
         row = [None] * n_z
         if len(fixed) < n_z:
             run = e.tape.clarke
@@ -416,11 +416,13 @@ def clarke_jacobian_bounds(
             prebuilt = run.entries
             # the default is a signed zero pair, so its entry never raises
             row = [prebuilt.get(id(default)) or Interval(*default)] * n_z
+            if fixed:
+                partials = {j: pair for j, pair in partials.items() if j not in fixed}
             for j, pair in partials.items():
-                if j not in fixed:
-                    row[j] = prebuilt.get(id(pair)) or Interval(*pair)
-        for j, entry in fixed.items():
-            row[j] = entry
+                row[j] = prebuilt.get(id(pair)) or Interval(*pair)
+        if fixed:
+            for j, entry in fixed.items():
+                row[j] = entry
         for entry in row:  # the row's positions are listed once one entry has no finite side
             if entry.lo == _NEG and entry.hi == _INF:
                 bad += [(i, j) for j, x in enumerate(row) if x.unbounded_both]
@@ -447,8 +449,10 @@ def _same(value):
 
 
 class _Unit:
-    def __mul__(self, other):  # one * x is x, whatever x is
+    def __mul__(self, other):  # one * x and zero + x are x, whatever x is
         return other
+
+    __add__ = __mul__
 
 
 _UNIT = _Unit()
@@ -457,22 +461,26 @@ _fold_add = partial(reduce, operator.add)  # a left fold of +, called from C
 # op -> code of each value, bound to each name table below.  {0} and {1} are
 # the children, which read a constant as c<k> and a variable as z[j], {arg}
 # the exponent, and {kids} and {prod} the children joined by ", " and " * ".
+# Two terms sum inline (_point_code): for points 0.0 + a + b is fsum((a, b))
+# bit for bit (IEEE + is correctly rounded; 0.0 + makes -0.0 + -0.0 0.0).
 _POINT_CODE = {
     "neg": "-{0}", "sin": "sin({0})", "cos": "cos({0})", "exp": "exp({0})",
     "sqrt": "sqrt({0})", "arctan": "atan({0})", "abs": "abs({0})",
     "pow": "pow_float({0}, {arg})", "div": "div({0}, {1})",
     "min": "min({0}, {1})", "max": "max({0}, {1})", "sum": "fsum(({kids},))",
+    "sum2": "zero + {0} + {1}",
     "prod": "one * {prod}",  # one is 1.0 for points, so integer inputs give a float
 }
 _POINT_NAMES = {
     "sin": math.sin, "cos": math.cos, "exp": _exp_float, "sqrt": math.sqrt, "atan": math.atan,
-    "pow_float": _pow_float, "fsum": _fsum, "div": operator.truediv, "one": 1.0,
+    "pow_float": _pow_float, "fsum": _fsum, "div": operator.truediv, "one": 1.0, "zero": 0.0,
 }
-# the interval operators round each endpoint outward (see interval.py)
+# the interval operators round each endpoint outward (see interval.py); zero
+# and one are identities, so a two-term sum is the + that _fold_add folds
 _INTERVAL_NAMES = {
     "sin": isin, "cos": icos, "exp": iexp, "sqrt": isqrt, "atan": iarctan, "abs": iabs,
     "pow_float": ipow, "fsum": _fold_add, "div": operator.truediv, "min": imin, "max": imax,
-    "one": _UNIT,
+    "one": _UNIT, "zero": _UNIT,
 }
 # numpy's functions, with sums, products and quotients as for intervals; z is
 # the (n_vars, n_points) array of columns, and a constant a 1-entry array
@@ -481,6 +489,10 @@ _VEC_NAMES = {
     "atan": np.arctan, "abs": np.abs, "pow_float": lambda x, n: x ** float(n),
     "min": np.minimum, "max": np.maximum,
 }
+
+
+def _point_code(op: str, n: int) -> str:  # op's value code over n kids
+    return _POINT_CODE["sum2" if op == "sum" and n == 2 else op]
 
 
 def _raises(op: str, arg) -> bool:
@@ -536,7 +548,7 @@ class Tape:
     def _value(self, k: int) -> str:
         op, arg, kids = self.nodes[k]
         a = [self._ref(c) for c in kids]
-        return _POINT_CODE[op].format(*a, arg=arg, kids=", ".join(a), prod=" * ".join(a))
+        return _point_code(op, len(a)).format(*a, arg=arg, kids=", ".join(a), prod=" * ".join(a))
 
     def _namespace(self, names: dict, constant) -> dict:
         """names, and c<k> for each constant: constant of its value."""
@@ -656,7 +668,7 @@ class Tape:
 
         for k, (op, arg, kids) in enumerate(nodes):
             if needed[k] and op not in ("const", "var"):
-                emit(f"t{k}", _fields(_POINT_CODE[op], len(kids), arg),
+                emit(f"t{k}", _fields(_point_code(op, len(kids)), len(kids), arg),
                      [refs[c] for c in kids], _raises(op, arg))
         # local[k][j] names the local holding node k's partial in column j,
         # and local[k][None] the one holding its default

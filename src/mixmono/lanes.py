@@ -37,7 +37,8 @@ Bit identity with the scalar code on clean lanes:
 - `_corner`'s rule is kept: a zero operand gives 0.0 whatever the other is;
 - `math`'s libm functions (sin, cos, exp, atan), `**` and `_fsum` are called
   per lane on Python floats, because numpy's exp and arctan differ from libm
-  in the last bit.  sqrt is correctly rounded in numpy as in math.
+  in the last bit.  sqrt and the sum of two floats are correctly rounded in
+  numpy as in Python, so `_fsum` runs per lane only for longer sums.
 """
 
 from __future__ import annotations
@@ -269,7 +270,7 @@ class _ClarkePass:
     # the names the value lines call them by (expr._INTERVAL_NAMES)
     sin, cos, exp, sqrt, atan, abs, pow_float, min, max = (
         isin, icos, iexp, isqrt, iarctan, iabs, ipow, imin, imax)
-    div, fsum, one = operator.truediv, _fold_add, _UNIT
+    div, fsum, one, zero = operator.truediv, _fold_add, _UNIT, _UNIT
 
     # -- Clarke partials as (2, K) pairs -------------------------------------
 
@@ -356,7 +357,7 @@ class _PointPass:
     """
 
     sin, cos = partial(_each, math.sin), partial(_each, math.cos)
-    sqrt, abs, one = np.sqrt, np.abs, 1.0
+    sqrt, abs, one, zero = np.sqrt, np.abs, 1.0, 0.0
 
     def __init__(self, count: int):
         self.bad = np.zeros(count, dtype=bool)
@@ -426,7 +427,7 @@ def jacobian_lanes(f, overrides, lo: np.ndarray, hi: np.ndarray) -> tuple[np.nda
     entries = np.empty((len(f), n, 2, count))
     bad = np.zeros(count, dtype=bool)
     for i, e in enumerate(f):
-        fixed = _row_overrides(overrides, i, n)
+        fixed = _row_overrides(overrides, i, n) if overrides else {}
         if len(fixed) < n:
             lanes, run = _ClarkePass(count), e.tape.clarke
             default, partials = _run(run.__code__, e.tape, lanes, _CLARKE_NAMES, lanes.constant,

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
 import types
 
 import numpy as np
 import pytest
+
+import mixmono.decomp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,8 +25,10 @@ from mixmono import (
     clarke_jacobian_bounds,
     error_bounds,
     eval_point,
+    load_bundled,
     parse_expr,
     parse_model,
+    reach_tube,
     supporting_vectors,
     t_l_inclusion,
     t_o_vertex_inclusion,
@@ -31,6 +36,7 @@ from mixmono import (
 )
 from mixmono.decomp import (
     CANDIDATE_CAP,
+    SELECTORS,
     RowCandidates,
     decompose,
     eval_remainder_lower,
@@ -330,6 +336,119 @@ class TestCornerGather:
         jac = clarke_jacobian_bounds(f, Box.from_pairs([(0, 1)] * 3))
         with pytest.raises(DimensionMismatch):
             t_r_inclusion(f, jac, Box.from_pairs([(0, 1), (0, 1)]))
+
+
+def pinned_copy_reference(f, jac, kind, a, b):
+    """decompose(f, jac, kind, a, b, pinned=True) by copying the arguments:
+    row i's pinned column keeps ZERO_PARTIAL's upper choice, and its upper
+    value is taken at (a, b with b[i] = a[i]), its lower value at (a with
+    a[i] = b[i], b)."""
+    rows = [jac.row(i)[:i] + (ZERO_PARTIAL,) + jac.row(i)[i + 1:] for i in range(jac.rows)]
+    if kind == "tight_vertex":
+        bad = [(i, j) for i, row in enumerate(rows) for j, e in enumerate(row) if e.lo < 0.0 < e.hi]
+        if bad:
+            raise NotSignStable(bad)
+    out = []
+    for i, f_i in enumerate(f):
+        cands = RowCandidates(rows[i], kind != "remainder")
+        if len(rows[i]) != len(a):
+            raise DimensionMismatch(f"row {i}")
+        b_up, a_lo = (*b[:i], a[i], *b[i + 1:]), (*a[:i], b[i], *a[i + 1:])
+        out.append((eval_remainder_upper(cands, f_i, a, b_up), eval_remainder_lower(cands, f_i, a_lo, b)))
+    return out
+
+
+# rows that read every coordinate or not, with kinks, and one that is
+# inf - inf (NaN) at x1 = -1000, so its candidate loop runs
+PIN_EXPRESSIONS = ("x1 + x2 - x3", "x1*x2 - x3^2", "exp(x3) - x2*x1", "x2*x3",
+                   "abs(x1 - x2)*x3 + min(x2, x3)", "exp(-x1) - exp(-x1) + x2*x3",
+                   "sqrt(x1^2 + 1)*x2 - x1")
+# sign-stable, sign-unstable, signed-zero and half- or fully unbounded slopes
+PIN_ENTRIES = (ZERO_PARTIAL, Interval(0.5, 2.0), Interval(-3.0, -0.5), Interval(0.0, 1.0),
+               Interval(-1.0, -0.0), Interval(-0.0, 0.0), Interval(-1.0, 2.0),
+               Interval(-0.5, 0.25), Interval(-math.inf, 2.0), Interval(1.0, math.inf),
+               Interval(-math.inf, math.inf))
+PIN_VALUES = (1.0, -1.0, 0.0, -0.0, 2.5, -0.5, -1000.0, 1e300)
+
+
+def _outcome(fn, *args):
+    try:
+        return [[x.hex() for x in row] for row in fn(*args)]
+    except Exception as exc:  # the error type is part of the pinned behaviour
+        return type(exc).__name__
+
+
+def _pin_mismatches():
+    """The seeded cases where decompose(pinned=True) and pinned_copy_reference
+    differ, bit for bit or error for error, and every outcome seen."""
+    rng = np.random.default_rng(2406)
+    names = ["x1", "x2", "x3"]
+    exprs = [parse_expr(t, names) for t in PIN_EXPRESSIONS]
+    mismatches, seen = [], set()
+    for _ in range(400):
+        f = [exprs[k] for k in rng.integers(len(exprs), size=3)]
+        # the pinned column draws from every entry, the others from all but
+        # the last, [-inf, inf], nine times in ten
+        entries = [[PIN_ENTRIES[rng.integers(len(PIN_ENTRIES) - (j != i and rng.random() < 0.9))]
+                    for j in range(3)] for i in range(3)]
+        a, b = ([PIN_VALUES[k] for k in rng.integers(len(PIN_VALUES), size=3)] for _ in range(2))
+        for kind in SELECTORS:
+            got = _outcome(decompose, f, JacobianBounds(tuple(map(tuple, entries))), kind, a, b, True)
+            want = _outcome(pinned_copy_reference, f, JacobianBounds(tuple(map(tuple, entries))),
+                            kind, a, b)
+            seen.add(got if isinstance(got, str) else "values")
+            if got != want:
+                mismatches.append((f, entries, kind, a, b, got, want))
+    return mismatches, seen
+
+
+class TestPinnedRows:
+    def test_pin_is_the_copied_arguments_bit_for_bit(self, monkeypatch):
+        # every corner value and candidate loop, so the NaN corners and the
+        # sign-unstable rows are seen
+        values, loops = [], []
+        corners = mixmono.decomp._corners
+        monkeypatch.setattr(mixmono.decomp, "eval_point",
+                            lambda e, z: values.append(eval_point(e, z)) or values[-1])
+        monkeypatch.setattr(mixmono.decomp, "_corners", lambda *args: loops.append(1) or corners(*args))
+        mismatches, seen = _pin_mismatches()
+        assert mismatches == []
+        assert seen == {"values", "NotSignStable", "UnboundedBothSides"}
+        assert any(map(math.isnan, values)) and len(loops) > 100
+
+    def test_pin_on_the_upper_branch_differs(self, monkeypatch):
+        class UpperPin(RowCandidates):
+            def __init__(self, row, selected=False, pin=None):
+                super().__init__(row, selected)  # column pin keeps ZERO_PARTIAL's upper choice
+
+        monkeypatch.setattr("mixmono.decomp.RowCandidates", UpperPin)
+        assert _pin_mismatches()[0]
+
+    def test_tight_vertex_builds_each_row_once(self, monkeypatch):
+        calls = []
+        real = mixmono.decomp._row
+        monkeypatch.setattr(mixmono.decomp, "_row", lambda *args: calls.append(args) or real(*args))
+        tube = reach_tube(load_bundled("ct_abate"), TIGHT_VERTEX, 10)
+        assert len(calls) <= 1200  # 10 steps of 10 substeps, 4 RK4 stages, 3 rows
+        h = hashlib.sha256()
+        for step in tube:
+            for d in step.box:
+                h.update(f"{d.lo.hex()}{d.hi.hex()}".encode())
+        assert h.hexdigest() == CT_ABATE_TUBE_DIGEST
+
+    def test_not_sign_stable_comes_before_a_candidate_error(self):
+        # row 1's [-inf, inf] entry would fail its candidate build
+        f = [parse_expr(t, ["x1", "x2"]) for t in ("x1 + x2", "x1*x2")]
+        jac = JacobianBounds(((Interval(1.0, 2.0),) * 2, (Interval(-math.inf, math.inf),) * 2))
+        for pinned, entries in ((False, [(1, 0), (1, 1)]), (True, [(1, 0)])):
+            with pytest.raises(NotSignStable) as caught:
+                decompose(f, jac, "tight_vertex", (1.0, 1.0), (0.0, 0.0), pinned)
+            assert caught.value.entries == entries
+
+
+# sha256 of the ends of every box of reach_tube(ct_abate, tight_vertex, 10),
+# recorded while decompose built each tight_vertex row twice
+CT_ABATE_TUBE_DIGEST = "bd415fbf7c20fc70e14103a61f25fd1c60b28c2c86849bcc817e0b084e47f64c"
 
 
 class TestCornerPoints:

@@ -207,9 +207,9 @@ class TestErrorBounds:
         builds = []
 
         class Counted(decomp.RowCandidates):
-            def __init__(self, choices):
+            def __init__(self, choices, *args, **kwargs):
                 builds.append(choices)
-                super().__init__(choices)
+                super().__init__(choices, *args, **kwargs)
 
         monkeypatch.setattr(decomp, "RowCandidates", Counted)
         jac = clarke_jacobian_bounds([CUBIC], CUBIC_BOX)

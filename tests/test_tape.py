@@ -4,6 +4,7 @@ and the continuous-time embedding built on it."""
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 import pickle
 
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 import mixmono.decomp
+import mixmono.expr
 import mixmono.inclusion
 from mixmono import (
     CENTERED,
@@ -37,14 +39,15 @@ from mixmono import (
     t_r_inclusion,
 )
 from mixmono.errors import DivisionByZeroInterval, DomainError, NotSignStable, UnboundedBothSides
-from mixmono.expr import ZERO_PARTIAL
+from mixmono.expr import _CLARKE_NAMES, ZERO_PARTIAL, _fold_add, _fsum
 from mixmono.inclusion import _lane_enclosures, subdivide_box
 from mixmono.interval import Interval, isin
-from mixmono.lanes import jacobian_lanes, point_lanes
+from mixmono.lanes import _ClarkePass, _LaneInterval, _run, jacobian_lanes, point_lanes
 from mixmono.model import bundled_models
 from mixmono.reach import _embedding_field
 
 from conftest import rand_instance
+from test_interval import GRID, GRID_ENDS
 
 # sha256 of every value below, recorded when the interval operators began
 # to round outward (the point values are those of the tree-walking
@@ -216,6 +219,71 @@ def test_one_value_code_bound_three_ways():
         tape = parse_expr(text, ["x1", "x2"]).tape
         assert tape.interval.__code__ is tape.point.__code__
         assert tape.vec.__code__ is tape.point.__code__
+
+
+def _bits(x: float) -> str:
+    return "nan" if math.isnan(x) else float(x).hex()
+
+
+def _sum_pairs() -> list[tuple[float, float]]:
+    """The special-value grid's ends and NaN crossed with themselves, then
+    10**4 seeded pairs: random bit patterns, which take every exponent,
+    subnormals, infinities and NaNs among them, and pairs that nearly cancel."""
+    pairs = list(itertools.product([*GRID_ENDS, math.nan], repeat=2))
+    rng = np.random.default_rng(2405)
+    pairs += map(tuple, rng.integers(0, 2**64, size=(5000, 2), dtype=np.uint64).view(np.float64).tolist())
+    a = rng.standard_normal(5000) * 10.0 ** rng.integers(-300, 300, 5000)
+    return pairs + list(zip(a.tolist(), (-a * (1.0 + 1e-12 * rng.standard_normal(5000))).tolist()))
+
+
+def _two_term_sum_mismatches() -> list[tuple[float, float]]:
+    """The pairs at which the point value of x1 + x2, compiled afresh, is not
+    _fsum's bit for bit (NaN as NaN)."""
+    e = parse_expr("x1 + x2", ["x1", "x2"])
+    return [(a, b) for a, b in _sum_pairs() if _bits(eval_point(e, [a, b])) != _bits(_fsum((a, b)))]
+
+
+def test_two_term_sums_add_inline_bit_for_bit():
+    names = parse_expr("x1 + x2", ["x1", "x2"]).tape.point.__code__.co_names
+    assert "zero" in names and "fsum" not in names
+    assert "fsum" in parse_expr("x1 + x2 - 1", ["x1", "x2"]).tape.point.__code__.co_names
+    assert _two_term_sum_mismatches() == []
+
+
+def test_two_term_sums_without_the_leading_zero_differ(monkeypatch):
+    # a + b alone gives -0.0 + -0.0 = -0.0, where fsum gives 0.0
+    monkeypatch.setitem(mixmono.expr._POINT_CODE, "sum2", "{0} + {1}")
+    assert (-0.0, -0.0) in _two_term_sum_mismatches()
+
+
+def test_two_term_sums_bind_to_the_fold():
+    # zero is an identity for the + of intervals, numpy arrays and lane
+    # intervals, so each binding adds as _fold_add does; the corner lanes
+    # add as the scalar point code
+    tape = parse_expr("x1 + x2", ["x1", "x2"]).tape
+    pairs = list(itertools.product(GRID, repeat=2))
+    for x, y in pairs:
+        got, want = tape.interval((x, y)), _fold_add((x, y))
+        assert (got.lo.hex(), got.hi.hex()) == (want.lo.hex(), want.hi.hex())
+    ends = np.array([[[x.lo, x.hi] for x in side] for side in zip(*pairs)])  # (2, K, 2)
+    lanes = _ClarkePass(len(pairs))
+    z = [_LaneInterval(side.T.copy(), lanes) for side in ends]
+    got = _run(tape.point.__code__, tape, lanes, _CLARKE_NAMES, lanes.constant, z)
+    with np.errstate(all="ignore"):  # inf - inf is nan
+        for k in range(2):
+            assert tape.vec(ends[:, :, k]).tobytes() == _fold_add(tuple(ends[:, :, k])).tobytes()
+        assert got.v.tobytes() == _fold_add(tuple(z)).v.tobytes()
+    points = _sum_pairs()
+    values, _ = point_lanes(tape, np.array(points).T)
+    assert list(map(_bits, values.tolist())) == [_bits(_fsum(p)) for p in points]
+
+
+@pytest.mark.parametrize("text", ["x1 + x2", "x1*x2"])
+def test_an_integer_past_the_floats_overflows_in_sums_as_in_products(text):
+    # 0.0 + 10**400 converts the integer to a float, as 1.0 * 10**400 does;
+    # fsum's fallback used to sum it exactly
+    with pytest.raises(OverflowError):
+        eval_point(parse_expr(text, ["x1", "x2"]), [10**400, 1])
 
 
 def test_clarke_pass_evaluates_only_the_intervals_it_reads():
