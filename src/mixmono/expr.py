@@ -11,7 +11,7 @@ all partials of every node at once (forward-mode interval differentiation),
 and evaluates only what the root's partials read and what can raise.  What
 is known when that pass is generated (constants, and every line over known
 values only) is evaluated then, once, so a linear row's partials are
-constants, returned as the same prebuilt entries on every call.
+constants, returned as the same Interval objects on every call.
 lanes.py binds the point and Clarke code once more, to numpy operators that
 run many points or boxes at once.  Trees are immutable; sums and products
 are n-ary and flattened by the parser to keep natural-inclusion dependency
@@ -46,9 +46,9 @@ from .errors import (
     UnknownIdentifier,
 )
 from .interval import (
-    _MAXF,
     Box,
     Interval,
+    _div,
     _exp_float,
     _pow_float,
     iabs,
@@ -60,7 +60,6 @@ from .interval import (
     ipow,
     isin,
     isqrt,
-    outward,
 )
 
 _NEG, _INF = -math.inf, math.inf
@@ -349,9 +348,9 @@ def eval_vec(e: Expr, cols: np.ndarray) -> np.ndarray:
 
 
 # The one entry for a partial that is exactly zero by construction: the
-# pair object Z of the Clarke pass, or a pinned coordinate's slope (decomp).
+# partial Z of the Clarke pass, or a pinned coordinate's slope (decomp).
 # Code that reads bounds may skip it by identity; an equal entry built
-# elsewhere (an override, a computed zero pair) is read like any other.
+# elsewhere (an override, a computed zero) is read like any other.
 ZERO_PARTIAL = Interval(0.0, 0.0)
 _ONE_PARTIAL = Interval(1.0, 1.0)
 
@@ -397,10 +396,10 @@ def clarke_jacobian_bounds(
     overrides replaces individual (row, col) entries, e.g. with tighter
     analytically-known bounds from a model file; a row whose entries are all
     overridden is never evaluated.  A row that reads a variable outside the
-    box raises DimensionMismatch.  Every entry the pass gives as the pair Z
-    is the shared ZERO_PARTIAL, and every partial it folded to a constant an
-    entry built when it compiled, the same object on every call; each entry
-    is still checked for bounds unbounded on both sides on every call.
+    box raises DimensionMismatch.  Every entry the pass folded (Z, the shared
+    ZERO_PARTIAL, and every partial constant over all boxes) is the same
+    object on every call; each entry is checked for bounds unbounded on both
+    sides on every call.
     """
     n_z = len(box)
     rows = []
@@ -411,18 +410,12 @@ def clarke_jacobian_bounds(
         fixed = _row_overrides(overrides, i, n_z) if overrides else {}
         row = [None] * n_z
         if len(fixed) < n_z:
-            run = e.tape.clarke
-            default, partials = run(box.dims)
-            prebuilt = run.entries
-            # the default is a signed zero pair, so its entry never raises
-            row = [prebuilt.get(id(default)) or Interval(*default)] * n_z
-            if fixed:
-                partials = {j: pair for j, pair in partials.items() if j not in fixed}
-            for j, pair in partials.items():
-                row[j] = prebuilt.get(id(pair)) or Interval(*pair)
-        if fixed:
-            for j, entry in fixed.items():
-                row[j] = entry
+            default, partials = e.tape.clarke(box.dims)
+            row = [default] * n_z
+            for j, bound in partials.items():
+                row[j] = bound
+        for j, entry in fixed.items():
+            row[j] = entry
         for entry in row:  # the row's positions are listed once one entry has no finite side
             if entry.lo == _NEG and entry.hi == _INF:
                 bad += [(i, j) for j, x in enumerate(row) if x.unbounded_both]
@@ -584,14 +577,14 @@ class Tape:
     def clarke(self):
         """box.dims -> (default, partials), every Clarke partial of the root.
 
-        partials[j] bounds the j-th partial as a (lo, hi) pair, and every
-        column missing from it equals default.  The code computes the
-        interval values the rules read (_POINT_CODE), then per node its
-        factor (_CLARKE_CODE) and its partial in its default column and in
-        every column its subtree reads.  Partials that are zero by
-        construction are folded, not computed (see _VANISH).  A product by
-        the unit pair and a one-term sum are one normalizing xnorm, and a
-        product with one nonzero term is its chain of xmul.
+        partials[j] bounds the j-th partial as an Interval, and every column
+        missing from it equals default.  The code computes the interval
+        values the rules read (_POINT_CODE), then per node its factor
+        (_CLARKE_CODE) and its partial in its default column and in every
+        column its subtree reads, all with the interval operators, so every
+        end rounds outward.  Partials that are zero by construction are
+        folded, not computed, and a product by the unit partial ONE is its
+        other operand (see _CLARKE_CODE).
 
         Every line whose inputs are all known when the code is generated
         (the constants, Z, ONE and earlier such lines) is evaluated then,
@@ -603,8 +596,8 @@ class Tape:
         Interval for any Interval, its ends in the extended reals.
 
         The function carries `folded`, the values it reads in place of
-        lines, and `entries`, the prebuilt Interval of Z, ONE and each
-        folded partial it returns, keyed by the id of the pair.
+        lines, Z and ONE among them; a folded partial is returned as the same
+        Interval on every call.
         """
         nodes = self.nodes
         # A node's interval value is computed only below an op that reads
@@ -615,13 +608,12 @@ class Tape:
             op, _, kids = nodes[k]
             for c in kids:
                 needed[c] = needed[k] or _CLARKE_CODE[op][0] is not None
-        # known holds every value known now, folded those of folded lines;
-        # zero the names certain to hold a (signed) zero pair, and normal
-        # those whose pairs hold no -0.0
-        known = {"Z": _Z, "ONE": _ONE, **self._namespace({}, Interval.point)}
+        # known holds every value known now, folded those of folded lines,
+        # and zero the names certain to hold a zero interval
+        folded: dict = {"Z": ZERO_PARTIAL, "ONE": _ONE_PARTIAL}
+        known = {**folded, **self._namespace({}, Interval.point)}
         refs = [self._ref(k) for k in range(len(nodes))]
-        folded: dict = {}
-        zero, normal = {"Z"}, {"ONE"}
+        zero = {"Z"}
         lines: list = []  # (name, template over {0}, {1}, ..., the args, stays unread)
 
         def emit(name: str, template: str, args: list, stays: bool = False) -> str:
@@ -632,39 +624,26 @@ class Tape:
                     pass  # the compiled code raises it, in its place
                 else:
                     known[name] = folded[name] = value
-                    if value == _Z:
+                    if value == ZERO_PARTIAL:
                         zero.add(name)
                     return name
             lines.append((name, template, args, stays))
-            if template.startswith(("xnorm(", "xsum(", "xprod(")):
-                normal.add(name)
             return name
 
-        def is_one(x) -> bool:
-            return isinstance(x, str) and known.get(x) == _ONE
+        def is_one(x: str) -> bool:
+            return known.get(x) == _ONE_PARTIAL
 
-        pairs: dict = {}
-
-        def pair(c: int):
-            """Node c's value as a (lo, hi) pair: a name if known, else a part to _nest."""
-            if c not in pairs:
-                ref = refs[c]
-                pairs[c] = emit(f"v{c}", "xfrom({0})", [ref]) if ref in known else ("xfrom({0})", [ref])
-            return pairs[c]
-
-        def chain(name: str, term: str, factors: list) -> str:
-            """_xprod with one nonzero term: the term times each factor in turn,
-            then normalized as its _xadd(Z, .) does."""
-            if not factors:
-                return emit(name, "xnorm({0})", [term])
-            for s, f in enumerate(factors):
-                last = s == len(factors) - 1
-                if is_one(term) or is_one(f):
-                    step = _nest("xnorm({0})", f if is_one(term) else term)
-                else:
-                    step = _nest("xnorm(xmul({0}, {1}))" if last else "xmul({0}, {1})", term, f)
-                term = emit(name if last else f"{name}_{s}", *step)
-            return term
+        def product(name: str, terms: list) -> str:
+            """The sum of terms, each its operands multiplied in turn, as one
+            line; a unit operand is left out."""
+            parts = [[x for x in operands if not is_one(x)] or ["ONE"] for operands in terms]
+            if len(parts) == 1 and len(parts[0]) == 1:
+                return parts[0][0]
+            codes, n = [], 0
+            for operands in parts:
+                codes.append(" * ".join(f"{{{n + i}}}" for i in range(len(operands))))
+                n += len(operands)
+            return emit(name, " + ".join(codes), [x for operands in parts for x in operands])
 
         for k, (op, arg, kids) in enumerate(nodes):
             if needed[k] and op not in ("const", "var"):
@@ -679,44 +658,32 @@ class Tape:
                 continue
             factor, apply = _CLARKE_CODE["pow0" if op == "pow" and arg == 0 else op]
             values = [refs[c] for c in kids]
-            terms = []  # a product's xprod lines, each with the kids whose partial is not Z
             f = f"f{k}"
-            if op == "prod":
-                lines.append((f, None, ([pair(c) for c in kids], terms), False))
-            elif op == "div":
+            if op == "div":
                 emit(f, "ipow({0}, 2)", values[1:])
-            elif factor is not None:
+            elif factor:
                 emit(f, _fields(factor, len(kids), arg), values, _raises(op, arg))
             here = {}
             for j in [None, *sorted(set().union(*(local[c] for c in kids)) - {None})]:
                 a = [local[c].get(j, local[c][None]) for c in kids]
                 name = f"d{k}" if j is None else f"p{k}_{j}"
                 nonzero = [i for i, x in enumerate(a) if x not in zero]
-                if (op in _VANISH and not nonzero or apply == "Z"  # Z: x^0's rule
-                        or op in ("sqrt", "arctan") and a == ["Z"]):
+                if not nonzero or apply == "Z":  # Z: x^0's rule
                     here[j] = "Z"
-                elif op == "sum" and len(nonzero) == 1:  # _xsum(x) is _xadd(Z, x)
-                    x = a[nonzero[0]]
-                    here[j] = x if x in normal else emit(name, "xnorm({0})", [x])
+                elif op == "sum" and len(nonzero) == 1:
+                    here[j] = a[nonzero[0]]
                 elif op == "sum":
                     here[j] = emit(name, _fields(apply, len(nonzero)), [a[i] for i in nonzero])
-                elif op == "prod" and len(nonzero) == 1:
-                    i = nonzero[0]
-                    here[j] = chain(name, a[i], [pair(c) for n, c in enumerate(kids) if n != i])
-                elif op == "prod":
-                    a = ["Z" if x in zero else x for x in a]
-                    here[j] = emit(name, _fields(apply, len(a)), [*a, f])
-                    terms.append((name, nonzero))
+                elif op == "prod":  # the product rule: d_i times every factor but the i-th
+                    here[j] = product(name, [[a[i], *values[:i], *values[i + 1:]] for i in nonzero])
                 elif op == "div":
                     du, dv = (None if x in zero else "ONE" if is_one(x) else x for x in a)
-                    here[j] = emit(name, *_quotient_rule(du, dv, pair(kids[0]), pair(kids[1]), f))
-                elif apply == "xmul({f}, {0})" and is_one(a[0]):
-                    here[j] = emit(name, "xnorm({0})", [f])
+                    here[j] = emit(name, *_quotient_rule(du, dv, *values, f))
+                elif apply == "{f} * {0}":
+                    here[j] = product(name, [[f, a[0]]])
                 else:
                     args = a if factor is None else [*a, f]
                     here[j] = emit(name, _fields(apply, len(a)), args)
-                if not nonzero:
-                    zero.add(here[j])
             local.append(here)
         root = local[-1]
         partials = ", ".join(f"{j}: {name}" for j, name in root.items() if j is not None)
@@ -724,32 +691,21 @@ class Tape:
         live, kept = {*root.values()}, []
         for name, template, args, stays in reversed(lines):
             if stays or name in live:
-                if template is None:  # a product's factors: term i reads all but factor i
-                    factors, terms = args
-                    read = {i for term, kids in terms if term in live for i in kids}
-                    parts = [x if read - {c} else "Z" for c, x in enumerate(factors)]
-                    template, args = _nest("".join(f"{{{c}}}, " for c in range(len(parts))), *parts)
                 live.update(args)
                 kept.append(f"{name} = {template.format(*args)}")
-        bound = {name: value for name, value in folded.items() if name in live}
         run = self._compile({**_CLARKE_NAMES, **{name: known[name] for name in live if name in known}},
                             [*reversed(kept), ret])
-        run.folded, run.entries = bound, dict(_PREBUILT)
-        for value in (bound[name] for name in root.values() if name in bound):
-            if id(value) not in run.entries:
-                try:
-                    run.entries[id(value)] = Interval(*value)
-                except DomainError:  # inverted or NaN: every call raises it
-                    pass
+        run.folded = {name: value for name, value in folded.items() if name in live}
         return run
 
 
 @lru_cache(maxsize=1024)
 def _fields(template: str, n: int, arg=None) -> str:
-    """template over n kids as one over {0}, ..., {n-1}: {kids} and {prod}
-    join them all, {f} is field n and {arg} is filled in."""
+    """template over n kids as one over {0}, ..., {n-1}: {kids}, {prod} and
+    {sum} join them all, {f} is field n and {arg} is filled in."""
     ph = [f"{{{i}}}" for i in range(n)]
-    return template.format(*ph, arg=arg, kids=", ".join(ph), prod=" * ".join(ph), f=f"{{{n}}}")
+    return template.format(*ph, arg=arg, kids=", ".join(ph), prod=" * ".join(ph),
+                           sum=" + ".join(ph), f=f"{{{n}}}")
 
 
 def _nest(template: str, *parts) -> tuple[str, list]:
@@ -764,18 +720,18 @@ def _nest(template: str, *parts) -> tuple[str, list]:
 
 
 def _quotient_rule(du, dv, u, v, w) -> tuple[str, list]:
-    """(u'v - uv') / w over the pairs u and v and w = v^2, with u' and v'
-    None where zero and "ONE" where the unit pair (not both None)."""
+    """(u'v - uv') / w over the values u and v and w = v^2, with u' and v'
+    None where zero (not both); a unit u' or v' is left out."""
     if du is not None:
-        left = _nest("xnorm({0})", v) if du == "ONE" else _nest("xmul({0}, {1})", du, v)
+        left = v if du == "ONE" else _nest("{0} * {1}", du, v)
     if dv is not None:
-        right = _nest("xnorm({0})", u) if dv == "ONE" else _nest("xmul({0}, {1})", u, dv)
+        right = u if dv == "ONE" else _nest("{0} * {1}", u, dv)
     if dv is None:
-        num = left  # _xadd(X, _xneg(Z)) is X bit for bit
+        num = left
     elif du is None:
-        num = _nest("xnorm(xneg({0}))", right)  # _xadd(Z, X) is _xnorm(X)
+        num = _nest("-({0})", right)
     else:
-        num = _nest("xadd({0}, xneg({1}))", left, right)
+        num = _nest("{0} + -({1})", left, right)
     return _nest("xdiv_pos({0}, {1})", num, w)
 
 
@@ -788,176 +744,84 @@ def _folder(template: str, n: int):
                               _CLARKE_NAMES)
 
 
-# A Clarke partial during the forward pass: (lo, hi) in the extended reals.
-_Pair = tuple[float, float]
-_Z: _Pair = (0.0, 0.0)
-_ONE: _Pair = (1.0, 1.0)
-_xfrom = operator.attrgetter("lo", "hi")  # an interval's (lo, hi) pair
-# the entries of the pairs Z and ONE (clarke_jacobian_bounds)
-_PREBUILT = {id(_Z): ZERO_PARTIAL, id(_ONE): _ONE_PARTIAL}
-
-
-def _clip_overflow(value: float, *operands: float) -> float:
-    """Clamp the overflow of finite operands to +-MAXF, where
-    interval.outward would round one side to +-inf; keep a result that an
-    infinite operand makes infinite.  Only the pair operators clamp."""
-    if math.isinf(value) and all(math.isfinite(x) for x in operands):
-        return math.copysign(_MAXF, value)
-    return value
-
-
-def _xadd(a: _Pair, b: _Pair) -> _Pair:
-    lo = -_INF if (a[0] == -_INF or b[0] == -_INF) else _clip_overflow(a[0] + b[0], a[0], b[0])
-    hi = _INF if (a[1] == _INF or b[1] == _INF) else _clip_overflow(a[1] + b[1], a[1], b[1])
-    return (lo, hi)
-
-
-def _xneg(a: _Pair) -> _Pair:
-    return (-a[1], -a[0])
-
-
-def _corner(a: float, b: float) -> float:
-    # 0 * inf contributes 0 to corner enumeration (exact-zero endpoint)
-    if a == 0.0 or b == 0.0:
-        return 0.0
-    return _clip_overflow(a * b, a, b)
-
-
-def _xmul(a: _Pair, b: _Pair) -> _Pair:
-    c = (_corner(a[0], b[0]), _corner(a[0], b[1]),
-         _corner(a[1], b[0]), _corner(a[1], b[1]))
-    return (min(c), max(c))
-
-
-def _xdiv_pos(a: _Pair, den: Interval) -> _Pair:
-    """a / den for den with den.lo >= 0 (den.lo == 0 yields infinite sides)."""
+def _xdiv_pos(a: Interval, den: Interval) -> Interval:
+    """a / den for a den that holds no negative real (v^2, 2*sqrt(u)): interval
+    division where den.lo > 0, and else a / [0, den.hi], unbounded on the
+    sides where a is nonzero (den.lo may be 0, or an underflow rounded below)."""
     if den.lo > 0.0:
-        c = tuple(
-            _clip_overflow(num / d, num, d) if math.isfinite(num) else num
-            for num in a
-            for d in (den.lo, den.hi)
-        )
-        return (min(c), max(c))
-    if den.hi == 0.0:
-        # derivative through a flat sqrt(0) point: unbounded wherever a != 0
-        lo = -_INF if a[0] < 0.0 else 0.0
-        hi = _INF if a[1] > 0.0 else 0.0
-        return (lo, hi)
-    lo = -_INF if a[0] < 0.0 else (0.0 if a[0] == 0.0 else a[0] / den.hi)
-    hi = _INF if a[1] > 0.0 else (0.0 if a[1] == 0.0 else a[1] / den.hi)
-    return outward(lo, hi)  # a / den.hi past the largest float is no lower end
+        return a / den
+    lo = _NEG if a.lo < 0.0 else 0.0 if a.lo == 0.0 or den.hi == 0.0 else _div(a.lo, den.hi, _NEG)
+    hi = _INF if a.hi > 0.0 else 0.0 if a.hi == 0.0 or den.hi == 0.0 else _div(a.hi, den.hi, _INF)
+    return Interval(lo, hi)
 
 
-def _xsum(*terms: _Pair) -> _Pair:
-    acc = _Z
-    for d in terms:
-        # acc is never -0.0, so adding a (signed) zero leaves it unchanged
-        if d != _Z:
-            acc = _xadd(acc, d)
-    return acc
-
-
-def _xprod(factors: tuple[_Pair, ...], ds: tuple[_Pair, ...]) -> _Pair:
-    """The product rule: sum over i of ds[i] times every factor but the i-th."""
-    acc = _Z
-    for i, d in enumerate(ds):
-        if d == _Z:
-            continue  # a zero partial times anything is (0.0, 0.0)
-        term = d
-        for k, f in enumerate(factors):
-            if k != i:
-                term = _xmul(term, f)
-        acc = _xadd(acc, term)
-    return acc
-
-
-def _xkink(d: _Pair) -> _Pair:
-    return _xmul((-1.0, 1.0), d)
-
-
-def _first(a: _Pair, b: _Pair) -> _Pair:
+def _first(a: Interval, b: Interval) -> Interval:
     return a
 
 
-def _second(a: _Pair, b: _Pair) -> _Pair:
+def _second(a: Interval, b: Interval) -> Interval:
     return b
 
 
-def _xhull(a: _Pair, b: _Pair) -> _Pair:
-    return (min(a[0], b[0]), max(a[1], b[1]))
+def _kink(d: Interval) -> Interval:
+    return d.hull(-d)
 
 
 def _abs_rule(u: Interval):
     """sign(u) * u'; the kink at 0 contributes conv{+-u'}."""
-    return _same if u.lo > 0.0 else _xneg if u.hi < 0.0 else _xkink
+    return _same if u.lo > 0.0 else operator.neg if u.hi < 0.0 else _kink
 
 
 def _min_rule(u: Interval, v: Interval):
     """Where no branch wins outright they can tie: the hull of both."""
-    return _first if u.hi < v.lo else _second if v.hi < u.lo else _xhull
+    return _first if u.hi < v.lo else _second if v.hi < u.lo else Interval.hull
 
 
 def _max_rule(u: Interval, v: Interval):
-    return _first if u.lo > v.hi else _second if v.lo > u.hi else _xhull
-
-
-def _xnorm(a: _Pair) -> _Pair:
-    """a with each -0.0 made 0.0: _xmul(a, _ONE) and _xsum(a), exactly."""
-    return (a[0] + 0.0, a[1] + 0.0)
+    return _first if u.lo > v.hi else _second if v.lo > u.hi else Interval.hull
 
 
 # op -> (factor, apply) code for the compiled Clarke pass.  The factor line
 # runs once per node and reads the children's interval values {0} and {1};
 # None means the rule reads no values, and "" that Tape.clarke builds it: a
-# product's factors as (lo, hi) pairs, or Z where no live term reads one,
-# and a quotient's v^2 (the quotient rule is _quotient_rule).  The apply line
-# runs for the node's default and for each column its subtree reads; it reads
-# the children's partials in that column, {0} and {1} or all of them as
-# {kids}, and the factor {f}.  A rule whose branch depends on the values
-# (abs, min, max) picks its apply function in the factor line through a rule
-# function, which the lane binding (lanes.py) replaces by one that picks per
-# lane.  The interval values the factor lines read are rounded outward; the
-# pair arithmetic of the partials (_xadd, _xmul, _xdiv_pos) still rounds to
-# nearest, and clamps a finite overflow (_clip_overflow).
+# product's rule reads its factors' values in place, and a quotient's its v^2
+# (the quotient rule is _quotient_rule).  The apply line runs for the node's
+# default and for each column its subtree reads; it reads the children's
+# partials in that column, {0} and {1} or all of them as {sum}, and the
+# factor {f}.  A rule whose branch depends on the values (abs, min, max)
+# picks its apply function in the factor line through a rule function, which
+# the lane binding (lanes.py) replaces by one that picks per lane.  Values,
+# factors and partials are all Intervals, and every operator rounds outward
+# (interval.py), so the partials hold the exact ones.
+#
+# Tape.clarke folds partials on the exact-zero rules of interval.py, each
+# true of the set of reals an interval stands for (a zero end may come out
+# as -0.0 where the fold gives 0.0):
+# - a zero operand gives an exact 0 in *, also against an infinite end,
+#   0 / den is 0 and _xdiv_pos of 0 is 0, and x + 0 is x: so every rule whose
+#   partials are all zero gives zero, which is Z, and a zero term of a sum,
+#   a product rule or a quotient rule is left out;
+# - x * 1 is exact, so a product by ONE is its other operand, and a one-term
+#   sum is its term.
 _CLARKE_CODE = {
-    "neg": (None, "xneg({0})"),
-    "sum": (None, "xsum({kids})"),
-    "sin": ("xfrom(icos({0}))", "xmul({f}, {0})"),
-    "cos": ("xneg(xfrom(isin({0})))", "xmul({f}, {0})"),
-    "exp": ("xfrom(iexp({0}))", "xmul({f}, {0})"),
-    "arctan": ("unit + ipow({0}, 2)", "xdiv_pos({0}, {f})"),
+    "neg": (None, "-{0}"),
+    "sum": (None, "{sum}"),
+    "sin": ("icos({0})", "{f} * {0}"),
+    "cos": ("-isin({0})", "{f} * {0}"),
+    "exp": ("iexp({0})", "{f} * {0}"),
+    "arctan": ("unit + ipow({0}, 2)", "{0} / {f}"),
     "sqrt": ("isqrt({0}).scale(2.0)", "xdiv_pos({0}, {f})"),
     "abs": ("abs_rule({0})", "{f}({0})"),
-    "pow": ("xfrom(ipow({0}, {arg} - 1).scale({arg}.0))", "xmul({f}, {0})"),
+    "pow": ("ipow({0}, {arg} - 1).scale({arg}.0)", "{f} * {0}"),
     "pow0": (None, "Z"),  # x^0 is constant
     "div": ("", None),
     "min": ("min_rule({0}, {1})", "{f}({0}, {1})"),
     "max": ("max_rule({0}, {1})", "{f}({0}, {1})"),
-    "prod": ("", "xprod({f}, ({kids},))"),
+    "prod": ("", None),
 }
-# Tape.clarke folds and rewrites partials on five facts about the pair
-# operators that any change to them must keep:
-# - _corner gives an exact 0.0 for any zero operand, so _xmul with a (signed)
-#   zero pair is exactly Z; so is every rule of _VANISH whose partials are
-#   all zero (div: _xdiv_pos of _xadd(Z, _xneg(Z)) over v^2 >= 0);
-# - _xsum and _xprod skip +-0 terms, so a zero term can be left out of a
-#   sum, and passed to a product as Z;
-# - _xadd(X, (-0.0, -0.0)) is X bit for bit, so the quotient rule with a
-#   zero denominator partial is u'v / v^2 alone;
-# - x * 1 and 0.0 + x are exact, so _xmul(X, ONE), _xsum(X) and _xadd(Z, X)
-#   are _xnorm(X), and _xprod with one nonzero term is its _xmul chain,
-#   normalized.
-# - _xdiv_pos(Z, den) is Z for every den >= 0, so the sqrt and arctan rules
-#   of Z itself are Z; a signed zero pair can divide to (-0.0, -0.0).
-# The rules of the other ops map zero partials to a zero pair whose signs
-# they decide (_xneg(Z) is (-0.0, -0.0)), so those lines stay where the
-# root reads them.
-_VANISH = {"sin", "cos", "exp", "pow", "div", "sum", "prod"}
 
 _CLARKE_NAMES = {
     **_INTERVAL_NAMES, "isin": isin, "icos": icos, "iexp": iexp, "isqrt": isqrt,
-    "ipow": ipow, "Z": _Z, "ONE": _ONE, "unit": Interval(1.0, 1.0),
-    "xneg": _xneg, "xsum": _xsum, "xmul": _xmul, "xadd": _xadd, "xfrom": _xfrom,
-    "xdiv_pos": _xdiv_pos, "xprod": _xprod, "xnorm": _xnorm, "abs_rule": _abs_rule,
+    "ipow": ipow, "unit": Interval(1.0, 1.0), "xdiv_pos": _xdiv_pos, "abs_rule": _abs_rule,
     "min_rule": _min_rule, "max_rule": _max_rule,
 }

@@ -4,10 +4,10 @@
 module binds those same code objects once more, to operators whose values
 are numpy arrays with one entry per *lane*: a point value of a corner pass
 is a float per lane, and an interval value or Clarke partial of a Clarke
-pass a (2, K) array whose rows are the lanes' lower and upper ends.  The
-Clarke pass binds the point code's names as expr._INTERVAL_NAMES does, and
-each value the Clarke code was compiled to read as known (`Tape.clarke`'s
-folds) as a constant lane interval or a (2, 1) pair.
+pass a `_LaneInterval` over a (2, K) array whose rows are the lanes' lower
+and upper ends.  The Clarke pass binds the point code's names as
+expr._INTERVAL_NAMES does, and each value the Clarke code was compiled to
+read as known (`Tape.clarke`'s folds) as a constant lane interval.
 `subdivide_apply` runs the cells of a subdivision as the lanes of one Clarke
 pass per row, and decomp's `enclose_lanes` the candidates of all cells as the
 lanes of one corner pass per row and bound.
@@ -34,7 +34,8 @@ Bit identity with the scalar code on clean lanes:
   where(b > a, b, a), and a min or max over several values takes the first
   least or greatest one (argmin, argmax).  np.minimum would not do:
   np.minimum(0.0, -0.0) is -0.0 where min(0.0, -0.0) is 0.0;
-- `_corner`'s rule is kept: a zero operand gives 0.0 whatever the other is;
+- the Clarke rules run on the same lane intervals, and the abs, min and max
+  rules pick each lane's branch with np.where, their hull as `Interval.hull`;
 - `math`'s libm functions (sin, cos, exp, atan), `**` and `_fsum` are called
   per lane on Python floats, because numpy's exp and arctan differ from libm
   in the last bit.  sqrt and the sum of two floats are correctly rounded in
@@ -55,8 +56,6 @@ from .interval import _MAXF, _SPLIT, _TINY, _TWO_PI, Interval, _exp_float, _pow_
 
 # the direction each row of a (2, K) array rounds to: lower ends down, upper up
 _OUT = np.array([[-math.inf], [math.inf]])
-_ZERO_PAIR = np.zeros((2, 1))
-_KINK = np.array([[-1.0], [1.0]])
 
 
 def _each(fn, x: np.ndarray) -> np.ndarray:
@@ -128,14 +127,9 @@ def _trig(v, fn, crest: float, trough: float):
     return np.stack((np.where(-1.0 > lo, -1.0, lo), np.where(1.0 < hi, 1.0, hi)))
 
 
-def _least(c):
-    """(the first least, the first greatest) entry of each column of c."""
-    return c[np.stack((c.argmin(axis=0), c.argmax(axis=0))), np.arange(c.shape[1])]
-
-
-def _static_zero(d) -> bool:
-    """Whether d is a zero partial of every lane, known without a pass."""
-    return d.shape[-1] == 1 and not d.any()
+def _hull(a, b):
+    """Interval.hull of the (2, K) ends a and b: Python's min and max of each end."""
+    return np.stack((np.where(b[0] < a[0], b[0], a[0]), np.where(b[1] > a[1], b[1], a[1])))
 
 
 class _LaneInterval:
@@ -186,9 +180,6 @@ class _ClarkePass:
     namespace is read off this object.
     """
 
-    Z = _ZERO_PAIR
-    ONE = np.ones((2, 1))
-
     def __init__(self, count: int):
         self.bad = np.zeros(count, dtype=bool)
         self.unit = self.constant(1.0)
@@ -196,20 +187,14 @@ class _ClarkePass:
     def constant(self, value: float) -> _LaneInterval:
         return self.folded(Interval.point(value))
 
-    def folded(self, value):
-        """A value the Clarke code was compiled to read as known (Tape.clarke):
-        an Interval, the same in every lane, or a (lo, hi) pair."""
-        if isinstance(value, Interval):
-            return _LaneInterval(np.repeat([[value.lo], [value.hi]], len(self.bad), axis=1), self)
-        return self._pair(np.array(value, dtype=float).reshape(2, 1))
+    def folded(self, value: Interval) -> _LaneInterval:
+        """A value the Clarke code was compiled to read as known (Tape.clarke),
+        the same in every lane."""
+        return _LaneInterval(np.repeat([[value.lo], [value.hi]], len(self.bad), axis=1), self)
 
     def interval(self, v, ok=True) -> _LaneInterval:
         self.bad |= ~(ok & (v[0] <= v[1]) & np.isfinite(v).all(axis=0))
         return _LaneInterval(v, self)
-
-    def _pair(self, p):
-        self.bad |= ~np.isfinite(p).all(axis=0)
-        return p
 
     # -- interval operators ------------------------------------------------
 
@@ -272,68 +257,20 @@ class _ClarkePass:
         isin, icos, iexp, isqrt, iarctan, iabs, ipow, imin, imax)
     div, fsum, one, zero = operator.truediv, _fold_add, _UNIT, _UNIT
 
-    # -- Clarke partials as (2, K) pairs -------------------------------------
+    # -- the Clarke rules over lane intervals ---------------------------------
 
-    xfrom = operator.attrgetter("v")
+    xdiv_pos = operator.truediv  # a lane whose v^2 or 2*sqrt(u) holds 0 is unclean
 
-    @staticmethod
-    def xneg(a):
-        return -a[::-1]
-
-    def xadd(self, a, b):
-        return self._pair(a + b)
-
-    def xnorm(self, a):
-        return self._pair(a + 0.0)  # -0.0 + 0.0 is 0.0
-
-    def xmul(self, a, b):
-        # _corner gives 0.0 for a zero operand, so a zero pair times any pair
-        # is the zero pair, and ONE times a pair is the pair with its -0.0
-        # made 0.0 (1 * x is exact)
-        if _static_zero(a) or _static_zero(b):
-            return _ZERO_PAIR
-        if a is self.ONE or b is self.ONE:
-            return self._pair((b if a is self.ONE else a) + 0.0)
-        c = a[:, None] * b[None, :]  # c[i, j] = a_i * b_j: the corners in _xmul's order
-        c = np.where((a == 0.0)[:, None] | (b == 0.0)[None, :], 0.0, c).reshape(4, -1)
-        return self._pair(_least(c))
-
-    def xsum(self, *terms):
-        # adding a zero term leaves the sum, which is never -0.0, unchanged
-        acc = _ZERO_PAIR
-        for d in terms:
-            if not _static_zero(d):
-                acc = acc + d
-        return self._pair(acc)
-
-    def xprod(self, factors, ds):
-        acc = _ZERO_PAIR
-        for i, d in enumerate(ds):
-            if _static_zero(d):
-                continue
-            term = d
-            for k, f in enumerate(factors):
-                if k != i:
-                    term = self.xmul(term, f)
-            acc = self.xadd(acc, term)
-        return acc
-
-    def xdiv_pos(self, a, den):
-        dlo, dhi = den.v
-        c = (a[:, None] / den.v[None, :]).reshape(4, -1)
-        flat = (dhi == 0.0)
-        over_zero = np.stack((
-            np.where(a[0] < 0.0, -math.inf, np.where((a[0] == 0.0) | flat, 0.0, a[0] / dhi)),
-            np.where(a[1] > 0.0, math.inf, np.where((a[1] == 0.0) | flat, 0.0, a[1] / dhi)),
-        ))
-        return self._pair(np.where(dlo > 0.0, _least(c), over_zero))
-
-    def abs_rule(self, v):
-        lo, hi = v.v
+    def abs_rule(self, u):
+        lo, hi = u.v
         positive, negative = lo > 0.0, hi < 0.0
         if positive.all():
             return _same
-        return lambda d: np.where(positive, d, np.where(negative, self.xneg(d), self.xmul(_KINK, d)))
+
+        def apply(d):
+            neg = -d.v[::-1]
+            return _LaneInterval(np.where(positive, d.v, np.where(negative, neg, _hull(d.v, neg))), self)
+        return apply
 
     def min_rule(self, u, v):
         return self._branch_rule(u.v[1] < v.v[0], v.v[1] < u.v[0])
@@ -341,11 +278,9 @@ class _ClarkePass:
     def max_rule(self, u, v):
         return self._branch_rule(u.v[0] > v.v[1], v.v[0] > u.v[1])
 
-    @staticmethod
-    def _branch_rule(first, second):
+    def _branch_rule(self, first, second):
         def apply(a, b):
-            hull = np.stack((np.where(b[0] < a[0], b[0], a[0]), np.where(b[1] > a[1], b[1], a[1])))
-            return np.where(first, a, np.where(second, b, hull))
+            return _LaneInterval(np.where(first, a.v, np.where(second, b.v, _hull(a.v, b.v))), self)
         return apply
 
 
@@ -434,7 +369,7 @@ def jacobian_lanes(f, overrides, lo: np.ndarray, hi: np.ndarray) -> tuple[np.nda
                                      [_LaneInterval(v, lanes) for v in z], run.folded)
             bad |= lanes.bad
         for j in range(n):
-            entries[i, j] = ([fixed[j].lo], [fixed[j].hi]) if j in fixed else partials.get(j, default)
+            entries[i, j] = ([fixed[j].lo], [fixed[j].hi]) if j in fixed else partials.get(j, default).v
     with np.errstate(invalid="ignore"):
         ok = np.isfinite(entries).all(axis=2) & (entries[:, :, 0] <= entries[:, :, 1])
     return entries, bad | ~ok.all(axis=(0, 1))

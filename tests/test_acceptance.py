@@ -330,17 +330,30 @@ def test_criterion_08_set_inversion_sandwich():
           "randomized instances plus the identity and sum fixtures")
 
 
+def _unbounded_clarke_entry(model, box) -> bool:
+    """Whether a Clarke bound of the dynamics over the state box has no
+    finite side."""
+    try:
+        model.jac_provider()(box.concat(model.disturbance))
+    except UnboundedBothSides:
+        return True
+    return False
+
+
 def _steps_until_unbounded(model, method, steps):
     """The step records of reach_tube(model, method, steps), up to the step
     where the engine raises, and whether it went all the way or stopped
-    only with UnboundedBothSides or InfiniteJacobianEntry on an input box
-    with an infinite end (the either-sided premise failing there)."""
+    only with UnboundedBothSides or InfiniteJacobianEntry where the
+    either-sided premise fails: on an input box with an infinite end, or
+    one over which a Clarke bound has no finite side (the slope itself
+    passes the largest float)."""
     boxes = [model.init]
     for _ in range(steps):
         try:
             boxes.append(embed_step_discrete(model, method, boxes[-1]))
         except (UnboundedBothSides, InfiniteJacobianEntry):
-            ok = not all(d.finite_both for d in boxes[-1])
+            box = boxes[-1]
+            ok = not all(d.finite_both for d in box) or _unbounded_clarke_entry(model, box)
             break
         except MixmonoError:
             ok = False

@@ -125,6 +125,21 @@ class TestRange:
         assert [row.split()[0] for row in rows] == ["natural", "remainder", "best"]
         assert all(row.endswith(", inf]") for row in rows)
 
+    def test_centered_forms_hold_an_image_whose_slope_passes_the_largest_float(self, capsys):
+        # d/dx2 = 1e300*x1 = 1e309 over x1 = 1e9 is past the largest float,
+        # so its bound's upper end is inf and both centered forms refuse the
+        # box; a slope clamped to the largest float printed
+        # [1.41012e+09, 1.58988e+09] for both, inside the image [1e9, 2e9]
+        code, out, err = run(
+            capsys,
+            "range", "--expr", "x1*x2*1e300", "--domain", "[[1e9,1e9],[1e-300,2e-300]]",
+            "--methods", "centered,mixed_centered",
+        )
+        for row in out.splitlines():
+            lo, hi = map(float, row.split(None, 1)[1].strip("[]").split(","))
+            assert lo <= 1e9 and 2e9 <= hi, row
+        assert code == 3 and "two-sided finite bounds" in err
+
     @pytest.mark.parametrize("samples", ["-5", "100000000000"])
     def test_sample_count_out_of_range_is_validation_error(self, capsys, samples):
         # rejected before any array is made: numpy raised on a negative

@@ -86,27 +86,20 @@ def test_unary_interval_operators(name):
     assert _compare(*UNARY_OPS[name], [(ENDS,)]) > 0
 
 
-def test_pair_operators():
+def test_clarke_rules():
+    # the rules that pick a branch per lane (abs, min, max) and the
+    # quotient's division over v^2 or 2*sqrt(u), on lane intervals, against
+    # the scalar rules on Intervals
     xs, ys = map(list, zip(*[(x, y) for x in ENDS for y in ENDS]))
-    assert _compare(lambda p, a, b: p.xmul(a, b), scalar._xmul, [xs, ys]) > len(xs) // 2
-    # the pass's own ONE and zero pairs take shortcuts
-    for const, twin in ((_ClarkePass.ONE, scalar._ONE), (_ClarkePass.Z, scalar._Z)):
-        assert _compare(lambda p, a: p.xmul(const, a), lambda a: scalar._xmul(twin, a), [xs]) > 0
-        assert _compare(lambda p, a: p.xmul(a, const), lambda a: scalar._xmul(a, twin), [xs]) > 0
-    assert _compare(lambda p, a, b: p.xadd(a, b), scalar._xadd, [xs, ys]) > len(xs) // 2
-    assert _compare(lambda p, a: p.xnorm(a), scalar._xnorm, [xs]) > len(xs) // 2
-    assert _compare(lambda p, a, b: p.xsum(a, b), scalar._xsum, [xs, ys]) > len(xs) // 2
-    assert _compare(lambda p, a, b, c: p.xprod((a, b), (c, a)),
-                    lambda a, b, c: scalar._xprod((a, b), (c, a)), [xs, ys, ys]) > 0
-    dens = [(x, y) for x, y in ys if x >= 0.0]
-    nums = [a for a, (x, _) in zip(xs, ys) if x >= 0.0]
-    assert _compare(lambda p, a, d: p.xdiv_pos(a, d), scalar._xdiv_pos, [nums, (dens,)]) > 0
     assert _compare(lambda p, v, d: p.abs_rule(v)(d),
-                    lambda v, d: scalar._abs_rule(v)(d), [(xs,), ys]) > len(xs) // 2
+                    lambda v, d: scalar._abs_rule(v)(d), [(xs,), (ys,)]) > len(xs) // 2
     for rule in ("min_rule", "max_rule"):
         assert _compare(lambda p, u, v, a, b: getattr(p, rule)(u, v)(a, b),
                         lambda u, v, a, b: getattr(scalar, "_" + rule)(u, v)(a, b),
-                        [(xs,), (ys,), ys, xs]) > len(xs) // 2
+                        [(xs,), (ys,), (ys,), (xs,)]) > len(xs) // 2
+    dens = [(x, y) for x, y in ys if x >= 0.0]
+    nums = [a for a, (x, _) in zip(xs, ys) if x >= 0.0]
+    assert _compare(lambda p, a, d: p.xdiv_pos(a, d), scalar._xdiv_pos, [(nums,), (dens,)]) > 0
 
 
 POINT_VALUES = VALUES + (math.inf, -math.inf, math.nan, 710.0, -745.5)

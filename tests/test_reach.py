@@ -149,11 +149,12 @@ class TestContinuousReach:
     def test_exact_zero_partials_keep_tight_vertex_applicable(self):
         # d(x1')/dw1 = x2^2 and d(x3')/dw1 = -3*w1^2 touch 0 exactly; an
         # outward step off an exact 0 or 0.25 would make them sign-unstable
-        # or wider, and every tight_vertex step would raise NotSignStable
+        # or wider, and every tight_vertex step would raise NotSignStable.
+        # The last 0 is -0.0, interval negation's exact end of 3*w1^2's 0
         model = load_bundled("ct_abate")
         jac = clarke_jacobian_bounds(model.dynamics, model.init.concat(model.disturbance))
         got = [x for i in (0, 2) for x in (jac[i, 3].lo, jac[i, 3].hi)]
-        assert list(map(float.hex, got)) == list(map(float.hex, [0.0, 0.25, -0.1875, 0.0]))
+        assert list(map(float.hex, got)) == list(map(float.hex, [0.0, 0.25, -0.1875, -0.0]))
         reach_tube(model, TIGHT_VERTEX, 10)
 
     def test_tight_vertex_derivative_reads_raw_bounds(self):

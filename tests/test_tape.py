@@ -49,25 +49,33 @@ from mixmono.reach import _embedding_field
 from conftest import rand_instance
 from test_interval import GRID, GRID_ENDS
 
-# sha256 of every value below, recorded when the interval operators began
-# to round outward (the point values are those of the tree-walking
-# evaluators that the tape replaced); any change to a single bit of any
-# value changes it
-EVALUATION_DIGEST = "6f8d5d520253bbea897b5e9d66e1838bab97775cddab2efb89f8fe5c8cae5b66"
+# sha256 of every point and interval value below, recorded when the Clarke
+# bounds moved to a digest of their own (the same stream as the one recorded
+# when the interval operators began to round outward, less the bounds; the
+# point values are those of the tree-walking evaluators that the tape
+# replaced); any change to a single bit of any value changes it
+EVALUATION_DIGEST = "b89e0b6833daf71b46225160ce4d847c7f521b9b47077397f76e8dfeda527ad8"
+# sha256 of every Clarke bound below, recorded when the partials moved onto
+# the outward interval operators
+CLARKE_DIGEST = "48845bba35f553a2f8c790e9cfff8a02b3b8d162fa71cb0f537cd7e74efb2c6b"
 # sha256 of the bytes of every eval_vec result below, recorded from the
 # recursive numpy walker that the tape's numpy interpretation replaced
 VECTOR_DIGEST = "811b50954bac4f352b5f0627cdcf68f4579509d5d64fbc230eb7ebc21c8d21fe"
 # sha256 of every continuous-time embedding derivative below, recorded
 # (with the interval engines among the methods) before the embedding
-# derivative moved into the inclusion module's one method dispatcher, and
-# re-recorded when intervals took ends in the extended reals: only model
-# big's stage 10 moved, outward (MAXF to inf, and a centered lower end 0 to
-# -inf)
-EMBEDDING_DIGEST = "44c7f49da1310c95b5d05599811dc46261d1b5ae4294dfd542083542447acd47"
+# derivative moved into the inclusion module's one method dispatcher,
+# re-recorded when intervals took ends in the extended reals (only model
+# big's stage 10 moved, outward: MAXF to inf, and a centered lower end 0 to
+# -inf), and when the Clarke partials moved onto the outward interval
+# operators (every end equal or outside, but for four one-ULP steps of the
+# centered forms' own rounding; big's stage 10 now refuses its centered
+# forms with InfiniteJacobianEntry)
+EMBEDDING_DIGEST = "7dbe11a3874029b3c92998115156684a25b40d0c80d7992f7f1a2942801b2390"
 # sha256 of every discrete decomposition enclosure and remainder-form error
 # bound below, recorded while each row's candidates were still built as a
-# tuple of supporting-vector objects
-DECOMPOSITION_DIGEST = "5362c6d505a484353eede6dc152c02b4216e9e9262a158084e62842a7299f320"
+# tuple of supporting-vector objects, and re-recorded when the Clarke
+# partials moved onto the outward interval operators
+DECOMPOSITION_DIGEST = "0f042db67ff12b2153180476cd696d571cbc6cbd42903ee7a1e222e648545536"
 
 # signed zeros, division by intervals holding 0, kinks at ties, and every
 # operator the random instances leave out
@@ -138,8 +146,14 @@ def test_evaluations_are_bit_identical():
             for z in points:
                 _put(h, _outcome(lambda: [eval_point(e, z)]))
             _put(h, _outcome(lambda: _endpoints(eval_interval(e, box))))
-        _put(h, _jacobian_outcome(exprs, box))
     assert h.hexdigest() == EVALUATION_DIGEST
+
+
+def test_clarke_bounds_are_bit_identical():
+    h = hashlib.sha256()
+    for exprs, box in _cases():
+        _put(h, _jacobian_outcome(exprs, box))
+    assert h.hexdigest() == CLARKE_DIGEST
 
 
 def _enclosure_outcome(engine, exprs, jac, box):
@@ -186,8 +200,9 @@ def test_clarke_of_constant_and_variable_roots():
 # constants and variables in place
 LEAF_ROOTS = ("x2", "2.5", "-x1", "-(-3)", "3*x1", "x1*x1")
 # sha256 of every LEAF_ROOTS value below, recorded while every leaf still
-# had a local of its own
-LEAF_DIGEST = "e989b70921f8f33b7955840e0a398a364354f8d9995bb9baaa7b36ec9a75e5ec"
+# had a local of its own, and re-recorded when a negated zero partial began
+# to fold to Z (-x1's default: -0.0 ends to 0.0)
+LEAF_DIGEST = "c24af1a29197ae82ec442c3f032036cab4cb4bab4c9c185099449d858f5923fe"
 
 
 def _put_array(h, a):
@@ -321,55 +336,53 @@ def test_overridden_rows_are_never_evaluated():
     assert jac[0, 0] == override
 
 
+def _count_interval_operators(monkeypatch, calls: list) -> None:
+    """Record each call of the interval operators the Clarke rules use, as
+    (name, operands), in calls."""
+    for name in ("__add__", "__neg__", "__mul__", "__truediv__", "scale", "hull"):
+        fn = getattr(Interval, name)
+        monkeypatch.setattr(Interval, name,
+                            lambda *args, fn=fn, name=name: calls.append((name, args)) or fn(*args))
+
+
 def test_clarke_pass_folds_zero_partials(monkeypatch):
-    # the folds leave every value as it was, so watch what the compiled
-    # pass gives the pair operators: no product with a zero pair, and no sum
-    # or product rule whose terms are all zero
-    calls = []
-
-    def counted(name):
-        fn = mixmono.expr._CLARKE_NAMES[name]
-        return lambda *args: calls.append((name, args)) or fn(*args)
-
-    for name in ("xmul", "xsum", "xprod"):
-        monkeypatch.setitem(mixmono.expr._CLARKE_NAMES, name, counted(name))
-    model = load_bundled("unicycle")  # fresh trees, compiled with the wrappers
-    clarke_jacobian_bounds(model.dynamics, model.init.concat(model.disturbance))
+    # the folds are exact up to the sign of a zero end, so watch what the
+    # compiled pass gives interval * and +: no zero operand, and no unit one
+    # in a product
+    model = load_bundled("unicycle")
     e = parse_expr("x1*abs(x2)*min(x1, x3) - x3", ["x1", "x2", "x3"])
-    clarke_jacobian_bounds([e], Box.from_pairs([(0.5, 1.0), (-1.0, 1.0), (0.2, 2.0)]))
     # the quotient rule: x1/x2's numerator reads no x2 and its denominator
     # no x1, and so do the bearing rows' arctan((1 - x2)/(2 - x1))
     quotient = parse_expr("x1/x2", ["x1", "x2"])
-    clarke_jacobian_bounds([quotient], Box.from_pairs([(-1.0, 2.0), (0.5, 3.0)]))
-    clarke_jacobian_bounds(model.observation.exprs,
-                           Box.from_pairs([(0.0, 0.5), (0.0, 0.5), (0.5, 1.5)]))
-    assert {name for name, _ in calls} == {"xmul", "xsum", "xprod"}
-    zero, one = (0.0, 0.0), (1.0, 1.0)  # == holds for either signed zero
-    for name, args in calls:
-        if name == "xmul":  # a product by the unit pair is xnorm
-            assert zero not in args and one not in args, args
-        elif name == "xsum":  # a one-term sum is xnorm, or its term
-            assert len([t for t in args if t != zero]) > 1, args
-        else:  # a product with one nonzero term is its xmul chain
-            assert len([t for t in args[1] if t != zero]) > 1, args
-
-
-PAIR_OPERATORS = ("xmul", "xsum", "xprod", "xnorm", "xneg", "xadd", "xdiv_pos")
+    cases = [(model.dynamics, model.init.concat(model.disturbance)),
+             ([e], Box.from_pairs([(0.5, 1.0), (-1.0, 1.0), (0.2, 2.0)])),
+             ([quotient], Box.from_pairs([(-1.0, 2.0), (0.5, 3.0)])),
+             (model.observation.exprs, Box.from_pairs([(0.0, 0.5), (0.0, 0.5), (0.5, 1.5)]))]
+    for exprs, _ in cases:
+        for row in exprs:
+            row.tape.clarke  # compiled first: the folds run through the operators
+    calls = []
+    _count_interval_operators(monkeypatch, calls)
+    for exprs, box in cases:
+        clarke_jacobian_bounds(exprs, box)
+    assert {name for name, _ in calls} >= {"__add__", "__mul__"}
+    for name, args in calls:  # == holds for either signed zero
+        if name in ("__add__", "__mul__"):
+            assert ZERO_PARTIAL not in args, (name, args)
+        if name == "__mul__":
+            assert mixmono.expr._ONE_PARTIAL not in args, args
 
 
 def test_constant_partials_are_folded_and_prebuilt(monkeypatch):
     # every partial of a linear row is known when its code compiles: the
-    # pass calls no pair operator, and gives the same entry objects each time
-    calls = []
-    for name in PAIR_OPERATORS:
-        fn = mixmono.expr._CLARKE_NAMES[name]
-        monkeypatch.setitem(mixmono.expr._CLARKE_NAMES, name,
-                            lambda *args, fn=fn, name=name: calls.append(name) or fn(*args))
+    # pass calls no interval operator, and gives the same entry objects each
+    # time
     model = load_bundled("scott_example")  # x1' = -0.5*x2 - 0.12*w
     row, box = model.dynamics[:1], model.init.concat(model.disturbance)
-    run = row[0].tape.clarke  # return Z, {1: p8_1, 2: p8_2}, two folded pairs
-    assert set(run.__code__.co_names) == {"Z", *run.folded}
-    calls.clear()  # the folds ran through the operators while compiling
+    run = row[0].tape.clarke  # return Z, {1: t1, 2: p7_2}: the folded value -0.5 and a folded partial
+    assert set(run.__code__.co_names) == set(run.folded) == {"Z", "t1", "p7_2"}
+    calls = []
+    _count_interval_operators(monkeypatch, calls)
     first, second = (clarke_jacobian_bounds(row, box).row(0) for _ in range(2))
     assert calls == []
     assert all(a is b for a, b in zip(first, second))
@@ -396,22 +409,24 @@ def test_constant_lines_that_raise_are_left_to_raise(text, error):
 
 
 def test_structural_zero_partials_share_one_entry():
-    # a column the row does not read is the pass's pair Z: the shared entry;
-    # an override and a computed zero, -0.0 ones too, keep their own entries
+    # a column the row does not read is the pass's Z: the shared entry, also
+    # through a negation or a sum that cancels when the code compiles; an
+    # override and a zero the pass computes keep their own entries
     names = ["x1", "x2", "x3"]
     box = Box.from_pairs([(0.0, 1.0), (1.0, 2.0), (0.0, 1.0)])
     override = Interval(0.0, 0.0)
     row = clarke_jacobian_bounds([parse_expr("x1 + x2", names)], box, {(0, 0): override}).row(0)
     assert row[0] is override and row[2] is ZERO_PARTIAL
-    # the negated root's default and x2's column are (-0.0, -0.0) pairs
     row = clarke_jacobian_bounds([parse_expr("-(x1 + x2 - x2)", names)], box).row(0)
-    for entry in row[1:]:
-        assert entry is not ZERO_PARTIAL and (entry.lo.hex(), entry.hi.hex()) == ("-0x0.0p+0",) * 2
+    assert row[1] is ZERO_PARTIAL and row[2] is ZERO_PARTIAL
+    # x1's column of -(x1*x2) is -x2, over x2 = [0, 0] interval negation's [-0.0, -0.0]
+    row = clarke_jacobian_bounds([parse_expr("-(x1*x2)", names)], box.replace(1, Interval(0.0, 0.0))).row(0)
+    assert row[0] is not ZERO_PARTIAL and (row[0].lo.hex(), row[0].hi.hex()) == ("-0x0.0p+0",) * 2
     assert mixmono.decomp._PINNED is ZERO_PARTIAL
 
 
-def test_sqrt_and_arctan_of_the_zero_pair_fold(monkeypatch):
-    # _xdiv_pos(Z, den) is Z for every den >= 0: a range observation's
+def test_sqrt_and_arctan_of_the_zero_partial_fold(monkeypatch):
+    # _xdiv_pos of a zero is zero for every den: a range observation's
     # column that it does not read is the shared entry, with no division
     calls = []
     fn = mixmono.expr._CLARKE_NAMES["xdiv_pos"]
@@ -422,11 +437,13 @@ def test_sqrt_and_arctan_of_the_zero_pair_fold(monkeypatch):
     for _ in range(2):
         row = clarke_jacobian_bounds([d1], box).row(0)
         assert row[2] is ZERO_PARTIAL
-    assert len(calls) == 4 and (0.0, 0.0) not in calls  # the x1 and x2 columns
-    # a signed zero pair is not folded: it divides to (-0.0, -0.0)
+    assert len(calls) == 4 and ZERO_PARTIAL not in calls  # the x1 and x2 columns
+    # so is the negated Z under a square root, and a half-line quotient of a
+    # zero over a den that may hold 0
     e = parse_expr("sqrt(-x2)", ["x1", "x2"])
-    entry = clarke_jacobian_bounds([e], Box.from_pairs([(0.0, 1.0), (-2.0, -1.0)]))[0, 0]
-    assert (entry.lo.hex(), entry.hi.hex()) == ("-0x0.0p+0",) * 2
+    assert clarke_jacobian_bounds([e], Box.from_pairs([(0.0, 1.0), (-2.0, -1.0)]))[0, 0] is ZERO_PARTIAL
+    for den in (Interval(0.0, 0.0), Interval(0.0, 2.0), Interval(-1e-300, 2.0)):
+        assert fn(Interval(-0.0, 0.0), den) == ZERO_PARTIAL
 
 
 @pytest.mark.parametrize("overrides, positions", [
@@ -450,8 +467,7 @@ def test_unbounded_default_is_listed_in_each_column_that_reads_it(monkeypatch):
     # unbounded one would have it listed wherever no partial or override is
     names = ["x1", "x2", "x3"]
     e = parse_expr("x1*x3", names)
-    run = lambda dims: ((-math.inf, math.inf), {0: (0.5, 2.0)})
-    run.entries = {}
+    run = lambda dims: (Interval(-math.inf, math.inf), {0: Interval(0.5, 2.0)})
     monkeypatch.setitem(e.tape.__dict__, "clarke", run)
     box = Box.from_pairs([(0.0, 1.0), (-1.0, 1.0), (0.5, 2.0)])
     with pytest.raises(UnboundedBothSides) as caught:
