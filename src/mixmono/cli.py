@@ -4,12 +4,14 @@ Subcommands: range (enclose a map's image over a box), reach (propagate a
 reach tube), invert (interval set inversion), observe (measurement-driven
 tube refinement), and compare (per-method final-step width table).
 
-Exit codes: 0 success, 2 input/validation error, 3 computation error.
+Exit codes: 0 success, 2 input/validation error, 3 computation error (range:
+only when no method answered; a refusing one prints "refused: <error class>").
 """
 
 from __future__ import annotations
 
 import argparse
+import decimal
 import math
 import re
 import sys
@@ -25,6 +27,7 @@ from .errors import (
     IoError,
     MixmonoError,
     ModelSyntaxError,
+    Refusal,
     UnknownIdentifier,
     ValidationError,
 )
@@ -77,27 +80,22 @@ def _parse_vector(text: str) -> list[float]:
     return [float(v) for v in text.strip().strip("[]").split(",")]
 
 
-def _parse_methods(selector: str, f, box, jac_provider) -> list[tuple[str, MethodId]]:
-    out = []
+def _parse_methods(selector: str) -> list[tuple[str, MethodId]]:
+    methods, out = {**METHOD_NAMES, "best": best_of_method(tuple(METHOD_NAMES.values()))}, []
     for raw in selector.split(","):
         name = _ALIASES.get(raw.strip(), raw.strip())
-        if name == "best":
-            members = []
-            for cand_name, cand in METHOD_NAMES.items():
-                try:
-                    apply_method(cand, f, box, jac_provider)
-                    members.append(cand)
-                except MixmonoError:
-                    continue  # inapplicable on this instance (e.g. not sign-stable)
-            out.append(("best", best_of_method(members)))
-        elif name in METHOD_NAMES:
-            out.append((name, METHOD_NAMES[name]))
-        else:
-            raise ValidationError(
-                f"unknown method {raw.strip()!r}; choose from "
-                f"{', '.join(METHOD_NAMES)} or best"
-            )
+        if name not in methods:
+            raise ValidationError(f"unknown method {raw.strip()!r}; choose from "
+                                  f"{', '.join(METHOD_NAMES)} or best")
+        out.append((name, methods[name]))
     return out
+
+
+def _one_method(selector: str) -> MethodId:
+    (_, method), *more = _parse_methods(selector)
+    if more:
+        raise ValidationError(f"give one method, got {selector!r}")
+    return method
 
 
 def _expr_vars(n: int, text: str) -> list[str]:
@@ -106,8 +104,25 @@ def _expr_vars(n: int, text: str) -> list[str]:
     return [f"x{i+1}" for i in range(n)]
 
 
-def _fmt_iv(iv: Interval) -> str:
-    return f"[{iv.lo:.6g}, {iv.hi:.6g}]"
+_DOWN, _UP = (decimal.Context(prec=6, rounding=r) for r in ("ROUND_FLOOR", "ROUND_CEILING"))
+
+
+def _fmt(x: float, context: decimal.Context = _UP) -> str:
+    """x as format(x, ".6g") writes it, but rounded from its exact value by
+    context, _DOWN or _UP, so that every printed end or bound is guaranteed."""
+    if not math.isfinite(x):
+        return f"{x:g}"
+    d = context.create_decimal_from_float(x).normalize()
+    if -4 <= d.adjusted() < 6:
+        return f"{d:f}"
+    mantissa, exponent = f"{d:e}".split("e")
+    return f"{mantissa}e{int(exponent):+03d}"
+
+
+def _fmt_iv(iv: Interval, inward: bool = False) -> str:
+    """iv's ends, rounded outward, or inward for an inner estimate."""
+    lo, hi = (_UP, _DOWN) if inward else (_DOWN, _UP)
+    return f"[{_fmt(iv.lo, lo)}, {_fmt(iv.hi, hi)}]"
 
 
 def cmd_range(args) -> int:
@@ -127,37 +142,42 @@ def cmd_range(args) -> int:
         f = list(model.dynamics)
         box = model.init.concat(model.disturbance)
         provider = model.jac_provider()
-    methods = _parse_methods(args.methods, f, box, provider)
+    methods = _parse_methods(args.methods)
 
     rng = np.random.default_rng(args.seed)
     oracle = sampled_range(f, box, rng, n_samples=args.samples) if args.bounds else None
 
-    lines = []
+    lines, refusals = [], []
     for name, method in methods:
-        if args.subdivide > 1:
-            cells, encs, enc = subdivide_apply(method, f, provider, box, args.subdivide)
-        else:
-            enc = apply_method(method, f, box, provider)
+        try:
+            if args.subdivide > 1:
+                cells, encs, enc = subdivide_apply(method, f, provider, box, args.subdivide)
+            else:
+                enc = apply_method(method, f, box, provider)
+        except Refusal as exc:
+            refusals.append(exc)
+            lines.append(f"{name:15s} refused: {type(exc).__name__}")
+            continue
         row = f"{name:15s} " + "  ".join(_fmt_iv(d) for d in enc)
         if args.subdivide > 1:
             row += f"  (hull over {len(cells)} cells)"
         lines.append(row)
         if args.subdivide > 1 and oracle is not None:
-            per_cell = max(
-                hausdorff_q(e, sampled_range(f, c, rng, n_samples=2000))
-                for c, e in zip(cells, encs)
-            )
-            lines.append(f"{'':15s} per-cell max error {per_cell:.6g} over {len(cells)} cells")
+            per_cell = max(hausdorff_q(e, sampled_range(f, c, rng, n_samples=2000))
+                           for c, e in zip(cells, encs))
+            lines.append(f"{'':15s} per-cell max error {_fmt(per_cell)} over {len(cells)} cells")
         if args.bounds:
             jac = provider(box)
             for i, e in enumerate(f):
                 eb = error_bounds(e, jac.row(i), box, oracle_range=oracle[i])
                 lines.append(
-                    f"{'':15s} row {i+1}: q_lower_est={eb.q_lower_estimate:.6g} "
-                    f"q_upper={eb.q_upper:.6g} q_upper_hat={eb.q_upper_hat:.6g}"
+                    f"{'':15s} row {i+1}: q_lower_est={_fmt(eb.q_lower_estimate, _DOWN)} "
+                    f"q_upper={_fmt(eb.q_upper)} q_upper_hat={_fmt(eb.q_upper_hat)}"
                 )
+    if len(refusals) == len(methods):
+        raise refusals[0]
     if oracle is not None:
-        lines.append(f"{'sampled range':15s} " + "  ".join(_fmt_iv(d) for d in oracle))
+        lines.append(f"{'sampled range':15s} " + "  ".join(_fmt_iv(d, inward=True) for d in oracle))
     text = "\n".join(lines) + "\n"
     if args.out:
         Path(args.out).write_text(text)
@@ -180,29 +200,26 @@ def cmd_reach(args) -> int:
     if args.refine and not model.constraints:
         raise ValidationError("--refine requires a constraint block in the model")
     steps = _steps_for(args, model)
-    methods = _parse_methods(
-        args.method, list(model.dynamics), model.init.concat(model.disturbance),
-        model.jac_provider(),
-    )
     cfg = InversionConfig(epsilon=args.epsilon, passes=args.passes)
-    tubes = {}
-    for name, method in methods:
-        tubes[name] = reach_tube(
-            model, method, steps, refine=args.refine, inv_cfg=cfg, substeps=args.substeps
-        )
+    tubes = {name: reach_tube(model, method, steps, refine=args.refine, inv_cfg=cfg,
+                              substeps=args.substeps)
+             for name, method in _parse_methods(args.method)}
     for name, tube in tubes.items():
-        final = tube.final
-        sys.stdout.write(
-            f"{name:15s} t={tube[-1].t:g} " + "  ".join(_fmt_iv(d) for d in final) + "\n"
-        )
-        if args.out:
-            out = Path(args.out)
-            dest = out if len(tubes) == 1 else out.with_name(f"{out.stem}_{name}{out.suffix}")
-            fmt = args.format or (dest.suffix.lstrip(".") or "csv")
-            write_tube(tube, fmt, dest, model.state_names)
+        sys.stdout.write(f"{name:15s} t={tube[-1].t:g} "
+                         + "  ".join(map(_fmt_iv, tube.final)) + "\n")
+    _write_tubes(args, model, tubes)
+    return 0
+
+
+def _write_tubes(args, model, tubes) -> None:
+    """Each tube to --out (one file per tube, suffixed by its name when there
+    are several), all of them to --plot."""
+    for name, tube in tubes.items() if args.out else ():
+        out = Path(args.out)
+        dest = out if len(tubes) == 1 else out.with_name(f"{out.stem}_{name}{out.suffix}")
+        write_tube(tube, args.format or (dest.suffix.lstrip(".") or "csv"), dest, model.state_names)
     if args.plot:
         write_plot(tubes, args.plot, model.state_names)
-    return 0
 
 
 def cmd_invert(args) -> int:
@@ -218,14 +235,11 @@ def cmd_invert(args) -> int:
         model = _resolve_model(args.model)
         if model.observation is None and not model.constraints:
             raise ValidationError("model has neither an observe nor a constraint block")
-        nu = list(
-            model.observation.exprs if model.observation else
-            [c.expr for c in model.constraints]
-        )
+        nu = list(model.observation.exprs if model.observation else
+                  [c.expr for c in model.constraints])
         prior = _parse_domain(args.prior) if args.prior else model.init
-    y_lo = _parse_vector(args.ylo)
-    y_hi = _parse_vector(args.yhi)
-    method = _parse_methods(args.method, nu, prior, default_jac_provider(nu))[0][1]
+    y_lo, y_hi = _parse_vector(args.ylo), _parse_vector(args.yhi)
+    method = _one_method(args.method)
     cfg = InversionConfig(epsilon=args.epsilon, passes=args.passes, method=method)
     jac = clarke_jacobian_bounds(nu, prior)
     try:
@@ -233,38 +247,25 @@ def cmd_invert(args) -> int:
     except EmptySolution:
         sys.stdout.write("EMPTY (no point of the prior is consistent with the constraint)\n")
         return 0
-    sys.stdout.write("  ".join(_fmt_iv(d) for d in out) + "\n")
+    sys.stdout.write("  ".join(map(_fmt_iv, out)) + "\n")
     return 0
 
 
 def cmd_observe(args) -> int:
     model = _resolve_model(args.model)
     measurements = load_measurements(args.measurements)
-    method = _parse_methods(
-        args.method, list(model.dynamics), model.init.concat(model.disturbance),
-        model.jac_provider(),
-    )[0][1]
+    method = _one_method(args.method)
     cfg = InversionConfig(epsilon=args.epsilon, passes=args.passes)
     tube = observe(model, method, measurements, cfg, substeps=args.substeps)
-    final = tube.final
-    sys.stdout.write(
-        f"t={tube[-1].t:g} " + "  ".join(_fmt_iv(d) for d in final) + "\n"
-    )
-    if args.out:
-        fmt = args.format or (Path(args.out).suffix.lstrip(".") or "csv")
-        write_tube(tube, fmt, args.out, model.state_names)
-    if args.plot:
-        write_plot({args.method: tube}, args.plot, model.state_names)
+    sys.stdout.write(f"t={tube[-1].t:g} " + "  ".join(map(_fmt_iv, tube.final)) + "\n")
+    _write_tubes(args, model, {args.method: tube})
     return 0
 
 
 def cmd_compare(args) -> int:
     model = _resolve_model(args.model)
     steps = _steps_for(args, model)
-    methods = _parse_methods(
-        args.methods, list(model.dynamics), model.init.concat(model.disturbance),
-        model.jac_provider(),
-    )
+    methods = _parse_methods(args.methods)
     sys.stdout.write(
         f"{'method':15s} " + "  ".join(f"width({n})" for n in model.state_names) + "\n"
     )
@@ -275,7 +276,7 @@ def cmd_compare(args) -> int:
             sys.stdout.write(f"{name:15s} inapplicable: {exc}\n")
             continue
         widths = tube.final.widths()
-        sys.stdout.write(f"{name:15s} " + "  ".join(f"{w:.6g}" for w in widths) + "\n")
+        sys.stdout.write(f"{name:15s} " + "  ".join(map(_fmt, widths)) + "\n")
     return 0
 
 
@@ -297,17 +298,9 @@ def build_parser() -> argparse.ArgumentParser:
     r.set_defaults(fn=cmd_range)
 
     rc = sub.add_parser("reach", help="propagate a reach tube")
-    rc.add_argument("--model", required=True)
-    rc.add_argument("--method", default="remainder")
     rc.add_argument("--steps", type=int)
     rc.add_argument("--horizon", type=float)
     rc.add_argument("--refine", action="store_true")
-    rc.add_argument("--epsilon", type=float, default=1e-3)
-    rc.add_argument("--passes", type=int, default=1)
-    rc.add_argument("--substeps", type=int, default=10)
-    rc.add_argument("--out")
-    rc.add_argument("--format", choices=["csv", "json"])
-    rc.add_argument("--plot")
     rc.set_defaults(fn=cmd_reach)
 
     iv = sub.add_parser("invert", help="interval set inversion")
@@ -316,22 +309,21 @@ def build_parser() -> argparse.ArgumentParser:
     iv.add_argument("--prior")
     iv.add_argument("--ylo", required=True)
     iv.add_argument("--yhi", required=True)
-    iv.add_argument("--epsilon", type=float, default=1e-3)
-    iv.add_argument("--passes", type=int, default=1)
-    iv.add_argument("--method", default="remainder")
     iv.set_defaults(fn=cmd_invert)
 
     ob = sub.add_parser("observe", help="measurement-driven tube refinement")
-    ob.add_argument("--model", required=True)
     ob.add_argument("--measurements", required=True)
-    ob.add_argument("--method", default="remainder")
-    ob.add_argument("--epsilon", type=float, default=1e-3)
-    ob.add_argument("--passes", type=int, default=1)
-    ob.add_argument("--substeps", type=int, default=10)
-    ob.add_argument("--out")
-    ob.add_argument("--format", choices=["csv", "json"])
-    ob.add_argument("--plot")
     ob.set_defaults(fn=cmd_observe)
+    for cmd in (rc, ob):  # the tube commands
+        cmd.add_argument("--model", required=True)
+        cmd.add_argument("--substeps", type=int, default=10)
+        cmd.add_argument("--out")
+        cmd.add_argument("--format", choices=["csv", "json"])
+        cmd.add_argument("--plot")
+    for cmd in (rc, iv, ob):  # the commands that may run set inversion
+        cmd.add_argument("--method", default="remainder")
+        cmd.add_argument("--epsilon", type=float, default=1e-3)
+        cmd.add_argument("--passes", type=int, default=1)
 
     cp = sub.add_parser("compare", help="per-method final-step width table")
     cp.add_argument("--model", required=True)

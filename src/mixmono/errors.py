@@ -37,15 +37,19 @@ class ModelSyntaxError(MixmonoError):
         self.line = line
 
 
-class UnboundedBothSides(MixmonoError):
+class Refusal(MixmonoError):
+    """An engine declines a box, which says nothing about the box: best_of drops it."""
+
+
+class UnboundedBothSides(Refusal):
     """A Clarke-derivative bound is unbounded on both sides."""
 
 
-class InfiniteJacobianEntry(MixmonoError):
+class InfiniteJacobianEntry(Refusal):
     """Centered/mixed-centered forms need two-sided finite Jacobian bounds."""
 
 
-class NotSignStable(MixmonoError):
+class NotSignStable(Refusal):
     """Vertex enumeration needs every partial-derivative bound sign-stable."""
 
     def __init__(self, entries):
@@ -53,7 +57,7 @@ class NotSignStable(MixmonoError):
         super().__init__(f"sign-unstable Jacobian entries: {self.entries}")
 
 
-class CandidateExplosion(MixmonoError):
+class CandidateExplosion(Refusal):
     pass
 
 

@@ -4,8 +4,8 @@ Provides the natural, centered, and mixed-centered inclusion functions; one
 method dispatcher over every engine, the decomposition-based ones included,
 that gives each row's raw upper and lower bound either over a box (discrete
 time) or with the row's own coordinate pinned (the continuous-time embedding
-derivative), and whose best_of intersects the members' bounds in both; and
-uniform-subdivision refinement.
+derivative), and whose best_of intersects the bounds of the members that do
+not refuse, in both; and uniform-subdivision refinement.
 """
 
 from __future__ import annotations
@@ -26,13 +26,8 @@ from .decomp import (
     t_o_vertex_inclusion,
     t_r_inclusion,
 )
-from .errors import (
-    CellBudgetExceeded,
-    EmptyIntersection,
-    InfiniteJacobianEntry,
-    UnboundedBothSides,
-    ValidationError,
-)
+from .errors import (CellBudgetExceeded, EmptyIntersection, InfiniteJacobianEntry, Refusal,
+                     UnboundedBothSides, ValidationError)
 from .expr import (
     Expr,
     JacobianBounds,
@@ -94,7 +89,8 @@ class _ClarkeProvider:
 
     __slots__ = ("f", "overrides")
 
-    def __init__(self, f, overrides):
+    def __init__(self, f: Sequence[Expr],
+                 overrides: dict[tuple[int, int], Interval] | None = None):
         self.f, self.overrides = f, overrides
 
     def __call__(self, box: Box) -> JacobianBounds:
@@ -113,11 +109,7 @@ class _ClarkeProvider:
         return row
 
 
-def default_jac_provider(
-    f: Sequence[Expr],
-    overrides: dict[tuple[int, int], Interval] | None = None,
-) -> JacProvider:
-    return _ClarkeProvider(f, overrides)
+default_jac_provider = _ClarkeProvider
 
 
 def _finite_jac(jac: JacobianBounds, context: str) -> None:
@@ -210,7 +202,8 @@ def _bounds(method: MethodId, f: Sequence[Expr], hi: Sequence[float], lo: Sequen
     interval engines enclose f_i over the hull's faces at hi[i] and lo[i]
     with rows[i] as slopes.  best_of keeps each row's tightest member bound;
     its members share each box's Jacobian and row, and a row whose faces are
-    the hull (hi[i] == lo[i]) reads the hull's Jacobian.
+    the hull (hi[i] == lo[i]) reads the hull's Jacobian.  A member that refuses
+    drops out; if all do, the first one's Refusal raises, and any other error at once.
     """
     jac = functools.cache(jac_provider) if method.members else jac_provider
     k = len(hi) - len(rest)
@@ -218,16 +211,24 @@ def _bounds(method: MethodId, f: Sequence[Expr], hi: Sequence[float], lo: Sequen
     if rows is not None and method.members:
         rows = [functools.cache(r) if hi[i] != lo[i] else lambda box, i=i:
                 JacobianBounds(jac(box).entries[i:i + 1]) for i, r in enumerate(rows)]
-    members = []
+
+    def face(kind, i, x):
+        return _enclose(kind, [f[i]], hull.replace(i, Interval.point(x[i])), rows[i])[0]
+
+    members, refusals = [], []
     for m in method.members or (method,):
-        if rows is None:
-            members.append([(d.hi, d.lo) for d in _enclose(m.kind, f, hull, jac)])
-        elif m.kind in SELECTORS:
-            members.append(decompose(f, jac(hull), m.kind, hi, lo, pinned=True))
-        else:
-            def face(i, x, kind=m.kind):
-                return _enclose(kind, [f[i]], hull.replace(i, Interval.point(x[i])), rows[i])[0]
-            members.append([(face(i, hi).hi, face(i, lo).lo) for i in range(len(f))])
+        try:
+            if rows is None:
+                members.append([(d.hi, d.lo) for d in _enclose(m.kind, f, hull, jac)])
+            elif m.kind in SELECTORS:
+                members.append(decompose(f, jac(hull), m.kind, hi, lo, pinned=True))
+            else:
+                members.append([(face(m.kind, i, hi).hi, face(m.kind, i, lo).lo)
+                                for i in range(len(f))])
+        except Refusal as exc:
+            refusals.append(exc)
+    if not members:
+        raise refusals[0]
     return _meet(members) if method.members else members[0]
 
 

@@ -3,16 +3,19 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import subprocess
 import sys
+from collections import Counter
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mixmono import Measurement, eval_point, load_bundled, write_measurements
-from mixmono.cli import main
+from mixmono import Measurement, eval_point, inclusion, load_bundled, write_measurements
+from mixmono.cli import _DOWN, _UP, _fmt, main
 
 CUBIC3 = (
     "x1*x2*x3 + x1^2*x2 + x2^2*x3 + x3^2*x1 + x1^2*x3 + x3^2*x2"
@@ -34,8 +37,9 @@ class TestRange:
             "--methods", "natural,remainder",
         )
         assert code == 0
-        assert "natural" in out and "remainder" in out
-        assert "[-1.3, 27.1]" in out
+        # each end rounded outward at 6 digits: natural's lower end is
+        # -1.3000000000000003 and its upper end above 27.1
+        assert out == "natural         [-1.30001, 27.1001]\nremainder       [-1.30001, 27.1]\n"
 
     def test_cubic_natural_anchor(self, capsys):
         code, out, _ = run(
@@ -140,6 +144,50 @@ class TestRange:
             assert lo <= 1e9 and 2e9 <= hi, row
         assert code == 3 and "two-sided finite bounds" in err
 
+    def test_a_refusing_method_hides_no_other_box(self, capsys):
+        # natural's computed ends lie one and three ULPs outside [1e9, 2e9]
+        code, out, err = run(
+            capsys,
+            "range", "--expr", "x1*x2*1e300", "--domain", "[[1e9,1e9],[1e-300,2e-300]]",
+            "--methods", "natural,centered,remainder,best",
+        )
+        assert code == 0 and err == ""
+        assert out == ("natural         [9.99999e+08, 2.00001e+09]\n"
+                       "centered        refused: InfiniteJacobianEntry\n"
+                       "remainder       [1e+09, 2e+09]\n"
+                       "best            [1e+09, 2e+09]\n")
+
+    def test_best_raises_an_error_that_is_no_refusal(self, capsys):
+        code, out, err = run(
+            capsys, "range", "--expr", "sqrt(x1)", "--domain", "[[-1,1]]", "--methods", "best",
+        )
+        assert code == 3 and out == ""
+        assert err == "computation error: sqrt of interval with negative lower bound: [-1, 1]\n"
+
+    def test_best_runs_each_engine_once(self, capsys, monkeypatch):
+        # best is best_of over every engine; no probe runs them beforehand
+        calls, enclose = Counter(), inclusion._enclose
+
+        def counting(kind, *args):
+            calls[kind] += 1
+            return enclose(kind, *args)
+
+        monkeypatch.setattr(inclusion, "_enclose", counting)
+        code, out, _ = run(
+            capsys, "range", "--expr", "sin(x1)*x1", "--domain", "[-2,2]", "--methods", "best",
+        )
+        assert code == 0 and out.startswith("best ")
+        assert calls == dict.fromkeys(inclusion.METHOD_NAMES, 1)
+
+    def test_printed_ends_hold_the_computed_box(self, capsys):
+        # 0.1234566 rounded to nearest printed 0.123457, above the image's minimum
+        code, out, _ = run(
+            capsys, "range", "--expr", "x1", "--domain", "[[0.1234566,0.2]]",
+            "--methods", "natural",
+        )
+        assert code == 0
+        assert out == "natural         [0.123456, 0.200001]\n"
+
     @pytest.mark.parametrize("samples", ["-5", "100000000000"])
     def test_sample_count_out_of_range_is_validation_error(self, capsys, samples):
         # rejected before any array is made: numpy raised on a negative
@@ -160,7 +208,33 @@ class TestRange:
         assert out == "" and err.startswith("error:")
 
 
+def test_printed_numbers_bound_the_value():
+    # seeded doubles of every magnitude: random bit patterns, 6-digit
+    # decimals, subnormals and the largest floats
+    rng = np.random.default_rng(26)
+    values = [x for x in rng.integers(0, 2**64, 20000, dtype=np.uint64).view(np.float64).tolist()
+              if math.isfinite(x)]
+    values += [float(f"{m}e{e}") for m, e in zip(rng.integers(1, 10**6, 2000).tolist(),
+                                                 rng.integers(-330, 309, 2000).tolist())]
+    values += [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
+               1.7976931348623157e308, -1.7976931348623157e308, 1e9, 2e9, 0.1234566]
+    for x in values:
+        lo, hi = _fmt(x, _DOWN), _fmt(x, _UP)
+        assert Decimal(lo) <= Decimal(x) <= Decimal(hi), (x, lo, hi)
+        nearest = f"{x:.6g}"  # the old text, kept wherever it is on the safe side
+        assert nearest == (lo if Decimal(nearest) <= Decimal(x) else hi), (x, lo, hi)
+        assert nearest == (hi if Decimal(nearest) >= Decimal(x) else lo), (x, lo, hi)
+    assert [_fmt(x) for x in (math.inf, -math.inf)] == ["inf", "-inf"]
+
+
 class TestReach:
+    def test_best_answers_past_a_refusing_engine(self, capsys):
+        # tight_vertex refuses vanderpol's step 7; the probe-chosen best stopped there
+        code, out, _ = run(
+            capsys, "reach", "--model", "vanderpol", "--method", "best", "--steps", "40",
+        )
+        assert code == 0 and out.startswith("best            t=4 ")
+
     def test_csv_output(self, capsys, tmp_path):
         p = tmp_path / "tube.csv"
         code, out, _ = run(
@@ -260,6 +334,18 @@ class TestInvert:
         )
         assert code == 2
         assert out == "" and err.startswith("error:")
+
+    @pytest.mark.parametrize("command", ["invert", "observe"])
+    def test_a_method_list_is_validation_error(self, capsys, tmp_path, command):
+        # one method runs there; natural,remainder ran natural alone
+        p = tmp_path / "meas.csv"
+        p.write_text("t,y1\n0.0,1.0\n")
+        argv = {"invert": ["--expr", "x1 + x2", "--prior", "[0,1]^2", "--ylo", "1.5",
+                           "--yhi", "2.0"],
+                "observe": ["--model", "scott_example", "--measurements", str(p)]}[command]
+        code, out, err = run(capsys, command, *argv, "--method", "natural,remainder")
+        assert code == 2 and out == ""
+        assert err == "error: give one method, got 'natural,remainder'\n"
 
     def test_empty_solution_is_reported_not_fatal(self, capsys):
         code, out, _ = run(

@@ -32,6 +32,7 @@ from mixmono import (
 )
 from mixmono import cli
 from mixmono.cli import main
+from mixmono.errors import Refusal
 
 from conftest import rand_instance
 
@@ -146,9 +147,9 @@ def range_outcome(argv: list[str]) -> tuple[int, str | None]:
     return code, (caught or [None])[0]
 
 
-# the errors by which an engine declines a box (exit 3); any other code 3
-# is a fault
-DECLINED = ("NotSignStable", "UnboundedBothSides", "InfiniteJacobianEntry")
+# the errors by which an engine declines a box (exit 3 when every method
+# refuses); any other code 3 is a fault
+DECLINED = tuple(error.__name__ for error in Refusal.__subclasses__())
 
 
 def test_range_seeds_exit_with_a_code():

@@ -34,11 +34,14 @@ from mixmono import (
     t_n_inclusion,
 )
 from mixmono import decomp
-from mixmono.inclusion import subdivide_box
+from mixmono.inclusion import _bounds, subdivide_box
 from mixmono.errors import (
     CellBudgetExceeded,
+    DomainError,
     EmptyIntersection,
     InfiniteJacobianEntry,
+    InvertedBounds,
+    NonFiniteState,
     ValidationError,
 )
 
@@ -183,6 +186,71 @@ class TestApplyMethodAndBestOf:
             except Exception:
                 continue
             assert box_subset(enc_inner, enc, slack=1e-9), name
+
+
+class TestRefusals:
+    # d/dx2 = 1e300*x1 = 1e309 is past the largest float, so both centered
+    # forms refuse the box, while natural and remainder hold [1e9, 2e9]
+    CLAMP = [parse_expr("x1*x2*1e300", ["x1", "x2"])]
+    CLAMP_BOX = Box.from_pairs([(1e9, 1e9), (1e-300, 2e-300)])
+
+    def test_best_of_drops_a_refusing_member(self):
+        f, box = self.CLAMP, self.CLAMP_BOX
+        assert apply_method(best_of_method([NATURAL, CENTERED]), f, box) == \
+            apply_method(NATURAL, f, box)
+        answering = [apply_method(m, f, box) for m in (NATURAL, REMAINDER)]
+        method = best_of_method([CENTERED, NATURAL, MIXED_CENTERED, REMAINDER])
+        assert apply_method(method, f, box) == best_of(answering)
+
+    def test_every_member_refusing_raises_the_first_ones_error(self):
+        f, box = self.CLAMP, self.CLAMP_BOX
+        with pytest.raises(InfiniteJacobianEntry, match="^centered form"):
+            apply_method(best_of_method([CENTERED, MIXED_CENTERED]), f, box)
+        with pytest.raises(InfiniteJacobianEntry, match="^mixed-centered form"):
+            apply_method(best_of_method([MIXED_CENTERED, CENTERED]), f, box)
+        with pytest.raises(InfiniteJacobianEntry, match="^centered form"):
+            apply_method(CENTERED, f, box)
+
+    def test_embedding_drops_a_refusing_member(self):
+        # the continuous-time bounds of the same row, its own coordinate pinned
+        f, box = self.CLAMP, self.CLAMP_BOX
+        provider = default_jac_provider(f)
+        args = (f, box.hi, box.lo, provider, [provider.row(0)])
+        assert _bounds(best_of_method([CENTERED, REMAINDER]), *args) == \
+            _bounds(REMAINDER, *args)
+        with pytest.raises(InfiniteJacobianEntry):
+            _bounds(best_of_method([CENTERED, MIXED_CENTERED]), *args)
+
+    @pytest.mark.parametrize("error", [InvertedBounds, EmptyIntersection, DomainError,
+                                       NonFiniteState])
+    def test_any_other_member_error_raises_at_once(self, error):
+        # natural answers without the Jacobian, so only best_of passing the
+        # error of remainder's Jacobian on makes the call raise
+        f = [parse_expr("x1*x2", ["x1", "x2"])]
+        box = Box.from_pairs([(0, 1), (1, 2)])
+
+        def provider(_box):
+            raise error("raised by the Jacobian provider")
+
+        method = best_of_method([NATURAL, REMAINDER])
+        with pytest.raises(error):
+            apply_method(method, f, box, provider)
+        with pytest.raises(error):
+            _bounds(method, f, box.hi, box.lo, provider, [provider])
+
+    def test_unsound_bounds_still_raise(self):
+        # derivative bounds that exclude the true slope: remainder's lower
+        # bound comes out above its upper one, and remainder's and centered's
+        # enclosures of abs(x1 - 0.5) are disjoint points
+        box = Box.from_pairs([(0, 1)])
+        f = [parse_expr("3*x1", X)]
+        provider = default_jac_provider(f, {(0, 0): Interval(-3, -1)})
+        with pytest.raises(InvertedBounds):
+            apply_method(best_of_method([NATURAL, REMAINDER]), f, box, provider)
+        f = [parse_expr("abs(x1 - 0.5)", X)]
+        provider = default_jac_provider(f, {(0, 0): Interval(0, 0)})
+        with pytest.raises(EmptyIntersection):
+            apply_method(best_of_method([NATURAL, REMAINDER, CENTERED]), f, box, provider)
 
 
 class TestErrorBounds:

@@ -18,6 +18,7 @@ from mixmono import (
     Box,
     SystemModel,
     TimeSemantics,
+    best_of,
     best_of_method,
     clarke_jacobian_bounds,
     load_bundled,
@@ -26,8 +27,9 @@ from mixmono import (
     reach_tube,
 )
 from mixmono import inclusion, reach
-from mixmono.errors import InvertedBounds, UnboundedBothSides, ValidationError
-from mixmono.reach import _embedding_field, embed_integrate_continuous
+from mixmono.errors import InvertedBounds, Refusal, UnboundedBothSides, ValidationError
+from mixmono.inclusion import METHOD_NAMES
+from mixmono.reach import _embedding_field, embed_integrate_continuous, embed_step_discrete
 
 from conftest import box_subset, simulate_discrete, tube_contains
 
@@ -69,6 +71,29 @@ class TestDiscreteReach:
         tube = reach_tube(model, REMAINDER, 15)
         widths = [max(rec.box.widths()) for rec in tube]
         assert widths[0] < widths[5] < widths[15]
+
+    def test_best_of_every_engine_runs_as_long_as_natural(self):
+        # tight_vertex refuses vanderpol's step 7 (NotSignStable), and the
+        # other engines refuse later steps; best_of keeps the ones that answer
+        model = load_bundled("vanderpol")
+        tube = reach_tube(model, best_of_method(list(METHOD_NAMES.values())), 80)
+        natural = reach_tube(model, NATURAL, 80)
+        assert len(tube) == len(natural) == 81
+        rng = np.random.default_rng(20260823 + 5)
+        x0 = rng.uniform(model.init.lo, model.init.hi, size=(1000, model.n_x)).T
+        assert tube_contains(tube, simulate_discrete(model, x0, 80, rng), tol=0.0)
+        answered = []
+        for before, after, nat in zip(tube, tube[1:], natural[1:]):
+            assert box_subset(after.box, nat.box)
+            boxes = []
+            for method in METHOD_NAMES.values():
+                try:
+                    boxes.append(embed_step_discrete(model, method, before.box))
+                except Refusal:
+                    pass
+            assert after.box == best_of(boxes)
+            answered.append(len(boxes))
+        assert answered[6] == 5 and answered[-1] == 1
 
     def test_overflowing_slope_sum_saturates(self):
         model = parse_model("""

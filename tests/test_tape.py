@@ -69,8 +69,10 @@ VECTOR_DIGEST = "811b50954bac4f352b5f0627cdcf68f4579509d5d64fbc230eb7ebc21c8d21f
 # -inf), and when the Clarke partials moved onto the outward interval
 # operators (every end equal or outside, but for four one-ULP steps of the
 # centered forms' own rounding; big's stage 10 now refuses its centered
-# forms with InfiniteJacobianEntry)
-EMBEDDING_DIGEST = "7dbe11a3874029b3c92998115156684a25b40d0c80d7992f7f1a2942801b2390"
+# forms with InfiniteJacobianEntry), and when best_of dropped refusing
+# members (only big's stage 10 moved: best_of(centered, mixed_centered,
+# remainder) gives remainder's derivative where it raised that refusal)
+EMBEDDING_DIGEST = "4a683bfda488c47683b71634ca9c0ad6521c55a6df1210ae0ac833916fc47bbb"
 # sha256 of every discrete decomposition enclosure and remainder-form error
 # bound below, recorded while each row's candidates were still built as a
 # tuple of supporting-vector objects, and re-recorded when the Clarke
