@@ -17,8 +17,6 @@ import re
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .decomp import error_bounds
 from .errors import (
     DimensionMismatch,
@@ -120,9 +118,11 @@ def _fmt(x: float, context: decimal.Context = _UP) -> str:
 
 
 def _fmt_iv(iv: Interval, inward: bool = False) -> str:
-    """iv's ends, rounded outward, or inward for an inner estimate."""
-    lo, hi = (_UP, _DOWN) if inward else (_DOWN, _UP)
-    return f"[{_fmt(iv.lo, lo)}, {_fmt(iv.hi, hi)}]"
+    """iv's ends, rounded outward, or inward for an inner estimate (exactly if those cross)."""
+    lo, hi = _fmt(iv.lo, _UP if inward else _DOWN), _fmt(iv.hi, _DOWN if inward else _UP)
+    if inward and decimal.Decimal(lo) > decimal.Decimal(hi):
+        lo, hi = repr(iv.lo), repr(iv.hi)
+    return f"[{lo}, {hi}]"
 
 
 def cmd_range(args) -> int:
@@ -144,8 +144,11 @@ def cmd_range(args) -> int:
         provider = model.jac_provider()
     methods = _parse_methods(args.methods)
 
-    rng = np.random.default_rng(args.seed)
-    oracle = sampled_range(f, box, rng, n_samples=args.samples) if args.bounds else None
+    rng = oracle = None
+    if args.bounds:
+        from numpy.random import default_rng
+        rng = default_rng(args.seed)
+        oracle = sampled_range(f, box, rng, n_samples=args.samples)
 
     lines, refusals = [], []
     for name, method in methods:
@@ -166,17 +169,16 @@ def cmd_range(args) -> int:
             per_cell = max(hausdorff_q(e, sampled_range(f, c, rng, n_samples=2000))
                            for c, e in zip(cells, encs))
             lines.append(f"{'':15s} per-cell max error {_fmt(per_cell)} over {len(cells)} cells")
-        if args.bounds:
-            jac = provider(box)
-            for i, e in enumerate(f):
-                eb = error_bounds(e, jac.row(i), box, oracle_range=oracle[i])
-                lines.append(
-                    f"{'':15s} row {i+1}: q_lower_est={_fmt(eb.q_lower_estimate, _DOWN)} "
-                    f"q_upper={_fmt(eb.q_upper)} q_upper_hat={_fmt(eb.q_upper_hat)}"
-                )
     if len(refusals) == len(methods):
         raise refusals[0]
-    if oracle is not None:
+    if oracle is not None:  # the remainder form's error bounds over box, for every method
+        jac = provider(box)
+        for i, e in enumerate(f):
+            eb = error_bounds(e, jac.row(i), box, oracle_range=oracle[i])
+            lines.append(
+                f"{'':15s} row {i+1}: q_lower_est={_fmt(eb.q_lower_estimate, _DOWN)} "
+                f"q_upper={_fmt(eb.q_upper)} q_upper_hat={_fmt(eb.q_upper_hat)}"
+            )
         lines.append(f"{'sampled range':15s} " + "  ".join(_fmt_iv(d, inward=True) for d in oracle))
     text = "\n".join(lines) + "\n"
     if args.out:

@@ -13,9 +13,10 @@ is known when that pass is generated (constants, and every line over known
 values only) is evaluated then, once, so a linear row's partials are
 constants, returned as the same Interval objects on every call.
 lanes.py binds the point and Clarke code once more, to numpy operators that
-run many points or boxes at once.  Trees are immutable; sums and products
-are n-ary and flattened by the parser to keep natural-inclusion dependency
-pessimism deterministic.
+run many points or boxes at once, and holds eval_vec's binding, so numpy
+loads only when eval_vec is first called.  Trees are immutable; sums and
+products are n-ary and flattened by the parser to keep natural-inclusion
+dependency pessimism deterministic.
 
 Grammar (see parse_expr):
     expr   := term (('+'|'-') term)*
@@ -35,8 +36,6 @@ import types
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, partial, reduce
 from typing import Sequence
-
-import numpy as np
 
 from .errors import (
     DimensionMismatch,
@@ -333,11 +332,11 @@ def eval_interval(e: Expr, box: Box) -> Interval:
     return e.tape.interval(box.dims)
 
 
-def eval_vec(e: Expr, cols: np.ndarray) -> np.ndarray:
-    """Vectorized evaluation; cols has shape (n_vars, n_points)."""
+def eval_vec(e: Expr, cols):
+    """Vectorized evaluation; cols is a numpy array of shape (n_vars, n_points)."""
     try:
         values = e.tape.vec(cols)  # one value, which every point takes, if no variables
-        return np.repeat(values, cols.shape[1]) if e.tape.max_var < 0 else values
+        return values.repeat(cols.shape[1]) if e.tape.max_var < 0 else values
     except IndexError as exc:
         raise DimensionMismatch("expression references variable outside columns") from exc
 
@@ -475,13 +474,6 @@ _INTERVAL_NAMES = {
     "pow_float": ipow, "fsum": _fold_add, "div": operator.truediv, "min": imin, "max": imax,
     "one": _UNIT, "zero": _UNIT,
 }
-# numpy's functions, with sums, products and quotients as for intervals; z is
-# the (n_vars, n_points) array of columns, and a constant a 1-entry array
-_VEC_NAMES = {
-    **_INTERVAL_NAMES, "sin": np.sin, "cos": np.cos, "exp": np.exp, "sqrt": np.sqrt,
-    "atan": np.arctan, "abs": np.abs, "pow_float": lambda x, n: x ** float(n),
-    "min": np.minimum, "max": np.maximum,
-}
 
 
 def _point_code(op: str, n: int) -> str:  # op's value code over n kids
@@ -571,7 +563,8 @@ class Tape:
     @cached_property
     def vec(self):
         """cols -> the values at the columns' points (1 value without variables)."""
-        return self._compile(self._namespace(_VEC_NAMES, partial(np.full, 1)))
+        from .lanes import vec_binding
+        return vec_binding(self)
 
     @cached_property
     def clarke(self):

@@ -16,12 +16,9 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-import numpy as np
-
 from .decomp import (
     SELECTORS,
     decompose,
-    enclose_lanes,
     t_l_inclusion,
     t_o_vertex_inclusion,
     t_r_inclusion,
@@ -36,7 +33,6 @@ from .expr import (
     eval_point,
 )
 from .interval import Box, Interval, outward
-from .lanes import jacobian_lanes
 
 JacProvider = Callable[[Box], JacobianBounds]
 
@@ -284,6 +280,8 @@ def sampled_range(
     the true image, so it lower-bounds every sound enclosure's tightness.
     Raises ValidationError when no sample of a row is left.
     """
+    import numpy as np
+
     from .expr import eval_vec
 
     if not 0 <= n_samples <= SAMPLE_CAP:
@@ -337,32 +335,6 @@ def subdivide_box(box: Box, k: int) -> list[Box]:
     return [Box(combo) for combo in itertools.product(*per_dim)]
 
 
-# cells per lane pass, which bounds the size of its arrays
-_LANE_BLOCK = 64
-
-
-def _lane_enclosures(method: MethodId, f: Sequence[Expr], jac_provider: JacProvider,
-                     cells: Sequence[Box]) -> list[Box | None]:
-    """Each cell's enclosure from lane passes, or None where the cell must
-    go through apply_method: every cell unless method is a decomposition
-    engine and jac_provider default_jac_provider's for the rows f, and
-    otherwise the unclean cells (see lanes.py)."""
-    n = len(cells[0])
-    if (method.kind not in SELECTORS or not isinstance(jac_provider, _ClarkeProvider)
-            or tuple(jac_provider.f) != tuple(f) or any(e.tape.max_var >= n for e in f)):
-        return [None] * len(cells)
-    out = []
-    for start in range(0, len(cells), _LANE_BLOCK):
-        block = cells[start:start + _LANE_BLOCK]
-        lo = np.array([d.lo for c in block for d in c.dims], dtype=float).reshape(len(block), n).T
-        hi = np.array([d.hi for c in block for d in c.dims], dtype=float).reshape(len(block), n).T
-        jac, bad = jacobian_lanes(f, jac_provider.overrides, lo, hi)
-        lower, upper, bad = enclose_lanes(f, jac, method.kind, lo, hi, bad)
-        for lows, ups, unclean in zip(lower.T.tolist(), upper.T.tolist(), bad.tolist()):
-            out.append(None if unclean else Box(map(Interval, lows, ups)))
-    return out
-
-
 def subdivide_apply(
     method: MethodId,
     f: Sequence[Expr],
@@ -372,18 +344,22 @@ def subdivide_apply(
 ) -> tuple[list[Box], list[Box], Box]:
     """Apply method per subdivision cell; returns (cells, enclosures, hull).
 
-    The decomposition engines run the cells as the lanes of one Clarke pass
-    and one corner pass per row (lanes.py); the other engines, and the cells
-    whose lanes are unclean, go through apply_method in cell order, so the
-    enclosures and the first error are those of apply_method on each cell.
+    A decomposition engine with default_jac_provider's bounds, on rows that
+    read only the box's variables, runs the cells as lanes (lanes.enclose_cells);
+    the other engines, and the cells whose lanes are unclean, go through
+    apply_method in cell order, so the enclosures and the first error are
+    those of apply_method on each cell.
     """
     cells = subdivide_box(box, k)
     if jac_provider is None:
         jac_provider = default_jac_provider(f)
-    enclosures = [
-        enc if enc is not None else apply_method(method, f, cell, jac_provider)
-        for cell, enc in zip(cells, _lane_enclosures(method, f, jac_provider, cells))
-    ]
+    laned = [None] * len(cells)
+    if (method.kind in SELECTORS and isinstance(jac_provider, _ClarkeProvider)
+            and tuple(jac_provider.f) == tuple(f) and all(e.tape.max_var < len(box) for e in f)):
+        from .lanes import enclose_cells
+        laned = enclose_cells(method.kind, f, jac_provider.overrides, cells)
+    enclosures = [enc if enc is not None else apply_method(method, f, cell, jac_provider)
+                  for cell, enc in zip(cells, laned)]
     # min and max keep the first least and greatest end, as a fold of Box.hull does
     hull = Box(Interval(min(d.lo for d in dims), max(d.hi for d in dims))
                for dims in zip(*enclosures))

@@ -1,16 +1,23 @@
-"""Lane bindings of the tape: one pass of its compiled code over many boxes.
+"""Lane bindings of the tape: one pass of its compiled code over many points or boxes.
 
-`Tape` compiles each tree's point and Clarke code once (see expr.py).  This
-module binds those same code objects once more, to operators whose values
-are numpy arrays with one entry per *lane*: a point value of a corner pass
-is a float per lane, and an interval value or Clarke partial of a Clarke
-pass a `_LaneInterval` over a (2, K) array whose rows are the lanes' lower
-and upper ends.  The Clarke pass binds the point code's names as
-expr._INTERVAL_NAMES does, and each value the Clarke code was compiled to
-read as known (`Tape.clarke`'s folds) as a constant lane interval.
-`subdivide_apply` runs the cells of a subdivision as the lanes of one Clarke
-pass per row, and decomp's `enclose_lanes` the candidates of all cells as the
-lanes of one corner pass per row and bound.
+This module owns every numpy binding of the tape and is the only one that
+imports numpy when loaded.  `Tape` compiles each tree's point and Clarke
+code once (see expr.py); this module binds those same code objects once
+more, to operators whose values are numpy arrays with one entry per *lane*:
+a point value of a corner pass is a float per lane, and an interval value or
+Clarke partial of a Clarke pass a `_LaneInterval` over a (2, K) array whose
+rows are the lanes' lower and upper ends.  The Clarke pass binds the point
+code's names as expr._INTERVAL_NAMES does, and each value the Clarke code
+was compiled to read as known (`Tape.clarke`'s folds) as a constant lane
+interval.  `enclose_cells`, the one entry, runs the cells of a subdivision
+as the lanes of one Clarke pass per row, and their candidates, chosen by
+decomp.row_candidates' rules, as the lanes of one corner pass per row and
+bound.
+
+`vec_binding` (`Tape.vec`, for eval_vec) is numpy's own and *not*
+bit-identical to eval_point: its sums are left folds, and its sin, cos, exp
+and arctan numpy's.  At 2000 points drawn uniformly from [-2, 2]^3 (numpy
+seed 2), 476 values of 1.2*x1^2 + 0.3*x1*x2 - 0.7*sin(x3) differ from it.
 
 Clean lanes.  A lane is clean when every value it computes is finite and no
 scalar operation on it would raise.  Each pass returns the mask of the lanes
@@ -48,11 +55,13 @@ import math
 import operator
 import types
 from functools import partial
+from typing import Sequence
 
 import numpy as np
 
-from .expr import _CLARKE_NAMES, _POINT_NAMES, _UNIT, Tape, _fold_add, _fsum, _same, _row_overrides
-from .interval import _MAXF, _SPLIT, _TINY, _TWO_PI, Interval, _exp_float, _pow_float
+from .expr import (_CLARKE_NAMES, _INTERVAL_NAMES, _POINT_NAMES, _UNIT, Expr, Tape, _fold_add,
+                   _fsum, _row_overrides, _same)
+from .interval import _MAXF, _SPLIT, _TINY, _TWO_PI, Box, Interval, _exp_float, _pow_float
 
 # the direction each row of a (2, K) array rounds to: lower ends down, upper up
 _OUT = np.array([[-math.inf], [math.inf]])
@@ -331,6 +340,19 @@ class _PointPass:
 
 
 _POINT_LANE_NAMES = (*_POINT_NAMES, "abs", "min", "max")
+# numpy's functions, with sums, products and quotients as for intervals; z is
+# the (n_vars, n_points) array of columns, and a constant a 1-entry array
+_VEC_NAMES = {
+    **_INTERVAL_NAMES, "sin": np.sin, "cos": np.cos, "exp": np.exp, "sqrt": np.sqrt,
+    "atan": np.arctan, "abs": np.abs, "pow_float": lambda x, n: x ** float(n),
+    "min": np.minimum, "max": np.maximum,
+}
+
+
+def vec_binding(tape: Tape):
+    """cols -> the tape's values at the columns' points (1 value without
+    variables): `Tape.vec`, not bit-identical to the point code."""
+    return tape._compile(tape._namespace(_VEC_NAMES, partial(np.full, 1)))
 
 
 def _run(code, tape: Tape, lanes, names, constant, z, folded=None):
@@ -373,3 +395,100 @@ def jacobian_lanes(f, overrides, lo: np.ndarray, hi: np.ndarray) -> tuple[np.nda
     with np.errstate(invalid="ignore"):
         ok = np.isfinite(entries).all(axis=2) & (entries[:, :, 0] <= entries[:, :, 1])
     return entries, bad | ~ok.all(axis=(0, 1))
+
+
+# a lane with more candidates in a row than this runs through the scalar
+# code; it is below decomp.CANDIDATE_CAP, so a lane the scalar code refuses is one
+LANE_CANDIDATES = 2**10
+
+
+def _lane_candidates(entries: np.ndarray, kind: str, bad: np.ndarray):
+    """One row's candidates in every clean lane, by the rules of
+    decomp.row_candidates: entries is the row's (n, 2, K) array of bounds.
+
+    Returns (slopes, branch, shortcut, cell): per candidate, its slope
+    vector, which coordinates take the lower branch, whether it is the all-zero
+    vector that decomp._extremum evaluates alone, and its lane, with each lane's
+    candidates in itertools.product order.  A lane that the scalar code
+    would refuse (CandidateExplosion) or that has more than LANE_CANDIDATES
+    candidates is added to bad and given one placeholder candidate.
+    """
+    upper = np.where(0.0 > entries[:, 1], 0.0, entries[:, 1])  # max(hi, 0.0)
+    lower = np.where(0.0 < entries[:, 0], 0.0, entries[:, 0])  # min(lo, 0.0)
+    two = ~(lower == upper)  # the lower branch survives deduplication
+    count = len(bad)
+    if kind == "remainder":
+        zero = ((upper == 0.0) | (lower == 0.0)).all(axis=0)
+        total = np.prod(1.0 + two, axis=0)
+        bad |= total > LANE_CANDIDATES
+        sizes = np.where(zero | bad, 1, total).astype(int)
+        cell = np.repeat(np.arange(count), sizes)
+        rank = np.arange(len(cell)) - (np.cumsum(sizes) - sizes)[cell]
+        branch = np.empty((len(two), len(cell)), dtype=bool)
+        for j in reversed(range(len(two))):  # the last coordinate varies fastest
+            split = two[j, cell]
+            branch[j] = split & (rank % 2 == 1)
+            rank = np.where(split, rank // 2, rank)
+        shortcut = zero[cell]
+        # the all-zero vector takes each coordinate's first zero choice
+        branch = np.where(shortcut, ~(upper == 0.0)[:, cell], branch)
+    else:  # each coordinate's smallest-magnitude choice, the lower branch on a tie
+        cell = np.arange(count)
+        branch = two & (np.abs(lower) <= np.abs(upper))
+        shortcut = (np.where(branch, lower, upper) == 0.0).all(axis=0)
+    return np.where(branch, lower[:, cell], upper[:, cell]), branch, shortcut, cell
+
+
+def _lane_extremum(f_i: Expr, slopes, branch, shortcut, cell, a, b, sign: float):
+    """decomp._extremum for every lane at once: a and b are the (n, K)
+    arguments, the other inputs those of `_lane_candidates`.  Returns each
+    lane's value and whether it is unclean."""
+    a, b = a[:, cell], b[:, cell]
+    values, bad = point_lanes(f_i.tape, np.where(branch, a, b))
+    rest = ~shortcut
+    if rest.any():
+        terms = np.where(slopes != 0.0, np.abs(slopes) * (a - b), 0.0)
+        sums = np.zeros(len(cell))
+        sums[rest] = list(map(_fsum, terms[:, rest].T.tolist()))
+        values = np.where(rest, values + sums, values)
+        bad |= ~np.isfinite(values)
+    # each lane's value is its first least candidate, in product order
+    key = np.where(bad, 0.0, sign * values)
+    starts = np.flatnonzero(np.diff(cell, prepend=-1))
+    hits = np.flatnonzero(key == np.minimum.reduceat(key, starts)[cell])
+    return values[hits[np.searchsorted(hits, starts)]], np.logical_or.reduceat(bad, starts)
+
+
+# cells per lane pass, which bounds the size of its arrays
+_LANE_BLOCK = 64
+
+
+def enclose_cells(kind: str, f: Sequence[Expr], overrides, cells: Sequence[Box]) -> list[Box | None]:
+    """decomp.enclose(f, clarke_jacobian_bounds(f, cell, overrides), cell, kind)
+    for each cell, from lane passes over _LANE_BLOCK cells at a time.
+
+    A cell is None where it is unclean: where a lane of its Clarke or corner
+    pass is, or where the scalar code computes from a non-finite value or
+    refuses (NotSignStable, CandidateExplosion, InvertedBounds); the caller
+    runs it through the scalar code.  Every other box is bit-identical to
+    `enclose`'s.  Every row must read only variables of the cells.
+    """
+    n, out = len(cells[0]), []
+    for start in range(0, len(cells), _LANE_BLOCK):
+        block = cells[start:start + _LANE_BLOCK]
+        lo = np.array([d.lo for c in block for d in c.dims], dtype=float).reshape(len(block), n).T
+        hi = np.array([d.hi for c in block for d in c.dims], dtype=float).reshape(len(block), n).T
+        jac, bad = jacobian_lanes(f, overrides, lo, hi)
+        if kind == "tight_vertex":
+            bad |= ((jac[:, :, 0] < 0.0) & (0.0 < jac[:, :, 1])).any(axis=(0, 1))
+        lower, upper = np.empty((len(f), len(bad))), np.empty((len(f), len(bad)))
+        with np.errstate(all="ignore"):  # unclean lanes may hold inf and nan
+            for i, f_i in enumerate(f):
+                cands = _lane_candidates(jac[i], kind, bad)
+                upper[i], up_bad = _lane_extremum(f_i, *cands, hi, lo, 1.0)
+                lower[i], lo_bad = _lane_extremum(f_i, *cands, lo, hi, -1.0)
+                bad |= up_bad | lo_bad
+            bad |= (lower > upper).any(axis=0)
+        for lows, ups, unclean in zip(lower.T.tolist(), upper.T.tolist(), bad.tolist()):
+            out.append(None if unclean else Box(map(Interval, lows, ups)))
+    return out

@@ -60,6 +60,34 @@ class TestRange:
         assert "q_upper_hat=0.4" in out
         assert "sampled range" in out
 
+    def test_bounds_print_once_after_every_method(self, capsys):
+        # the error bounds belong to the remainder form and the box, so they
+        # print once, whatever the methods
+        code, out, _ = run(
+            capsys,
+            "range", "--expr", "x1^2 + x2", "--domain", "[[-1,1],[0,2]]",
+            "--methods", "natural,remainder,best", "--bounds", "--samples", "100",
+        )
+        assert code == 0
+        assert out == (
+            "natural         [0, 3]\n"
+            "remainder       [-3, 7]\n"
+            "best            [0, 3]\n"
+            "                row 1: q_lower_est=4 q_upper=4 q_upper_hat=4\n"
+            "sampled range   [0.0123457, 3]\n"
+        )
+
+    def test_crossed_inner_ends_print_exactly(self, capsys):
+        # 0.1234566 rounds inward to [0.123457, 0.123456]; its float ends
+        # state a true inner range instead
+        code, out, _ = run(
+            capsys,
+            "range", "--expr", "x1", "--domain", "[[0.1234566,0.1234566]]",
+            "--methods", "natural", "--bounds", "--samples", "10",
+        )
+        assert code == 0
+        assert out.splitlines()[-1] == "sampled range   [0.1234566, 0.1234566]"
+
     def test_subdivide_reports_cells_and_hull(self, capsys):
         code, out, _ = run(
             capsys,
@@ -443,6 +471,23 @@ def test_huge_integer_powers_finish(args):
                           capture_output=True, text=True, env=env, timeout=60)
     assert done.returncode == 0, done.stderr
     assert "remainder" in done.stdout
+
+
+@pytest.mark.parametrize("call", [
+    "",
+    "cli.main(['reach', '--model', 'vanderpol', '--steps', '3'])",
+    "cli.main(['range', '--expr', 'x1*x2', '--domain', '[[0,1],[1,2]]'])",
+], ids=["import", "reach", "range"])
+def test_numpy_loads_only_where_arrays_are_built(call):
+    # a fresh interpreter, since this one has numpy loaded already
+    code = f"import sys, io, contextlib, mixmono\nfrom mixmono import cli\n" \
+           f"with contextlib.redirect_stdout(io.StringIO()):\n    {call or 'pass'}\n" \
+           f"print('numpy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"
 
 
 def test_python_dash_m_runs_the_cli_from_a_checkout():

@@ -40,9 +40,9 @@ from mixmono import (
 )
 from mixmono.errors import DivisionByZeroInterval, DomainError, NotSignStable, UnboundedBothSides
 from mixmono.expr import _CLARKE_NAMES, ZERO_PARTIAL, _fold_add, _fsum
-from mixmono.inclusion import _lane_enclosures, subdivide_box
+from mixmono.inclusion import subdivide_box
 from mixmono.interval import Interval, isin
-from mixmono.lanes import _ClarkePass, _LaneInterval, _run, jacobian_lanes, point_lanes
+from mixmono.lanes import _ClarkePass, _LaneInterval, _run, enclose_cells, jacobian_lanes, point_lanes
 from mixmono.model import bundled_models
 from mixmono.reach import _embedding_field
 
@@ -483,7 +483,7 @@ def test_integer_box_ends_come_out_as_floats():
     e = parse_expr("-x1", ["x1", "x2"])
     box = Box.from_pairs([(0.5, 2), (-0.3, -0.1)])
     cells = [box, *subdivide_box(box, 2)]
-    lanes = _lane_enclosures(REMAINDER, [e], default_jac_provider([e]), cells)
+    lanes = enclose_cells("remainder", [e], None, cells)
     for cell, lane in zip(cells, lanes):
         ends = [x for d in apply_method(REMAINDER, [e], cell) for x in (d.lo, d.hi)]
         assert all(type(x) is float for x in ends)
@@ -704,7 +704,7 @@ def test_jacobian_lanes_match_clarke_on_clean_cells(k):
 def test_unclean_lanes_take_apply_method_in_cell_order():
     box = Box.from_pairs([(709.5, 710)])
     e = parse_expr("0.5*exp(x1)", ["x1"])
-    lanes = _lane_enclosures(REMAINDER, [e], default_jac_provider([e]), subdivide_box(box, 2))
+    lanes = enclose_cells("remainder", [e], None, subdivide_box(box, 2))
     assert [enc is None for enc in lanes] == [False, True]  # exp(710) overflows
     # cell 0 fails in decomposition, cell 2 in Clarke: the first error wins
     e = parse_expr("(x1 + 1.5)^2 + sqrt(-x1)", ["x1"])
