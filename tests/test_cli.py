@@ -474,15 +474,15 @@ def test_huge_integer_powers_finish(args):
 
 
 @pytest.mark.parametrize("call", [
-    "",
+    "pass",
     "cli.main(['reach', '--model', 'vanderpol', '--steps', '3'])",
     "cli.main(['range', '--expr', 'x1*x2', '--domain', '[[0,1],[1,2]]'])",
 ], ids=["import", "reach", "range"])
 def test_numpy_loads_only_where_arrays_are_built(call):
     # a fresh interpreter, since this one has numpy loaded already
-    code = f"import sys, io, contextlib, mixmono\nfrom mixmono import cli\n" \
-           f"with contextlib.redirect_stdout(io.StringIO()):\n    {call or 'pass'}\n" \
-           f"print('numpy' in sys.modules)"
+    code = ("import contextlib, io, sys\nfrom mixmono import cli\n"
+            f"with contextlib.redirect_stdout(io.StringIO()):\n    {call}\n"
+            "print('numpy' in sys.modules)")
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=60)
