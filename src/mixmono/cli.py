@@ -172,9 +172,12 @@ def cmd_range(args) -> int:
     if len(refusals) == len(methods):
         raise refusals[0]
     if oracle is not None:  # the remainder form's error bounds over box, for every method
-        jac = provider(box)
         for i, e in enumerate(f):
-            eb = error_bounds(e, jac.row(i), box, oracle_range=oracle[i])
+            try:  # a row whose Clarke or error bounds refuse prints as a method does
+                eb = error_bounds(e, provider.row(i)(box).row(0), box, oracle_range=oracle[i])
+            except Refusal as exc:
+                lines.append(f"{'':15s} row {i+1}: refused: {type(exc).__name__}")
+                continue
             lines.append(
                 f"{'':15s} row {i+1}: q_lower_est={_fmt(eb.q_lower_estimate, _DOWN)} "
                 f"q_upper={_fmt(eb.q_upper)} q_upper_hat={_fmt(eb.q_upper_hat)}"

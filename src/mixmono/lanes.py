@@ -7,12 +7,12 @@ more, to operators whose values are numpy arrays with one entry per *lane*:
 a point value of a corner pass is a float per lane, and an interval value or
 Clarke partial of a Clarke pass a `_LaneInterval` over a (2, K) array whose
 rows are the lanes' lower and upper ends.  The Clarke pass binds the point
-code's names as expr._INTERVAL_NAMES does, and each value the Clarke code
-was compiled to read as known (`Tape.clarke`'s folds) as a constant lane
-interval.  `enclose_cells`, the one entry, runs the cells of a subdivision
-as the lanes of one Clarke pass per row, and their candidates, chosen by
-decomp.row_candidates' rules, as the lanes of one corner pass per row and
-bound.
+code's names as expr._INTERVAL_NAMES does, and each constant and each value
+the Clarke code was compiled to read as known (`Tape.clarke`'s folds) as
+one (2, 1) column, which numpy broadcasts.  `enclose_cells`, the one entry,
+runs the cells of a subdivision as the lanes of one Clarke pass per row,
+and their candidates, chosen by decomp.row_candidates' rules, as the lanes
+of one corner pass per row, upper and lower bounds side by side.
 
 `vec_binding` (`Tape.vec`, for eval_vec) is numpy's own and *not*
 bit-identical to eval_point: its sums are left folds, and its sin, cos, exp
@@ -23,30 +23,36 @@ Clean lanes.  A lane is clean when every value it computes is finite and no
 scalar operation on it would raise.  Each pass returns the mask of the lanes
 that are not: the Clarke operators flag every non-finite or inverted result
 and every argument the scalar code rejects (a divisor holding 0, a negative
-square root); the point operators flag each non-finite argument that they
-could turn finite (x / inf is 0), give nan where the scalar function raises,
-and leave negation and products, which carry inf and nan on, to the next
-operator or the final check of the root.  Callers use only clean lanes and
-run every other one through the scalar code, which then raises or saturates
-exactly as before; so no lane operator copies the scalar code's saturation
-or its errors, only its arithmetic on finite values.
+square root), tested at once when the mask is read; the point operators flag
+each non-finite argument that they could turn finite (x / inf is 0), give
+nan where the scalar function raises, and leave the inf and nan that the
+rest carry on to the root's check.  Callers run every unclean lane through
+the scalar code, which then raises or saturates exactly as before.
 
 Bit identity with the scalar code on clean lanes:
 - outward rounding runs the TwoSum and Dekker exactness tests of interval.py
   elementwise, and moves inexact ends with np.nextafter;
-- `Interval.__mul__`'s sign cases are replicated with np.where.  A min over
-  the four outward-rounded corners would differ, because rounding down is
-  not monotone across exact and inexact products;
+- a product by a point column [c, c] (the same float at both ends, sign of
+  zero included) is `scale(c)`: Interval.__mul__ rounds _mul(a, c), scale
+  _mul(c, a), the same product, and where |p| >= _TINY each step of
+  Dekker's error term is exact in either order.  [-0.0, 0.0] is no point:
+  for [-3, -1], scale(-0.0) is [0.0, 0.0] and the sign cases [-0.0, 0.0];
+- other products replicate Interval.__mul__'s sign cases with np.where;
+  rounding down is not monotone, so a min over four rounded corners differs;
 - Python's min(a, b) and max(a, b) become where(b < a, b, a) and
   where(b > a, b, a), and a min or max over several values takes the first
   least or greatest one (argmin, argmax).  np.minimum would not do:
   np.minimum(0.0, -0.0) is -0.0 where min(0.0, -0.0) is 0.0;
 - the Clarke rules run on the same lane intervals, and the abs, min and max
   rules pick each lane's branch with np.where, their hull as `Interval.hull`;
-- `math`'s libm functions (sin, cos, exp, atan), `**` and `_fsum` are called
-  per lane on Python floats, because numpy's exp and arctan differ from libm
-  in the last bit.  sqrt and the sum of two floats are correctly rounded in
-  numpy as in Python, so `_fsum` runs per lane only for longer sums.
+- libm's sin, cos, exp and atan, `**` and fsum are mapped per lane from C
+  on Python floats (numpy's exp and arctan differ in the last bit), and
+  where one raises, `_exp_float`, `_pow_float` or `_fsum` runs instead.
+  sqrt and + are correctly rounded in numpy too, so a remainder of one or
+  two terms is 0.0 + t0 (+ t1), fsum's value (fsum([-0.0]) is 0.0);
+- a lower candidate's terms |m|*(lo - hi) are its upper twin's negated, up
+  to the sign of a zero; fsum rounds -S to -round(S) and sums zeros to
+  0.0, so the lower remainder is 0.0 minus the upper one.
 """
 
 from __future__ import annotations
@@ -55,28 +61,30 @@ import math
 import operator
 import types
 from functools import partial
+from itertools import repeat
 from typing import Sequence
 
 import numpy as np
 
 from .expr import (_CLARKE_NAMES, _INTERVAL_NAMES, _POINT_NAMES, _UNIT, Expr, Tape, _fold_add,
                    _fsum, _row_overrides, _same)
-from .interval import _MAXF, _SPLIT, _TINY, _TWO_PI, Box, Interval, _exp_float, _pow_float
+from .interval import _MAXF, _SPLIT, _TINY, _TWO_PI, Box, Interval, _exp_float, _iv, _pow_float
 
 # the direction each row of a (2, K) array rounds to: lower ends down, upper up
 _OUT = np.array([[-math.inf], [math.inf]])
 
 
-def _each(fn, x: np.ndarray) -> np.ndarray:
-    """fn of every entry of x, called on Python floats; nan where fn raises."""
+def _each(fn, x: np.ndarray, *arg, fast=None) -> np.ndarray:
+    """fn(v, *arg) of every entry v of x, called on Python floats; nan where
+    fn raises.  fast, a function that C calls, is fn wherever it does not raise."""
     flat = x.ravel().tolist()
     try:
-        out = list(map(fn, flat))
+        out = list(map(fast or fn, flat, *map(repeat, arg)))
     except (ArithmeticError, ValueError):
         out = []
         for v in flat:
             try:
-                out.append(fn(v))
+                out.append(fn(v, *arg))
             except (ArithmeticError, ValueError):
                 out.append(math.nan)
     return np.array(out, dtype=float).reshape(x.shape)
@@ -156,6 +164,9 @@ class _LaneInterval:
         return _LaneInterval(-self.v[::-1], self.lanes)
 
     def __mul__(self, other):
+        for x, y in ((self, other), (other, self)):  # a point column scales (module docstring)
+            if y.v.shape[1] == 1 and y.v[0, 0].hex() == y.v[1, 0].hex():
+                return x.scale(float(y.v[0, 0]))
         s, t = self.v, other.v
         # x is the operand that spans 0, if one does not (see Interval.__mul__)
         swap = ~((t[0] >= 0.0) | (t[1] <= 0.0))
@@ -183,26 +194,34 @@ class _LaneInterval:
 
 
 class _ClarkePass:
-    """The operators of one Clarke lane pass; `bad` collects its unclean lanes.
-
-    The attribute names are those of expr._CLARKE_NAMES, so the lane
-    namespace is read off this object.
-    """
+    """The operators of one Clarke lane pass, named as in expr._CLARKE_NAMES
+    so that the lane namespace is read off this object; `bad` is the mask of
+    its unclean lanes so far."""
 
     def __init__(self, count: int):
-        self.bad = np.zeros(count, dtype=bool)
+        self._bad, self._ends = np.zeros(count, dtype=bool), []  # results not yet tested
         self.unit = self.constant(1.0)
+
+    @property
+    def bad(self) -> np.ndarray:
+        """The lanes with a non-finite or inverted result, tested at once per width."""
+        for width in {v.shape[1] for v in self._ends}:
+            v = np.concatenate([v for v in self._ends if v.shape[1] == width])
+            self._bad |= ~(np.isfinite(v).all(axis=0) & (v[::2] <= v[1::2]).all(axis=0))
+        self._ends = []
+        return self._bad
 
     def constant(self, value: float) -> _LaneInterval:
         return self.folded(Interval.point(value))
 
     def folded(self, value: Interval) -> _LaneInterval:
         """A value the Clarke code was compiled to read as known (Tape.clarke),
-        the same in every lane."""
-        return _LaneInterval(np.repeat([[value.lo], [value.hi]], len(self.bad), axis=1), self)
+        the same in every lane: one column, which numpy broadcasts."""
+        return _LaneInterval(np.array([[value.lo], [value.hi]]), self)
 
     def interval(self, v, ok=True) -> _LaneInterval:
-        self.bad |= ~(ok & (v[0] <= v[1]) & np.isfinite(v).all(axis=0))
+        """v as a result of the pass, its lanes unclean where v is or ok is false."""
+        self._ends.append(v if ok is True else np.where(ok, v, np.nan))
         return _LaneInterval(v, self)
 
     # -- interval operators ------------------------------------------------
@@ -214,7 +233,7 @@ class _ClarkePass:
         return self.interval(_trig(x.v, math.cos, 0.0, math.pi))
 
     def iexp(self, x):
-        e = _libm(_each(_exp_float, x.v), _OUT)
+        e = _libm(_each(_exp_float, x.v, fast=math.exp), _OUT)
         return self.interval(np.stack((np.where(e[0] > 0.0, e[0], 0.0), e[1])))
 
     def isqrt(self, x):
@@ -249,7 +268,7 @@ class _ClarkePass:
             inexact |= ~_product_exact(q, p, v)
         q = np.where(unit, v if n % 2 else np.abs(v), q)
         power = q.copy()
-        power[inexact] = _each(lambda t: _pow_float(t, n), v[inexact])
+        power[inexact] = _each(_pow_float, v[inexact], n, fast=pow)
         out = np.where(inexact, _libm(power, _OUT), q)
         lo_up = np.where(inexact[0], _libm(power[0], math.inf), q[0])
         top = np.where(out[1] > lo_up, out[1], lo_up)
@@ -294,11 +313,8 @@ class _ClarkePass:
 
 
 class _PointPass:
-    """The operators of one corner lane pass; `bad` collects its unclean lanes.
-
-    The attribute names are those of expr._POINT_NAMES plus the builtins the
-    point code calls.
-    """
+    """The operators of one corner lane pass, named as in expr._POINT_NAMES
+    plus the builtins the point code calls; `bad` collects its unclean lanes."""
 
     sin, cos = partial(_each, math.sin), partial(_each, math.cos)
     sqrt, abs, one, zero = np.sqrt, np.abs, 1.0, 0.0
@@ -312,7 +328,7 @@ class _PointPass:
 
     def exp(self, x):
         self._finite(x)
-        return _each(_exp_float, x)
+        return _each(_exp_float, x, fast=math.exp)
 
     def atan(self, x):
         self._finite(x)
@@ -320,11 +336,16 @@ class _PointPass:
 
     def pow_float(self, x, n: int):
         self._finite(x)
-        return _each(lambda t: _pow_float(t, n), x)
+        return _each(_pow_float, x, n, fast=pow)
 
     @staticmethod
     def fsum(terms):
-        return np.array(list(map(_fsum, zip(*(t.tolist() for t in terms)))), dtype=float)
+        """math.fsum of each lane's terms; _fsum of each where one raises."""
+        rows = list(zip(*(t.tolist() for t in terms)))
+        try:
+            return np.array(list(map(math.fsum, rows)), dtype=float)
+        except (OverflowError, ValueError):
+            return np.array(list(map(_fsum, rows)), dtype=float)
 
     def div(self, x, y):
         self._finite(y)
@@ -405,14 +426,12 @@ LANE_CANDIDATES = 2**10
 def _lane_candidates(entries: np.ndarray, kind: str, bad: np.ndarray):
     """One row's candidates in every clean lane, by the rules of
     decomp.row_candidates: entries is the row's (n, 2, K) array of bounds.
-
     Returns (slopes, branch, shortcut, cell): per candidate, its slope
     vector, which coordinates take the lower branch, whether it is the all-zero
     vector that decomp._extremum evaluates alone, and its lane, with each lane's
     candidates in itertools.product order.  A lane that the scalar code
     would refuse (CandidateExplosion) or that has more than LANE_CANDIDATES
-    candidates is added to bad and given one placeholder candidate.
-    """
+    candidates is added to bad and given one placeholder candidate."""
     upper = np.where(0.0 > entries[:, 1], 0.0, entries[:, 1])  # max(hi, 0.0)
     lower = np.where(0.0 < entries[:, 0], 0.0, entries[:, 0])  # min(lo, 0.0)
     two = ~(lower == upper)  # the lower branch survives deduplication
@@ -424,11 +443,9 @@ def _lane_candidates(entries: np.ndarray, kind: str, bad: np.ndarray):
         sizes = np.where(zero | bad, 1, total).astype(int)
         cell = np.repeat(np.arange(count), sizes)
         rank = np.arange(len(cell)) - (np.cumsum(sizes) - sizes)[cell]
-        branch = np.empty((len(two), len(cell)), dtype=bool)
-        for j in reversed(range(len(two))):  # the last coordinate varies fastest
-            split = two[j, cell]
-            branch[j] = split & (rank % 2 == 1)
-            rank = np.where(split, rank // 2, rank)
+        # a coordinate's bit in rank: the last coordinate varies fastest
+        bit = (np.cumsum(two[::-1], axis=0)[::-1] - two)[:, cell]
+        branch = two[:, cell] & ((rank >> bit) & 1 == 1)
         shortcut = zero[cell]
         # the all-zero vector takes each coordinate's first zero choice
         branch = np.where(shortcut, ~(upper == 0.0)[:, cell], branch)
@@ -439,24 +456,32 @@ def _lane_candidates(entries: np.ndarray, kind: str, bad: np.ndarray):
     return np.where(branch, lower[:, cell], upper[:, cell]), branch, shortcut, cell
 
 
-def _lane_extremum(f_i: Expr, slopes, branch, shortcut, cell, a, b, sign: float):
-    """decomp._extremum for every lane at once: a and b are the (n, K)
-    arguments, the other inputs those of `_lane_candidates`.  Returns each
-    lane's value and whether it is unclean."""
-    a, b = a[:, cell], b[:, cell]
-    values, bad = point_lanes(f_i.tape, np.where(branch, a, b))
-    rest = ~shortcut
-    if rest.any():
-        terms = np.where(slopes != 0.0, np.abs(slopes) * (a - b), 0.0)
-        sums = np.zeros(len(cell))
-        sums[rest] = list(map(_fsum, terms[:, rest].T.tolist()))
-        values = np.where(rest, values + sums, values)
+def _corner_bounds(f_i: Expr, slopes, branch, shortcut, cell, lo, hi):
+    """decomp._extremum's upper (a, b = hi, lo) and lower (a, b = lo, hi)
+    value in every lane of the (n, K) ends lo and hi, from one corner pass,
+    and whether either is unclean; the other inputs are `_lane_candidates`'."""
+    count, m = lo.shape[1], len(cell)
+    lo, hi = lo[:, cell], hi[:, cell]
+    # the upper candidates are lanes 0..m-1 of the pass, the lower ones m..2m-1
+    a, b = np.concatenate((hi, lo), axis=1), np.concatenate((lo, hi), axis=1)
+    values, bad = point_lanes(f_i.tape, np.where(np.concatenate((branch, branch), axis=1), a, b))
+    if not shortcut.all():  # the upper remainders; a lower one is 0.0 minus its twin's
+        rest, terms = ~shortcut, np.where(slopes != 0.0, np.abs(slopes) * (hi - lo), 0.0)
+        if len(terms) > 2:
+            up = np.zeros(m)
+            up[rest] = _PointPass.fsum(terms[:, rest])
+        else:  # 0.0 + t0 (+ t1) is fsum's value (module docstring)
+            up = 0.0 + terms[0] if len(terms) == 1 else 0.0 + terms[0] + terms[1]
+        values = np.where(np.concatenate((rest, rest)), values + np.concatenate((up, 0.0 - up)), values)
         bad |= ~np.isfinite(values)
-    # each lane's value is its first least candidate, in product order
-    key = np.where(bad, 0.0, sign * values)
-    starts = np.flatnonzero(np.diff(cell, prepend=-1))
-    hits = np.flatnonzero(key == np.minimum.reduceat(key, starts)[cell])
-    return values[hits[np.searchsorted(hits, starts)]], np.logical_or.reduceat(bad, starts)
+    # each lane's first least upper and greatest lower value, in product order
+    group = np.concatenate((cell, cell + count))
+    starts = np.searchsorted(group, np.arange(2 * count))
+    key = np.where(bad, 0.0, values)
+    key[m:] *= -1.0
+    hits = np.flatnonzero(key == np.minimum.reduceat(key, starts)[group])
+    best, bad = values[hits[np.searchsorted(hits, starts)]], np.logical_or.reduceat(bad, starts)
+    return best[:count], best[count:], bad[:count] | bad[count:]
 
 
 # cells per lane pass, which bounds the size of its arrays
@@ -466,13 +491,11 @@ _LANE_BLOCK = 64
 def enclose_cells(kind: str, f: Sequence[Expr], overrides, cells: Sequence[Box]) -> list[Box | None]:
     """decomp.enclose(f, clarke_jacobian_bounds(f, cell, overrides), cell, kind)
     for each cell, from lane passes over _LANE_BLOCK cells at a time.
-
     A cell is None where it is unclean: where a lane of its Clarke or corner
     pass is, or where the scalar code computes from a non-finite value or
     refuses (NotSignStable, CandidateExplosion, InvertedBounds); the caller
     runs it through the scalar code.  Every other box is bit-identical to
-    `enclose`'s.  Every row must read only variables of the cells.
-    """
+    `enclose`'s.  Every row must read only variables of the cells."""
     n, out = len(cells[0]), []
     for start in range(0, len(cells), _LANE_BLOCK):
         block = cells[start:start + _LANE_BLOCK]
@@ -484,11 +507,10 @@ def enclose_cells(kind: str, f: Sequence[Expr], overrides, cells: Sequence[Box])
         lower, upper = np.empty((len(f), len(bad))), np.empty((len(f), len(bad)))
         with np.errstate(all="ignore"):  # unclean lanes may hold inf and nan
             for i, f_i in enumerate(f):
-                cands = _lane_candidates(jac[i], kind, bad)
-                upper[i], up_bad = _lane_extremum(f_i, *cands, hi, lo, 1.0)
-                lower[i], lo_bad = _lane_extremum(f_i, *cands, lo, hi, -1.0)
-                bad |= up_bad | lo_bad
+                upper[i], lower[i], row_bad = _corner_bounds(
+                    f_i, *_lane_candidates(jac[i], kind, bad), lo, hi)
+                bad |= row_bad
             bad |= (lower > upper).any(axis=0)
         for lows, ups, unclean in zip(lower.T.tolist(), upper.T.tolist(), bad.tolist()):
-            out.append(None if unclean else Box(map(Interval, lows, ups)))
+            out.append(None if unclean else Box(map(_iv, lows, ups)))  # finite, lows <= ups
     return out

@@ -185,6 +185,20 @@ class TestRange:
                        "remainder       [1e+09, 2e+09]\n"
                        "best            [1e+09, 2e+09]\n")
 
+    def test_refusing_error_bounds_hide_no_box(self, capsys):
+        # the slope of sqrt(abs(x1)) is unbounded on both sides at 0, so the
+        # error bounds refuse as remainder does, and natural's box still prints
+        code, out, err = run(
+            capsys,
+            "range", "--expr", "sqrt(abs(x1))", "--domain", "[[-1,1]]",
+            "--methods", "natural,remainder", "--bounds", "--samples", "10",
+        )
+        assert code == 0 and err == ""
+        assert out.splitlines()[:3] == ["natural         [0, 1]",
+                                        "remainder       refused: UnboundedBothSides",
+                                        "                row 1: refused: UnboundedBothSides"]
+        assert out.splitlines()[3].startswith("sampled range   ")
+
     def test_best_raises_an_error_that_is_no_refusal(self, capsys):
         code, out, err = run(
             capsys, "range", "--expr", "sqrt(x1)", "--domain", "[[-1,1]]", "--methods", "best",

@@ -4,14 +4,19 @@ lane that the operator leaves clean, the result is bit-identical."""
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from mixmono import decomp
 from mixmono import expr as scalar
-from mixmono.interval import Interval, iabs, iarctan, icos, iexp, imax, imin, ipow, isin, isqrt
-from mixmono.lanes import _ClarkePass, _LaneInterval, _PointPass
+from mixmono.decomp import SELECTORS
+from mixmono.errors import MixmonoError
+from mixmono.expr import clarke_jacobian_bounds, parse_expr
+from mixmono.interval import Box, Interval, iabs, iarctan, icos, iexp, imax, imin, ipow, isin, isqrt
+from mixmono.lanes import _LANE_BLOCK, _ClarkePass, _LaneInterval, _PointPass, enclose_cells
 
 VALUES = (-1e200, -3.0, -1.0, -0.1, -1e-170, -0.0, 0.0, 1e-170, 0.1, 1.0 / 3.0, 1.0, 2.5, 1e200)
 ENDS = [(a, b) for a in VALUES for b in VALUES if a <= b]
@@ -139,3 +144,66 @@ def test_point_powers_and_sums():
     got = lanes.fsum(terms).tolist()
     want = [scalar._fsum(t) for t in zip(*(t.tolist() for t in terms))]
     assert [g.hex() for g in got] == [float(w).hex() for w in want]
+
+
+# Products by a lane column: a column the same in every lane, as the Clarke
+# pass binds a constant or a folded partial.  A point column (both ends the
+# same float, with the same sign of zero; VALUES holds 0.0 and -0.0) takes
+# `scale`, every other one the sign cases.
+POINT_COLUMNS = [(v, v) for v in VALUES]
+SPAN_COLUMNS = [(-0.0, 0.0), (-1.0, 2.0), (1e-170, 1e200)]
+
+
+@pytest.mark.parametrize("column", POINT_COLUMNS + SPAN_COLUMNS, ids=repr)
+def test_products_by_a_lane_column(column, monkeypatch):
+    scaled = []
+    real_scale = _LaneInterval.scale
+    monkeypatch.setattr(_LaneInterval, "scale", lambda x, a: scaled.append(a) or real_scale(x, a))
+    lanes = _ClarkePass(len(ENDS))
+    x = _LaneInterval(np.array(ENDS, dtype=float).T, lanes)
+    col = _LaneInterval(np.array([[column[0]], [column[1]]]), lanes)
+    products = {"lane * column": (x * col).v, "column * lane": (col * x).v}
+    assert len(scaled) == (2 if _hex(column[:1]) == _hex(column[1:]) else 0)
+    clean = [i for i in range(len(ENDS)) if not lanes.bad[i]]
+    assert len(clean) > len(ENDS) // 2
+    for i in clean:
+        lane, c = Interval(*ENDS[i]), Interval(*column)
+        for name, want in (("lane * column", lane * c), ("column * lane", c * lane)):
+            assert _hex(products[name][:, i]) == _hex((want.lo, want.hi)), (name, ENDS[i], column)
+
+
+# The one corner pass per row: enclose_cells against decomp.enclose on cells
+# with zero-width coordinates and -0.0 ends, whose remainder terms can be
+# -0.0 (hi - lo of [0.0, -0.0]) and reach the inline sums of one or two
+# terms, and, in three variables, a cell whose terms overflow fsum
+COORDINATES = [(0.0, -0.0), (-0.0, -0.0), (-0.0, 0.0), (0.5, 0.5), (-1.0, 0.25), (-2.0, -0.5)]
+CORNER_CASES = [
+    (["-abs(x1)", "x1^3 - 0.5*x1", "exp(x1)*x1 - sin(x1)"], COORDINATES, []),
+    (["-abs(x1) - abs(x2)", "x1*x2 - abs(x1 - x2)", "min(x1, x2) - x2^2"], COORDINATES, []),
+    (["sin(x1) + sin(x2) + sin(x3) - abs(x1*x3)", "x1*x2*x3 - abs(x2) + cos(x3)"],
+     [COORDINATES[0], COORDINATES[3], COORDINATES[4]], [[(0.0, 1e308)] * 3]),
+]
+
+
+@pytest.mark.parametrize("kind", SELECTORS)
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_corner_pass_matches_enclose(n, kind):
+    texts, coordinates, extra = CORNER_CASES[n - 1]
+    cells = [Box.from_pairs(p) for p in [*itertools.product(coordinates, repeat=n), *extra]]
+    assert len(cells) <= _LANE_BLOCK  # one lane pass, so an overflow lane shares it
+    names, clean = [f"x{j + 1}" for j in range(n)], 0
+    for text in texts:
+        f = [parse_expr(text, names)]
+        lanes = enclose_cells(kind, f, None, cells)
+        for cell, got in zip(cells, lanes):
+            try:
+                want = decomp.enclose(f, clarke_jacobian_bounds(f, cell), cell, kind)
+            except MixmonoError:
+                assert got is None, (text, cell)
+                continue
+            if got is not None:
+                assert [_hex((d.lo, d.hi)) for d in got] == [_hex((d.lo, d.hi)) for d in want], (text, cell)
+        clean += sum(got is not None for got in lanes)
+        if extra:
+            assert lanes[-1] is None  # its upper sum overflows: the scalar code runs it
+    assert clean > len(cells) * len(texts) // 4
