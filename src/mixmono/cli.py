@@ -185,7 +185,10 @@ def cmd_range(args) -> int:
         lines.append(f"{'sampled range':15s} " + "  ".join(_fmt_iv(d, inward=True) for d in oracle))
     text = "\n".join(lines) + "\n"
     if args.out:
-        Path(args.out).write_text(text)
+        try:
+            Path(args.out).write_text(text)
+        except OSError as exc:
+            raise IoError(f"cannot write {args.out}: {exc}") from exc
     else:
         sys.stdout.write(text)
     return 0

@@ -20,10 +20,10 @@ gatherer per branch pattern (`_gatherer`), shared by every row and call:
 
 `decompose` evaluates that function row by row for discrete-time enclosures
 and, with `pinned`, for the continuous-time embedding: there row i is the
-same function with coordinate i pinned: a zero slope in column i, whose one
-choice is the lower branch, so no argument is copied.  `error_bounds` bounds
-the remainder form's error from the same candidates; its a-priori
-q_upper_hat is the sign-selected remainder.
+same function with coordinate i pinned by `RowCandidates`: a zero slope in
+column i, whose one choice is the lower branch, so no argument is copied.
+`error_bounds` bounds the remainder form's error from the same candidates;
+its a-priori q_upper_hat is the sign-selected remainder.
 """
 
 from __future__ import annotations
@@ -56,9 +56,6 @@ class Branch(Enum):
 _UPPER, _LOWER = Branch.UPPER, Branch.LOWER
 CANDIDATE_CAP = 2**16
 
-# the slope bound of a pinned coordinate: one choice, 0.0 (RowCandidates' pin)
-_PINNED = ZERO_PARTIAL
-
 # the decomposition engines, named as their MethodId kinds
 SELECTORS = ("remainder", "jacobian_sign", "tight_vertex")
 
@@ -83,8 +80,8 @@ class RowCandidates:
     """A row's supporting vectors, kept as per-coordinate (slope, branch)
     choices; with selected, only the sign-selected vector: each
     coordinate's smallest-magnitude choice, the lower branch on a tie.
-    pin, the column of a pinned row (its entry _PINNED), takes its one
-    choice 0.0 on the lower branch.
+    pin, the column of a pinned row, holds ZERO_PARTIAL in `row` whatever
+    the bounds give there, and takes its one choice 0.0 on the lower branch.
 
     One scan of the row's bounds gives zero, the branches of the all-zero
     vector (None when there is none), and the candidate count, and raises
@@ -97,6 +94,9 @@ class RowCandidates:
     """
 
     def __init__(self, row: Sequence[Interval], selected: bool = False, pin: int | None = None):
+        if pin is not None:
+            row = list(row)
+            row[pin] = ZERO_PARTIAL
         self.row, self.selected, self.pin = row, selected, pin
         zero, count = [], 1
         for entry in row:
@@ -154,30 +154,22 @@ def supporting_vectors(jac_row: Sequence[Interval], pin: int | None = None) -> R
     return RowCandidates(jac_row, pin=pin)
 
 
-def _row(jac: JacobianBounds, i: int, pinned: bool) -> tuple[Interval, ...]:
-    """Row i of jac; a pinned row has a zero slope in column i."""
-    row = jac.row(i)
-    return row[:i] + (_PINNED,) + row[i + 1:] if pinned else row
-
-
-def row_candidates(
-    jac: JacobianBounds, kind: str, i: int, pinned: bool = False, row=None
-) -> RowCandidates:
-    """The candidates the engine `kind` may use in row i of jac.
+def row_candidates(jac: JacobianBounds, kind: str, i: int, pinned: bool = False) -> RowCandidates:
+    """The candidates the engine `kind` may use in row i of jac, pinned in
+    column i if pinned is set.
 
     Built once per (kind, pinned, row) and kept on jac, so every
     decomposition against the same bounds (set_invert's many sub-boxes)
-    reuses them; row, if given, is `_row(jac, i, pinned)`.
+    reuses them.
     """
     key = (kind, pinned, i)
     cands = jac.derived.get(key)
     if cands is None:
-        row = _row(jac, i, pinned) if row is None else row
         pin = i if pinned else None
         if kind == "remainder":
-            cands = supporting_vectors(row, pin)
+            cands = supporting_vectors(jac.row(i), pin)
         else:
-            cands = RowCandidates(row, True, pin)
+            cands = RowCandidates(jac.row(i), True, pin)
         jac.derived[key] = cands
     return cands
 
@@ -258,23 +250,21 @@ def decompose(
 
     kind is one of SELECTORS; a/b are the two evaluation arguments
     (box.hi/box.lo for an enclosure).  With pinned set (the continuous-time
-    embedding) row i is pinned: its slope in column i is zero, on the lower
-    branch, so its upper value is taken at (a, b with b[i] = a[i]) and its
-    lower value at (a with a[i] = b[i], b) with no argument copied.  The
-    tight_vertex stability check reads the same pinned rows, built once, so
-    the pinned entry never fails it.  A row of jac whose column count is not
-    the length of a raises DimensionMismatch.
+    embedding) row i is pinned (`row_candidates`): its slope in column i is
+    zero, on the lower branch, so its upper value is taken at (a, b with
+    b[i] = a[i]) and its lower value at (a with a[i] = b[i], b) with no
+    argument copied.  The tight_vertex stability check passes over the
+    pinned entries (i, i).  A row of jac whose column count is not the
+    length of a raises DimensionMismatch.
     """
-    built = None
     if kind == "tight_vertex":
-        built = [_row(jac, i, pinned) for i in range(jac.rows)]
-        bad = [(i, j) for i, row in enumerate(built) for j, entry in enumerate(row)
-               if entry.lo < 0.0 < entry.hi]
+        bad = [(i, j) for i, row in enumerate(jac.entries) for j, entry in enumerate(row)
+               if entry.lo < 0.0 < entry.hi and not (pinned and i == j)]
         if bad:
             raise NotSignStable(bad)
     ab, ba, rows = (*a, *b), (*b, *a), []
     for i, f_i in enumerate(f):
-        cands = row_candidates(jac, kind, i, pinned, built[i] if built else None)
+        cands = row_candidates(jac, kind, i, pinned)
         if len(cands.row) != len(a):
             raise DimensionMismatch(
                 f"row {i} of the bounds has {len(cands.row)} columns, the box {len(a)} dims")

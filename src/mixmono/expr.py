@@ -346,8 +346,8 @@ def eval_vec(e: Expr, cols):
 # ---------------------------------------------------------------------------
 
 
-# The one entry for a partial that is exactly zero by construction: the
-# partial Z of the Clarke pass, or a pinned coordinate's slope (decomp).
+# The one entry for a partial that is exactly zero by construction: a column
+# the Clarke pass returns no partial for, or a pinned coordinate's slope.
 # Code that reads bounds may skip it by identity; an equal entry built
 # elsewhere (an override, a computed zero) is read like any other.
 ZERO_PARTIAL = Interval(0.0, 0.0)
@@ -390,15 +390,14 @@ def clarke_jacobian_bounds(
     """Symbolic Clarke differentiation + natural interval evaluation.
 
     Each row runs its tape's compiled Clarke pass (`Tape.clarke`) once over
-    the box and is filled from its sparse (default, partials): the default's
-    entry, built once, then each partial and each override in its column.
+    the box and is filled from its sparse partials: the shared ZERO_PARTIAL
+    in every column, then each partial and each override in its own.
     overrides replaces individual (row, col) entries, e.g. with tighter
     analytically-known bounds from a model file; a row whose entries are all
     overridden is never evaluated.  A row that reads a variable outside the
-    box raises DimensionMismatch.  Every entry the pass folded (Z, the shared
-    ZERO_PARTIAL, and every partial constant over all boxes) is the same
-    object on every call; each entry is checked for bounds unbounded on both
-    sides on every call.
+    box raises DimensionMismatch.  Every entry the pass folded (every partial
+    constant over all boxes) is the same object on every call; each entry is
+    checked for bounds unbounded on both sides on every call.
     """
     n_z = len(box)
     rows = []
@@ -407,11 +406,9 @@ def clarke_jacobian_bounds(
         if e.tape.max_var >= n_z:
             raise DimensionMismatch(f"row {i} references variable outside box")
         fixed = _row_overrides(overrides, i, n_z) if overrides else {}
-        row = [None] * n_z
+        row = [ZERO_PARTIAL] * n_z
         if len(fixed) < n_z:
-            default, partials = e.tape.clarke(box.dims)
-            row = [default] * n_z
-            for j, bound in partials.items():
+            for j, bound in e.tape.clarke(box.dims).items():
                 row[j] = bound
         for j, entry in fixed.items():
             row[j] = entry
@@ -465,7 +462,8 @@ _POINT_CODE = {
 }
 _POINT_NAMES = {
     "sin": math.sin, "cos": math.cos, "exp": _exp_float, "sqrt": math.sqrt, "atan": math.atan,
-    "pow_float": _pow_float, "fsum": _fsum, "div": operator.truediv, "one": 1.0, "zero": 0.0,
+    "abs": abs, "pow_float": _pow_float, "fsum": _fsum, "div": operator.truediv, "min": min,
+    "max": max, "one": 1.0, "zero": 0.0,
 }
 # the interval operators round each endpoint outward (see interval.py); zero
 # and one are identities, so a two-term sum is the + that _fold_add folds
@@ -493,8 +491,8 @@ class Tape:
     root is the last node.  `point` is straight-line code compiled on first
     use, one local t<k> per node that is not a leaf; `interval` and `vec`
     bind its code object to other operators.  `clarke` is a forward pass that
-    carries every node's partials sparsely: a default plus one local per
-    column its subtree reads, so at most one line per node and column.
+    carries every node's partials sparsely: one local per column its subtree
+    reads, so at most one line per node and column.
     """
 
     def __init__(self, root: Expr):
@@ -568,16 +566,15 @@ class Tape:
 
     @cached_property
     def clarke(self):
-        """box.dims -> (default, partials), every Clarke partial of the root.
+        """box.dims -> {column: partial}, the root's Clarke partials.
 
-        partials[j] bounds the j-th partial as an Interval, and every column
-        missing from it equals default.  The code computes the interval
-        values the rules read (_POINT_CODE), then per node its factor
-        (_CLARKE_CODE) and its partial in its default column and in every
-        column its subtree reads, all with the interval operators, so every
-        end rounds outward.  Partials that are zero by construction are
-        folded, not computed, and a product by the unit partial ONE is its
-        other operand (see _CLARKE_CODE).
+        Each value bounds its column's partial as an Interval; a column not
+        in the dict is structurally zero.  The code computes the interval values
+        the rules read (_POINT_CODE), then per node its factor (_CLARKE_CODE)
+        and its partial in every column its subtree reads, all with the
+        interval operators, so every end rounds outward.  Partials that are
+        zero by construction are folded, not computed, and a product by the
+        unit partial ONE is its other operand (see _CLARKE_CODE).
 
         Every line whose inputs are all known when the code is generated
         (the constants, Z, ONE and earlier such lines) is evaluated then,
@@ -589,8 +586,8 @@ class Tape:
         Interval for any Interval, its ends in the extended reals.
 
         The function carries `folded`, the values it reads in place of
-        lines, Z and ONE among them; a folded partial is returned as the same
-        Interval on every call.
+        lines (Z, read by a min or max rule, among them); a folded partial is
+        returned as the same Interval on every call.
         """
         nodes = self.nodes
         # A node's interval value is computed only below an op that reads
@@ -643,27 +640,27 @@ class Tape:
                 emit(f"t{k}", _fields(_point_code(op, len(kids)), len(kids), arg),
                      [refs[c] for c in kids], _raises(op, arg))
         # local[k][j] names the local holding node k's partial in column j,
-        # and local[k][None] the one holding its default
+        # for each column where it is not the structural zero Z
         local: list[dict] = []
         for k, (op, arg, kids) in enumerate(nodes):
             if op in ("const", "var"):
-                local.append({None: "Z", arg: "ONE"} if op == "var" else {None: "Z"})
+                local.append({arg: "ONE"} if op == "var" else {})
                 continue
             factor, apply = _CLARKE_CODE["pow0" if op == "pow" and arg == 0 else op]
             values = [refs[c] for c in kids]
             f = f"f{k}"
             if op == "div":
-                emit(f, "ipow({0}, 2)", values[1:])
+                emit(f, "pow_float({0}, 2)", values[1:])
             elif factor:
                 emit(f, _fields(factor, len(kids), arg), values, _raises(op, arg))
             here = {}
-            for j in [None, *sorted(set().union(*(local[c] for c in kids)) - {None})]:
-                a = [local[c].get(j, local[c][None]) for c in kids]
-                name = f"d{k}" if j is None else f"p{k}_{j}"
+            for j in sorted(set().union(*(local[c] for c in kids))):
+                a = [local[c].get(j, "Z") for c in kids]
+                name = f"p{k}_{j}"
                 nonzero = [i for i, x in enumerate(a) if x not in zero]
                 if not nonzero or apply == "Z":  # Z: x^0's rule
-                    here[j] = "Z"
-                elif op == "sum" and len(nonzero) == 1:
+                    continue
+                if op == "sum" and len(nonzero) == 1:
                     here[j] = a[nonzero[0]]
                 elif op == "sum":
                     here[j] = emit(name, _fields(apply, len(nonzero)), [a[i] for i in nonzero])
@@ -679,8 +676,7 @@ class Tape:
                     here[j] = emit(name, _fields(apply, len(a)), args)
             local.append(here)
         root = local[-1]
-        partials = ", ".join(f"{j}: {name}" for j, name in root.items() if j is not None)
-        ret = f"return {root[None]}, {{{partials}}}"
+        ret = "return {" + ", ".join(f"{j}: {name}" for j, name in root.items()) + "}"
         live, kept = {*root.values()}, []
         for name, template, args, stays in reversed(lines):
             if stays or name in live:
@@ -778,34 +774,34 @@ def _max_rule(u: Interval, v: Interval):
 # runs once per node and reads the children's interval values {0} and {1};
 # None means the rule reads no values, and "" that Tape.clarke builds it: a
 # product's rule reads its factors' values in place, and a quotient's its v^2
-# (the quotient rule is _quotient_rule).  The apply line runs for the node's
-# default and for each column its subtree reads; it reads the children's
-# partials in that column, {0} and {1} or all of them as {sum}, and the
-# factor {f}.  A rule whose branch depends on the values (abs, min, max)
-# picks its apply function in the factor line through a rule function, which
-# the lane binding (lanes.py) replaces by one that picks per lane.  Values,
-# factors and partials are all Intervals, and every operator rounds outward
-# (interval.py), so the partials hold the exact ones.
+# (the quotient rule is _quotient_rule).  The apply line runs for each column
+# its subtree reads; it reads the children's partials in that column, {0}
+# and {1} or all of them as {sum}, and the factor {f}.  Operators go by the
+# value code's names (_INTERVAL_NAMES).  A rule whose branch depends on the
+# values (abs, min, max) picks its apply function in the factor line through
+# a rule function, which the lane binding (lanes.py) replaces by one that
+# picks per lane.  Values, factors and partials are all Intervals, and every
+# operator rounds outward (interval.py), so the partials hold the exact ones.
 #
 # Tape.clarke folds partials on the exact-zero rules of interval.py, each
 # true of the set of reals an interval stands for (a zero end may come out
 # as -0.0 where the fold gives 0.0):
 # - a zero operand gives an exact 0 in *, also against an infinite end,
 #   0 / den is 0 and _xdiv_pos of 0 is 0, and x + 0 is x: so every rule whose
-#   partials are all zero gives zero, which is Z, and a zero term of a sum,
-#   a product rule or a quotient rule is left out;
+#   partials are all zero gives zero, so no line and no column, and a zero
+#   term of a sum, a product rule or a quotient rule is left out;
 # - x * 1 is exact, so a product by ONE is its other operand, and a one-term
 #   sum is its term.
 _CLARKE_CODE = {
     "neg": (None, "-{0}"),
     "sum": (None, "{sum}"),
-    "sin": ("icos({0})", "{f} * {0}"),
-    "cos": ("-isin({0})", "{f} * {0}"),
-    "exp": ("iexp({0})", "{f} * {0}"),
-    "arctan": ("unit + ipow({0}, 2)", "{0} / {f}"),
-    "sqrt": ("isqrt({0}).scale(2.0)", "xdiv_pos({0}, {f})"),
+    "sin": ("cos({0})", "{f} * {0}"),
+    "cos": ("-sin({0})", "{f} * {0}"),
+    "exp": ("exp({0})", "{f} * {0}"),
+    "arctan": ("unit + pow_float({0}, 2)", "{0} / {f}"),
+    "sqrt": ("sqrt({0}).scale(2.0)", "xdiv_pos({0}, {f})"),
     "abs": ("abs_rule({0})", "{f}({0})"),
-    "pow": ("ipow({0}, {arg} - 1).scale({arg}.0)", "{f} * {0}"),
+    "pow": ("pow_float({0}, {arg} - 1).scale({arg}.0)", "{f} * {0}"),
     "pow0": (None, "Z"),  # x^0 is constant
     "div": ("", None),
     "min": ("min_rule({0}, {1})", "{f}({0}, {1})"),
@@ -814,7 +810,6 @@ _CLARKE_CODE = {
 }
 
 _CLARKE_NAMES = {
-    **_INTERVAL_NAMES, "isin": isin, "icos": icos, "iexp": iexp, "isqrt": isqrt,
-    "ipow": ipow, "unit": Interval(1.0, 1.0), "xdiv_pos": _xdiv_pos, "abs_rule": _abs_rule,
+    **_INTERVAL_NAMES, "unit": Interval(1.0, 1.0), "xdiv_pos": _xdiv_pos, "abs_rule": _abs_rule,
     "min_rule": _min_rule, "max_rule": _max_rule,
 }

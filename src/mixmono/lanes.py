@@ -195,8 +195,9 @@ class _LaneInterval:
 
 class _ClarkePass:
     """The operators of one Clarke lane pass, named as in expr._CLARKE_NAMES
-    so that the lane namespace is read off this object; `bad` is the mask of
-    its unclean lanes so far."""
+    (the interval operators by the value code's names) so that the lane
+    namespace is read off this object; `bad` is the mask of its unclean
+    lanes so far."""
 
     def __init__(self, count: int):
         self._bad, self._ends = np.zeros(count, dtype=bool), []  # results not yet tested
@@ -224,37 +225,37 @@ class _ClarkePass:
         self._ends.append(v if ok is True else np.where(ok, v, np.nan))
         return _LaneInterval(v, self)
 
-    # -- interval operators ------------------------------------------------
+    # -- interval operators, named as the value code calls them ------------
 
-    def isin(self, x):
+    def sin(self, x):
         return self.interval(_trig(x.v, math.sin, math.pi / 2.0, 3.0 * math.pi / 2.0))
 
-    def icos(self, x):
+    def cos(self, x):
         return self.interval(_trig(x.v, math.cos, 0.0, math.pi))
 
-    def iexp(self, x):
+    def exp(self, x):
         e = _libm(_each(_exp_float, x.v, fast=math.exp), _OUT)
         return self.interval(np.stack((np.where(e[0] > 0.0, e[0], 0.0), e[1])))
 
-    def isqrt(self, x):
+    def sqrt(self, x):
         s = np.sqrt(x.v)
         return self.interval(_quotient(s, s, x.v, _OUT), x.v[0] >= 0.0)
 
-    def iarctan(self, x):
+    def atan(self, x):
         return self.interval(_libm_out(_each(math.atan, x.v)))
 
-    def iabs(self, x):
+    def abs(self, x):
         lo, hi = x.v
         spans = np.stack((np.zeros_like(lo), np.where(hi > -lo, hi, -lo)))
         return self.interval(np.where(lo >= 0.0, x.v, np.where(hi <= 0.0, -x.v[::-1], spans)))
 
-    def ipow(self, x, n: int):
+    def pow_float(self, x, n: int):
         if n == 0:
             return self.constant(1.0)
         if n == 1:
             return x
         if n < 0:
-            return self.unit / self.ipow(x, -n)
+            return self.unit / self.pow_float(x, -n)
         even = n % 2 == 0
         v = np.where(even & (x.v[1] < 0.0), x.v[::-1], x.v)
         spans = even & (v[0] <= 0.0) & (0.0 <= v[1])
@@ -274,15 +275,12 @@ class _ClarkePass:
         top = np.where(out[1] > lo_up, out[1], lo_up)
         return self.interval(np.stack((np.where(spans, 0.0, out[0]), np.where(spans, top, out[1]))))
 
-    def imin(self, x, y):
+    def min(self, x, y):
         return self.interval(np.where(y.v < x.v, y.v, x.v))
 
-    def imax(self, x, y):
+    def max(self, x, y):
         return self.interval(np.where(y.v > x.v, y.v, x.v))
 
-    # the names the value lines call them by (expr._INTERVAL_NAMES)
-    sin, cos, exp, sqrt, atan, abs, pow_float, min, max = (
-        isin, icos, iexp, isqrt, iarctan, iabs, ipow, imin, imax)
     div, fsum, one, zero = operator.truediv, _fold_add, _UNIT, _UNIT
 
     # -- the Clarke rules over lane intervals ---------------------------------
@@ -313,8 +311,8 @@ class _ClarkePass:
 
 
 class _PointPass:
-    """The operators of one corner lane pass, named as in expr._POINT_NAMES
-    plus the builtins the point code calls; `bad` collects its unclean lanes."""
+    """The operators of one corner lane pass, named as in expr._POINT_NAMES;
+    `bad` collects its unclean lanes."""
 
     sin, cos = partial(_each, math.sin), partial(_each, math.cos)
     sqrt, abs, one, zero = np.sqrt, np.abs, 1.0, 0.0
@@ -360,7 +358,6 @@ class _PointPass:
         return np.where(b > a, b, a)
 
 
-_POINT_LANE_NAMES = (*_POINT_NAMES, "abs", "min", "max")
 # numpy's functions, with sums, products and quotients as for intervals; z is
 # the (n_vars, n_points) array of columns, and a constant a 1-entry array
 _VEC_NAMES = {
@@ -389,7 +386,7 @@ def point_lanes(tape: Tape, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The tape's point values at the L points that are the columns of z
     (shape (n, L)), and the mask of the unclean ones."""
     lanes = _PointPass(z.shape[1])
-    values = _run(tape.point.__code__, tape, lanes, _POINT_LANE_NAMES,
+    values = _run(tape.point.__code__, tape, lanes, _POINT_NAMES,
                   partial(np.full, z.shape[1], dtype=float), z)
     return values, lanes.bad | ~np.isfinite(values)
 
@@ -406,13 +403,15 @@ def jacobian_lanes(f, overrides, lo: np.ndarray, hi: np.ndarray) -> tuple[np.nda
     bad = np.zeros(count, dtype=bool)
     for i, e in enumerate(f):
         fixed = _row_overrides(overrides, i, n) if overrides else {}
+        entries[i] = 0.0  # a column without a partial is structurally zero
         if len(fixed) < n:
             lanes, run = _ClarkePass(count), e.tape.clarke
-            default, partials = _run(run.__code__, e.tape, lanes, _CLARKE_NAMES, lanes.constant,
-                                     [_LaneInterval(v, lanes) for v in z], run.folded)
+            for j, bound in _run(run.__code__, e.tape, lanes, _CLARKE_NAMES, lanes.constant,
+                                 [_LaneInterval(v, lanes) for v in z], run.folded).items():
+                entries[i, j] = bound.v
             bad |= lanes.bad
-        for j in range(n):
-            entries[i, j] = ([fixed[j].lo], [fixed[j].hi]) if j in fixed else partials.get(j, default).v
+        for j, bound in fixed.items():
+            entries[i, j] = ([bound.lo], [bound.hi])
     with np.errstate(invalid="ignore"):
         ok = np.isfinite(entries).all(axis=2) & (entries[:, :, 0] <= entries[:, :, 1])
     return entries, bad | ~ok.all(axis=(0, 1))

@@ -86,13 +86,13 @@ def _parse_box(body: str, line: int) -> Box:
         raise ValidationError(f"malformed box at line {line}: {exc}") from exc
 
 
-def _parse_bounds(kind, text: str, what: str, line: int):
-    """kind(lo, hi) from the "lo, hi" text of a bounds literal."""
+def _parse_bounds(text: str, what: str, line: int) -> Interval:
+    """Interval(lo, hi) from the "lo, hi" text of a bounds literal."""
     parts = text.split(",")
     if len(parts) != 2:
         raise ModelSyntaxError(f"{what} bounds need exactly two entries", line)
     try:
-        return kind(*(_parse_float(p, line) for p in parts))
+        return Interval(*(_parse_float(p, line) for p in parts))
     except DomainError as exc:
         raise ValidationError(f"malformed {what} bounds at line {line}: {exc}") from exc
 
@@ -239,7 +239,7 @@ def parse_model(text: str) -> SystemModel:
             cm = re.match(r"^(.*?)\s+in\s+\[([^\]]+)\]$", stmt, re.S)
             if cm is None:
                 raise ModelSyntaxError(f"expected \"<expr> in [lo,hi]\", found {stmt!r}", line)
-            bounds = _parse_bounds(Interval, cm.group(2), "constraint", line)
+            bounds = _parse_bounds(cm.group(2), "constraint", line)
             expr = _parse_expr_here(cm.group(1), state_names, line)
             constraints.append(Constraint(expr=expr, bounds=bounds))
 
@@ -253,7 +253,7 @@ def parse_model(text: str) -> SystemModel:
                 raise ModelSyntaxError(
                     f"expected \"f_i/d_j in [lo,hi]\", found {stmt!r}", line
                 )
-            bounds = _parse_bounds(Interval, om.group(3), "override", line)
+            bounds = _parse_bounds(om.group(3), "override", line)
             i, j = int(om.group(1)) - 1, int(om.group(2)) - 1
             if not (0 <= i < len(state_names) and 0 <= j < len(z_names)):
                 raise ValidationError(f"override f_{i+1}/d_{j+1} out of range (line {line})")

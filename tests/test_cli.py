@@ -120,6 +120,15 @@ class TestRange:
         code, _, err = run(capsys, "range", "--expr", "x1")
         assert code == 2
 
+    def test_unwritable_out_is_io_error(self, capsys, tmp_path):
+        # as the tube writers do: a typed error and exit 2, no traceback
+        dest = tmp_path / "missing" / "x.txt"
+        code, out, err = run(capsys, "range", "--expr", "x1", "--domain", "[[0,1]]",
+                             "--out", str(dest))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: cannot write {dest}: ")
+        assert not dest.exists()
+
     def test_syntax_error_exit_code(self, capsys):
         code, _, err = run(capsys, "range", "--expr", "x1 +", "--domain", "[0,1]")
         assert code == 2

@@ -419,15 +419,18 @@ class TestPinnedRows:
     def test_pin_on_the_upper_branch_differs(self, monkeypatch):
         class UpperPin(RowCandidates):
             def __init__(self, row, selected=False, pin=None):
-                super().__init__(row, selected)  # column pin keeps ZERO_PARTIAL's upper choice
+                if pin is not None:  # column pin keeps ZERO_PARTIAL's upper choice
+                    row = (*row[:pin], ZERO_PARTIAL, *row[pin + 1:])
+                super().__init__(row, selected)
 
         monkeypatch.setattr("mixmono.decomp.RowCandidates", UpperPin)
         assert _pin_mismatches()[0]
 
     def test_tight_vertex_builds_each_row_once(self, monkeypatch):
         calls = []
-        real = mixmono.decomp._row
-        monkeypatch.setattr(mixmono.decomp, "_row", lambda *args: calls.append(args) or real(*args))
+        real = mixmono.decomp.RowCandidates
+        monkeypatch.setattr(mixmono.decomp, "RowCandidates",
+                            lambda *args, **kwargs: calls.append(args) or real(*args, **kwargs))
         tube = reach_tube(load_bundled("ct_abate"), TIGHT_VERTEX, 10)
         assert len(calls) <= 1200  # 10 steps of 10 substeps, 4 RK4 stages, 3 rows
         h = hashlib.sha256()

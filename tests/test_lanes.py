@@ -36,20 +36,20 @@ INTERVAL_OPS = {
     "add": (lambda p, x, y: x + y, lambda x, y: x + y),
     "mul": (lambda p, x, y: x * y, lambda x, y: x * y),
     "div": (lambda p, x, y: x / y, lambda x, y: x / y),
-    "imin": (lambda p, x, y: p.imin(x, y), imin),
-    "imax": (lambda p, x, y: p.imax(x, y), imax),
+    "imin": (lambda p, x, y: p.min(x, y), imin),
+    "imax": (lambda p, x, y: p.max(x, y), imax),
 }
 UNARY_OPS = {
     "neg": (lambda p, x: -x, lambda x: -x),
     "scale2": (lambda p, x: x.scale(2.0), lambda x: x.scale(2.0)),
     "scale-3": (lambda p, x: x.scale(-3.0), lambda x: x.scale(-3.0)),
-    "isin": (lambda p, x: p.isin(x), isin),
-    "icos": (lambda p, x: p.icos(x), icos),
-    "iexp": (lambda p, x: p.iexp(x), iexp),
-    "isqrt": (lambda p, x: p.isqrt(x), isqrt),
-    "iarctan": (lambda p, x: p.iarctan(x), iarctan),
-    "iabs": (lambda p, x: p.iabs(x), iabs),
-    **{f"ipow{n}": ((lambda p, x, n=n: p.ipow(x, n)), (lambda x, n=n: ipow(x, n)))
+    "isin": (lambda p, x: p.sin(x), isin),
+    "icos": (lambda p, x: p.cos(x), icos),
+    "iexp": (lambda p, x: p.exp(x), iexp),
+    "isqrt": (lambda p, x: p.sqrt(x), isqrt),
+    "iarctan": (lambda p, x: p.atan(x), iarctan),
+    "iabs": (lambda p, x: p.abs(x), iabs),
+    **{f"ipow{n}": ((lambda p, x, n=n: p.pow_float(x, n)), (lambda x, n=n: ipow(x, n)))
        for n in (-2, 0, 1, 2, 3, 4, 10**6)},  # 10**6: 0, +-1 and inexact ends only
 }
 

@@ -307,8 +307,8 @@ def test_clarke_pass_evaluates_only_the_intervals_it_reads():
     # d/dx3 of 0.3*cos(x3) + wx reads sin(x3); cos(x3) would only multiply
     # the constant's zero partial
     names = load_bundled("unicycle").dynamics[0].tape.clarke.__code__.co_names
-    assert "isin" in names
-    assert "icos" not in names and "cos" not in names
+    assert "sin" in names
+    assert "cos" not in names
 
 
 @pytest.mark.parametrize("text, pairs, error", [
@@ -381,8 +381,8 @@ def test_constant_partials_are_folded_and_prebuilt(monkeypatch):
     # time
     model = load_bundled("scott_example")  # x1' = -0.5*x2 - 0.12*w
     row, box = model.dynamics[:1], model.init.concat(model.disturbance)
-    run = row[0].tape.clarke  # return Z, {1: t1, 2: p7_2}: the folded value -0.5 and a folded partial
-    assert set(run.__code__.co_names) == set(run.folded) == {"Z", "t1", "p7_2"}
+    run = row[0].tape.clarke  # return {1: t1, 2: p7_2}: the folded value -0.5 and a folded partial
+    assert set(run.__code__.co_names) == set(run.folded) == {"t1", "p7_2"}
     calls = []
     _count_interval_operators(monkeypatch, calls)
     first, second = (clarke_jacobian_bounds(row, box).row(0) for _ in range(2))
@@ -424,7 +424,31 @@ def test_structural_zero_partials_share_one_entry():
     # x1's column of -(x1*x2) is -x2, over x2 = [0, 0] interval negation's [-0.0, -0.0]
     row = clarke_jacobian_bounds([parse_expr("-(x1*x2)", names)], box.replace(1, Interval(0.0, 0.0))).row(0)
     assert row[0] is not ZERO_PARTIAL and (row[0].lo.hex(), row[0].hi.hex()) == ("-0x0.0p+0",) * 2
-    assert mixmono.decomp._PINNED is ZERO_PARTIAL
+    # a pinned column holds the shared entry, whatever the bounds give there
+    assert mixmono.decomp.RowCandidates(row, pin=0).row[0] is ZERO_PARTIAL
+
+
+def test_clarke_pass_returns_the_partials_that_are_not_structurally_zero():
+    # the pass returns {column: partial} over the columns the tree reads, and
+    # never the shared entry; clarke_jacobian_bounds puts that entry, and
+    # only it, in every other column
+    assert set(_CLARKE_NAMES) == set(mixmono.expr._INTERVAL_NAMES) | {
+        "unit", "xdiv_pos", "abs_rule", "min_rule", "max_rule"}
+    checked = filled = 0
+    for exprs, box in _cases():
+        for e in exprs:
+            try:
+                partials = e.tape.clarke(box.dims)
+                row = clarke_jacobian_bounds([e], box).row(0)
+            except (DomainError, UnboundedBothSides):
+                continue
+            assert isinstance(partials, dict)
+            assert set(partials) <= {arg for op, arg, _ in e.tape.nodes if op == "var"}
+            assert all(bound is not ZERO_PARTIAL for bound in partials.values())
+            missing = [j for j in range(len(box)) if j not in partials]
+            assert all(row[j] is ZERO_PARTIAL for j in missing)
+            checked, filled = checked + 1, filled + len(missing)
+    assert checked > 200 and filled > 100
 
 
 def test_sqrt_and_arctan_of_the_zero_partial_fold(monkeypatch):
@@ -465,11 +489,13 @@ def test_unbounded_entries_are_listed_by_position(overrides, positions):
 
 
 def test_unbounded_default_is_listed_in_each_column_that_reads_it(monkeypatch):
-    # every default the pass computes is a zero pair; a pass that gave an
-    # unbounded one would have it listed wherever no partial or override is
+    # every partial the pass computes here is bounded; a pass that gave an
+    # unbounded one would have it listed in its column, unless an override
+    # replaces it there
     names = ["x1", "x2", "x3"]
     e = parse_expr("x1*x3", names)
-    run = lambda dims: (Interval(-math.inf, math.inf), {0: Interval(0.5, 2.0)})
+    unbounded = Interval(-math.inf, math.inf)
+    run = lambda dims: {0: Interval(0.5, 2.0), 1: unbounded, 2: unbounded}
     monkeypatch.setitem(e.tape.__dict__, "clarke", run)
     box = Box.from_pairs([(0.0, 1.0), (-1.0, 1.0), (0.5, 2.0)])
     with pytest.raises(UnboundedBothSides) as caught:
