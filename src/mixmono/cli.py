@@ -47,6 +47,7 @@ from .model import (
     load_measurements,
     load_model,
     write_plot,
+    write_text,
     write_tube,
 )
 from .observer import observe
@@ -185,10 +186,7 @@ def cmd_range(args) -> int:
         lines.append(f"{'sampled range':15s} " + "  ".join(_fmt_iv(d, inward=True) for d in oracle))
     text = "\n".join(lines) + "\n"
     if args.out:
-        try:
-            Path(args.out).write_text(text)
-        except OSError as exc:
-            raise IoError(f"cannot write {args.out}: {exc}") from exc
+        write_text(args.out, text)
     else:
         sys.stdout.write(text)
     return 0
@@ -205,8 +203,6 @@ def _steps_for(args, model) -> int:
 
 def cmd_reach(args) -> int:
     model = _resolve_model(args.model)
-    if args.refine and not model.constraints:
-        raise ValidationError("--refine requires a constraint block in the model")
     steps = _steps_for(args, model)
     cfg = InversionConfig(epsilon=args.epsilon, passes=args.passes)
     tubes = {name: reach_tube(model, method, steps, refine=args.refine, inv_cfg=cfg,

@@ -71,8 +71,6 @@ def _coordinate_choices(
         lower = min(entry.lo, 0.0)
         if not (choices and choices[0][0] == lower):
             choices.append((lower, Branch.LOWER))
-    if not choices:
-        raise UnboundedBothSides(f"derivative bound {entry} has no finite side")
     return choices
 
 

@@ -134,11 +134,6 @@ _UNARY_FUNCS = ("sin", "cos", "exp", "sqrt", "arctan", "abs")
 _BINARY_FUNCS = ("min", "max")
 
 
-def max_var_index(e: Expr) -> int:
-    """Largest variable index referenced, or -1 for a constant tree."""
-    return e.tape.max_var
-
-
 # ---------------------------------------------------------------------------
 # Parser
 # ---------------------------------------------------------------------------

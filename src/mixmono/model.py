@@ -22,6 +22,7 @@ render to simple SVG bound plots.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import re
@@ -47,6 +48,11 @@ _HEADER_RE = re.compile(r'\s*system\s+"([^"]+)"\s*\{')
 _SECTION_RE = re.compile(rf"\s*({_IDENT})\s*([:{{])")
 _TIME_RE = re.compile(r"^(discrete|continuous)\s*\(\s*dt\s*=\s*([^)]+)\)$")
 _OVERRIDE_RE = re.compile(rf"^f_(\d+)\s*/\s*d_(\d+)\s+in\s+\[([^\]]+)\]$")
+# every section's name and its opener: ':' for "name: ...;", '{' for "name { ... }"
+_SECTIONS = {
+    "time": ":", "state": ":", "disturbance": ":", "dynamics": "{", "init": ":",
+    "observe": "{", "noisematrix": ":", "noise": ":", "constraint": "{", "jac_override": "{",
+}
 
 
 def _line_of(text: str, pos: int) -> int:
@@ -120,7 +126,6 @@ def parse_model(text: str) -> SystemModel:
     body_end = close
 
     sections: dict[str, tuple[str, int]] = {}
-    block_sections: dict[str, tuple[str, int]] = {}
     while pos < body_end:
         if clean[pos:body_end].strip() == "":
             break
@@ -132,25 +137,30 @@ def parse_model(text: str) -> SystemModel:
             )
         key, opener = m.group(1), m.group(2)
         line = _line_of(clean, m.start(1))
+        if key not in _SECTIONS:
+            raise ModelSyntaxError(f"unknown section {key!r}", line)
+        if opener != _SECTIONS[key]:
+            raise ModelSyntaxError(f"section {key!r} must open with {_SECTIONS[key]!r}", line)
+        if key in sections:
+            raise ModelSyntaxError(f"duplicate section {key!r}", line)
         if opener == ":":
             end = clean.find(";", m.end(), body_end)
             if end < 0:
                 raise ModelSyntaxError(f"section {key!r} is missing its ';'", line)
             sections[key] = (clean[m.end():end].strip(), line)
-            pos = end + 1
         else:
             end = clean.find("}", m.end(), body_end + 1)
             if end < 0:
                 raise ModelSyntaxError(f"block {key!r} is missing its closing brace", line)
-            block_sections[key] = (clean[m.end():end], line)
-            pos = end + 1
+            sections[key] = (clean[m.end():end], line)
+        pos = end + 1
 
-    def need(key: str, store: dict) -> tuple[str, int]:
-        if key not in store:
+    def need(key: str) -> tuple[str, int]:
+        if key not in sections:
             raise ValidationError(f"model {name!r} is missing the {key!r} section")
-        return store[key]
+        return sections[key]
 
-    time_body, time_line = need("time", sections)
+    time_body, time_line = need("time")
     tm = _TIME_RE.match(time_body)
     if tm is None:
         raise ModelSyntaxError("time must be discrete(dt=..) or continuous(dt=..)", time_line)
@@ -159,7 +169,7 @@ def parse_model(text: str) -> SystemModel:
     )
     dt = _parse_float(tm.group(2), time_line)
 
-    state_body, state_line = need("state", sections)
+    state_body, state_line = need("state")
     state_names = tuple(s.strip() for s in state_body.split(","))
     if any(not re.fullmatch(_IDENT, s) for s in state_names):
         raise ModelSyntaxError(f"bad state declaration {state_body!r}", state_line)
@@ -182,7 +192,7 @@ def parse_model(text: str) -> SystemModel:
 
     z_names = state_names + dist_names
 
-    dyn_body, dyn_line = need("dynamics", block_sections)
+    dyn_body, dyn_line = need("dynamics")
     dynamics: dict[str, Expr] = {}
     for stmt, line in _statements(dyn_body, dyn_line):
         em = re.match(rf"^({_IDENT})'\s*=\s*(.+)$", stmt, re.S)
@@ -198,12 +208,12 @@ def parse_model(text: str) -> SystemModel:
     if missing:
         raise ValidationError(f"missing dynamics equations for {missing}")
 
-    init_body, init_line = need("init", sections)
+    init_body, init_line = need("init")
     init = _parse_box(init_body, init_line)
 
     observation = None
-    if "observe" in block_sections:
-        obs_body, obs_line = block_sections["observe"]
+    if "observe" in sections:
+        obs_body, obs_line = sections["observe"]
         obs_names, obs_exprs = [], []
         for stmt, line in _statements(obs_body, obs_line):
             em = re.match(rf"^({_IDENT})\s*=\s*(.+)$", stmt, re.S)
@@ -211,9 +221,9 @@ def parse_model(text: str) -> SystemModel:
                 raise ModelSyntaxError(f"expected \"<name> = <expr>\", found {stmt!r}", line)
             obs_names.append(em.group(1))
             obs_exprs.append(_parse_expr_here(em.group(2), state_names, line))
-        vm_body, vm_line = need("noisematrix", sections)
+        vm_body, vm_line = need("noisematrix")
         V = _parse_matrix(vm_body, vm_line)
-        noise_body, noise_line = need("noise", sections)
+        noise_body, noise_line = need("noise")
         noise = _parse_box(noise_body, noise_line)
         if len(V) != len(obs_exprs):
             raise ValidationError(
@@ -233,8 +243,8 @@ def parse_model(text: str) -> SystemModel:
         raise ValidationError("noisematrix/noise given without an observe block")
 
     constraints = []
-    if "constraint" in block_sections:
-        con_body, con_line = block_sections["constraint"]
+    if "constraint" in sections:
+        con_body, con_line = sections["constraint"]
         for stmt, line in _statements(con_body, con_line):
             cm = re.match(r"^(.*?)\s+in\s+\[([^\]]+)\]$", stmt, re.S)
             if cm is None:
@@ -244,8 +254,8 @@ def parse_model(text: str) -> SystemModel:
             constraints.append(Constraint(expr=expr, bounds=bounds))
 
     overrides = None
-    if "jac_override" in block_sections:
-        ov_body, ov_line = block_sections["jac_override"]
+    if "jac_override" in sections:
+        ov_body, ov_line = sections["jac_override"]
         overrides = {}
         for stmt, line in _statements(ov_body, ov_line):
             om = _OVERRIDE_RE.match(stmt)
@@ -286,12 +296,27 @@ def _statements(body: str, first_line: int) -> list[tuple[str, int]]:
     return out
 
 
-def load_model(path: str | Path) -> SystemModel:
+def read_text(path: str | Path) -> str:
+    """The file's text; IoError if it cannot be read, ValidationError if it is not text."""
     try:
-        text = Path(path).read_text()
+        return Path(path).read_text()
     except OSError as exc:
-        raise IoError(f"cannot read model file {path}: {exc}") from exc
-    return parse_model(text)
+        raise IoError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path} is not a text file: {exc}") from exc
+
+
+def write_text(path: str | Path, text: str) -> None:
+    """Write text to path as given (no newline translation); IoError if it cannot."""
+    try:
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise IoError(f"cannot write {path}: {exc}") from exc
+
+
+def load_model(path: str | Path) -> SystemModel:
+    return parse_model(read_text(path))
 
 
 def _fmt_num(v: float) -> str:
@@ -388,21 +413,19 @@ def _write_tube_csv(tube: ReachTube, path, names) -> None:
     if has_updated:
         for nm in names:
             header += [f"{nm}_lo_upd", f"{nm}_hi_upd"]
-    try:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(header)
-            for rec in tube:
-                row = [f"{rec.t:.17g}"]
-                for d in rec.propagated:
-                    row += [f"{d.lo:.17g}", f"{d.hi:.17g}"]
-                if has_updated:
-                    upd = rec.updated if rec.updated is not None else rec.propagated
-                    for d in upd:
-                        row += [f"{d.lo:.17g}", f"{d.hi:.17g}"]
-                w.writerow(row)
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+    buf = io.StringIO()
+    w = csv.writer(buf)
+    w.writerow(header)
+    for rec in tube:
+        row = [f"{rec.t:.17g}"]
+        for d in rec.propagated:
+            row += [f"{d.lo:.17g}", f"{d.hi:.17g}"]
+        if has_updated:
+            upd = rec.updated if rec.updated is not None else rec.propagated
+            for d in upd:
+                row += [f"{d.lo:.17g}", f"{d.hi:.17g}"]
+        w.writerow(row)
+    write_text(path, buf.getvalue())
 
 
 def _write_tube_json(tube: ReachTube, path, names) -> None:
@@ -421,18 +444,13 @@ def _write_tube_json(tube: ReachTube, path, names) -> None:
             for rec in tube
         ],
     }
-    try:
-        Path(path).write_text(json.dumps(payload, indent=1))
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+    write_text(path, json.dumps(payload, indent=1))
 
 
 def read_tube_json(path: str | Path) -> ReachTube:
     try:
-        payload = json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
-    except ValueError as exc:  # not JSON, or not text
+        payload = json.loads(read_text(path))
+    except ValueError as exc:  # not JSON
         raise ValidationError(f"{path} is not a JSON tube file: {exc}") from exc
     tube = ReachTube()
     try:
@@ -457,37 +475,31 @@ def read_tube_json(path: str | Path) -> ReachTube:
 def load_measurements(path: str | Path) -> list[Measurement]:
     out = []
     try:
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            for idx, row in enumerate(reader, start=1):
-                if idx == 1 and row and row[0].strip() == "t":
-                    continue  # optional header
-                if not row or all(not c.strip() for c in row):
-                    continue
-                try:
-                    values = [float(c) for c in row]
-                except ValueError as exc:
-                    raise ValidationError(f"malformed measurement row {idx}: {row}") from exc
-                if len(values) < 2:
-                    raise ValidationError(f"measurement row {idx} needs t plus outputs")
-                out.append(Measurement(t=values[0], y=tuple(values[1:])))
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
-    except (UnicodeDecodeError, csv.Error) as exc:
+        for idx, row in enumerate(csv.reader(io.StringIO(read_text(path))), start=1):
+            if idx == 1 and row and row[0].strip() == "t":
+                continue  # optional header
+            if not row or all(not c.strip() for c in row):
+                continue
+            try:
+                values = [float(c) for c in row]
+            except ValueError as exc:
+                raise ValidationError(f"malformed measurement row {idx}: {row}") from exc
+            if len(values) < 2:
+                raise ValidationError(f"measurement row {idx} needs t plus outputs")
+            out.append(Measurement(t=values[0], y=tuple(values[1:])))
+    except csv.Error as exc:
         raise ValidationError(f"{path} is not a measurement CSV: {exc}") from exc
     return out
 
 
 def write_measurements(measurements: Sequence[Measurement], path: str | Path) -> None:
-    try:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            n_y = len(measurements[0].y) if measurements else 0
-            w.writerow(["t"] + [f"y{i+1}" for i in range(n_y)])
-            for m in measurements:
-                w.writerow([f"{m.t:.17g}"] + [f"{v:.17g}" for v in m.y])
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+    buf = io.StringIO()
+    w = csv.writer(buf)
+    n_y = len(measurements[0].y) if measurements else 0
+    w.writerow(["t"] + [f"y{i+1}" for i in range(n_y)])
+    for m in measurements:
+        w.writerow([f"{m.t:.17g}"] + [f"{v:.17g}" for v in m.y])
+    write_text(path, buf.getvalue())
 
 
 # ---------------------------------------------------------------------------
@@ -566,7 +578,4 @@ def write_plot(
                     f'stroke-width="1.5"/>'
                 )
     parts.append("</svg>")
-    try:
-        Path(path).write_text("\n".join(parts))
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+    write_text(path, "\n".join(parts))

@@ -21,7 +21,7 @@ from .errors import (
     NonFiniteState,
     ValidationError,
 )
-from .expr import Expr, clarke_jacobian_bounds, max_var_index
+from .expr import Expr, clarke_jacobian_bounds
 from .inclusion import MethodId, _bounds, apply_method, default_jac_provider
 from .interval import Box, Interval
 from .setinv import InversionConfig, set_invert
@@ -81,7 +81,7 @@ class SystemModel:
             raise ValidationError("init/disturbance box dimensions do not match declarations")
         n_z = self.n_x + self.n_w
         for e in self.dynamics:
-            if max_var_index(e) >= n_z:
+            if e.tape.max_var >= n_z:
                 raise ValidationError("dynamics reference an undeclared variable")
         if not 0 < self.dt < math.inf:
             raise ValidationError(f"dt must be positive and finite, got {self.dt}")
@@ -146,10 +146,10 @@ def embed_integrate_continuous(
     model: SystemModel,
     method: MethodId,
     current: Box,
-    dt: float,
+    *,
     substeps: int = 10,
 ) -> Box:
-    """Advance the 2n-dimensional embedding ODE by dt with fixed-step RK4."""
+    """Advance the 2n-dimensional embedding ODE by the model's dt with fixed-step RK4."""
     if model.semantics is not TimeSemantics.CONTINUOUS:
         raise ValidationError("model does not have continuous-time semantics")
     if substeps < 1:
@@ -157,7 +157,7 @@ def embed_integrate_continuous(
     n = len(current)
     deriv = _embedding_field(model, method)
     y = list(current.hi) + list(current.lo)  # upper bounds, then lower bounds
-    h = dt / substeps
+    h = model.dt / substeps
     for _ in range(substeps):
         k1 = deriv(y)
         k2 = deriv([x + 0.5 * h * k for x, k in zip(y, k1)])
@@ -170,13 +170,6 @@ def embed_integrate_continuous(
         if a > b:
             raise InvertedBounds(f"state {i}: lower bound {a} exceeds upper bound {b}")
     return Box(Interval(a, b) for a, b in zip(y[n:], y[:n]))
-
-
-def embed_step(model: SystemModel, method: MethodId, current: Box,
-               substeps: int = 10) -> Box:
-    if model.semantics is TimeSemantics.DISCRETE:
-        return embed_step_discrete(model, method, current)
-    return embed_integrate_continuous(model, method, current, model.dt, substeps)
 
 
 def _predict_update(
@@ -193,7 +186,12 @@ def _predict_update(
     tube = ReachTube()
     current = model.init
     for k in range(steps + 1):
-        propagated = current if k == 0 else embed_step(model, method, current, substeps)
+        if k == 0:
+            propagated = current
+        elif model.semantics is TimeSemantics.DISCRETE:
+            propagated = embed_step_discrete(model, method, current)
+        else:
+            propagated = embed_integrate_continuous(model, method, current, substeps=substeps)
         updated = None
         if k in updates:
             exprs, y_lo, y_hi = updates[k]

@@ -146,6 +146,12 @@ class TestEvaluation:
         with pytest.raises(DimensionMismatch):
             eval_vec(e, np.zeros((1, 3)))
 
+    @pytest.mark.parametrize("text", ["x2", "x1*x2 + 1", "sin(x3) - x1"])
+    def test_interval_row_outside_the_box_is_dimension_mismatch(self, text):
+        e = parse_expr(text, ["x1", "x2", "x3"])
+        with pytest.raises(DimensionMismatch, match="outside box"):
+            eval_interval(e, Box.from_pairs([(0, 1)]))
+
     def test_overflow_yields_signed_infinity_not_error(self):
         e = parse_expr("exp(x1)^3", ["x1"])
         v = eval_point(e, [1e5])

@@ -332,6 +332,18 @@ class TestBox:
         assert right[0] == Interval(2.0, 4.0)
         assert left[1] == right[1] == Interval(0.0, 1.0)
 
+    @pytest.mark.parametrize("call", [
+        lambda b: b.bisect(-1),
+        lambda b: b.bisect(2),
+        lambda b: b.contains_point((0.5,)),
+        lambda b: b.contains_point((0.5, 0.5, 0.5)),
+        lambda b: hausdorff_q(b, Box.from_pairs([(0, 1)])),
+        lambda b: hausdorff_q(Box.from_pairs([(0, 1)] * 3), b),
+    ], ids=["bisect-1", "bisect2", "point1", "point3", "hausdorff1", "hausdorff3"])
+    def test_dimension_errors(self, call):
+        with pytest.raises(DimensionMismatch):
+            call(Box.from_pairs([(0, 1), (0, 1)]))
+
     def test_vertices(self):
         vs = list(Box.from_pairs([(0, 1), (2, 3)]).vertices())
         assert len(vs) == 4

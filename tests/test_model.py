@@ -21,7 +21,7 @@ from mixmono import (
     write_plot,
     write_tube,
 )
-from mixmono.reach import TimeSemantics
+from mixmono.reach import ReachTube, TimeSemantics
 from mixmono.errors import IoError, ModelSyntaxError, ValidationError
 from mixmono.cli import main
 from mixmono.model import bundled_models
@@ -109,6 +109,42 @@ class TestParseModel:
             parse_model(text)
 
 
+    @pytest.mark.parametrize("section, message", [
+        ("jac_overide { f_1/d_1 in [0.5, 0.5]; }", "unknown section 'jac_overide'"),
+        ("constraints { a in [0, 0.2]; }", "unknown section 'constraints'"),
+        ("init: [[5, 6], [5, 6]];", "duplicate section 'init'"),
+        ("dynamics { a' = a; b' = b; }", "duplicate section 'dynamics'"),
+        ("constraint: a in [0, 1];", "section 'constraint' must open with '{'"),
+    ], ids=["unknown-block", "unknown-plural", "duplicate-line", "duplicate-block", "wrong-opener"])
+    def test_unknown_duplicate_or_misopened_section_rejected(self, section, message):
+        text = MINIMAL.replace(
+            "init: [[0, 1], [0, 1]];", f"init: [[0, 1], [0, 1]];\n  {section}"
+        )
+        with pytest.raises(ModelSyntaxError, match=message) as exc:
+            parse_model(text)
+        assert exc.value.line == 11
+
+    def test_init_opened_as_a_block_rejected(self):
+        text = MINIMAL.replace("init: [[0, 1], [0, 1]];", "init { [[0, 1], [0, 1]] }")
+        with pytest.raises(ModelSyntaxError, match="section 'init' must open with ':'") as exc:
+            parse_model(text)
+        assert exc.value.line == 10
+
+    def test_jacobian_override_round_trip_keeps_inf_and_negative_zero(self):
+        text = MINIMAL.replace(
+            "init: [[0, 1], [0, 1]];",
+            "init: [[0, 1], [0, 1]];\n"
+            "  jac_override { f_1/d_2 in [-0, inf]; f_2/d_3 in [-inf, 0.5]; }",
+        )
+        m = parse_model(text)
+        again = parse_model(model_to_text(m))
+        assert model_to_text(again) == model_to_text(m)
+        assert "f_1/d_2 in [-0,inf];" in model_to_text(m)
+        assert again.jacobian_overrides == m.jacobian_overrides
+        entry = again.jacobian_overrides[(0, 1)]
+        assert math.copysign(1.0, entry.lo) == -1.0 and entry.hi == math.inf
+        assert again.jacobian_overrides[(1, 2)].lo == -math.inf
+
     def test_nan_noise_gain_rejected_with_line(self, tmp_path, capsys):
         text = model_to_text(load_bundled("unicycle")).replace(
             "noisematrix: [[1", "noisematrix: [[nan")
@@ -151,6 +187,14 @@ class TestBundledModels:
     def test_load_model_missing_file(self, tmp_path):
         with pytest.raises(IoError):
             load_model(tmp_path / "nope.mm")
+
+    def test_load_model_non_text_file_names_the_path(self, tmp_path, capsys):
+        p = tmp_path / "latin1.mm"
+        p.write_bytes(MINIMAL.replace("demo", "d\xe9mo").encode("latin-1"))
+        with pytest.raises(ValidationError, match="latin1.mm"):
+            load_model(p)
+        assert main(["reach", "--model", str(p), "--steps", "1"]) == 2
+        assert "latin1.mm" in capsys.readouterr().err
 
 
 class TestTubeIo:
@@ -202,6 +246,18 @@ class TestTubeIo:
         p.write_bytes(text if isinstance(text, bytes) else text.encode())
         with pytest.raises(ValidationError):
             read_tube_json(p)
+
+    @pytest.mark.parametrize("write, message", [
+        (lambda path: write_tube(ReachTube(), "csv", path), "cannot serialize an empty tube"),
+        (lambda path: write_tube(ReachTube(), "json", path), "cannot serialize an empty tube"),
+        (lambda path: write_plot({"remainder": ReachTube()}, path), "cannot plot an empty tube"),
+        (lambda path: write_plot({}, path), "no tubes to plot"),
+    ])
+    def test_empty_tube_is_validation_error(self, tmp_path, write, message):
+        path = tmp_path / "out"
+        with pytest.raises(ValidationError, match=message):
+            write(path)
+        assert not path.exists()
 
     def test_svg_plot(self, tmp_path):
         p = tmp_path / "plot.svg"

@@ -122,6 +122,12 @@ class TestObserve:
         with pytest.raises(ValidationError):
             observe(model, REMAINDER, list(reversed(measurements)))
 
+    @pytest.mark.parametrize("y", [(), (0.0, 0.0)])
+    def test_wrong_output_count_is_dimension_mismatch(self, y):
+        model = load_bundled("scott_example")  # one output, y1
+        with pytest.raises(DimensionMismatch, match=f"{len(y)} outputs, model declares 1"):
+            observe(model, REMAINDER, [Measurement(t=0.0, y=y)])
+
     def test_off_grid_timestamp_rejected(self):
         model = load_bundled("scott_example")
         with pytest.raises(ValidationError):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,7 +28,13 @@ from mixmono import (
     reach_tube,
 )
 from mixmono import inclusion, reach
-from mixmono.errors import InvertedBounds, Refusal, UnboundedBothSides, ValidationError
+from mixmono.errors import (
+    DimensionMismatch,
+    InvertedBounds,
+    Refusal,
+    UnboundedBothSides,
+    ValidationError,
+)
 from mixmono.inclusion import METHOD_NAMES
 from mixmono.reach import _embedding_field, embed_integrate_continuous, embed_step_discrete
 
@@ -324,7 +331,7 @@ class TestContinuousReach:
         monkeypatch.setattr(reach, "_embedding_field",
                             lambda model, method: lambda y: [0.0] * 3 + [1e-12] * 3)
         with pytest.raises(InvertedBounds):
-            embed_integrate_continuous(model, REMAINDER, model.init, model.dt, 2)
+            embed_integrate_continuous(model, REMAINDER, model.init, substeps=2)
 
     def test_unicycle_frames_sampled_rollouts(self, rng):
         model = load_bundled("unicycle")
@@ -367,3 +374,30 @@ class TestTubeOrdering:
         tl = reach_tube(model, JACOBIAN_SIGN, 15)
         for a, b in zip(tr, tl):
             assert box_subset(a.box, b.box, slack=1e-9)
+
+
+VANDERPOL = load_bundled("vanderpol")  # discrete, states x1, x2, no disturbance
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: replace(VANDERPOL, dynamics=VANDERPOL.dynamics[:1]),
+     ValidationError, "1 dynamics equations for 2 states"),
+    (lambda: replace(VANDERPOL, dynamics=(parse_expr("x1 + x3", ["x1", "x2", "x3"]),
+                                          VANDERPOL.dynamics[1])),
+     ValidationError, "undeclared variable"),
+    (lambda: embed_step_discrete(VANDERPOL, REMAINDER, Box.from_pairs([(0, 1)])),
+     DimensionMismatch, "state box has 1 dims, expected 2"),
+    (lambda: embed_integrate_continuous(VANDERPOL, REMAINDER, VANDERPOL.init),
+     ValidationError, "continuous-time"),
+    (lambda: embed_integrate_continuous(linear_decay_model(), REMAINDER, Box.from_pairs([(0, 1)]),
+                                        substeps=0),
+     ValidationError, "substeps"),
+    (lambda: embed_integrate_continuous(linear_decay_model(), REMAINDER, Box.from_pairs([(0, 1)]),
+                                        0.01),
+     TypeError, "positional"),
+    (lambda: reach_tube(VANDERPOL, REMAINDER, -1), ValidationError, "steps must be >= 0"),
+], ids=["equation-count", "undeclared", "discrete-box", "continuous-on-discrete", "substeps-0",
+        "positional-dt", "negative-steps"])
+def test_typed_errors(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
