@@ -109,26 +109,24 @@ class TestParseModel:
             parse_model(text)
 
 
-    @pytest.mark.parametrize("section, message", [
-        ("jac_overide { f_1/d_1 in [0.5, 0.5]; }", "unknown section 'jac_overide'"),
-        ("constraints { a in [0, 0.2]; }", "unknown section 'constraints'"),
-        ("init: [[5, 6], [5, 6]];", "duplicate section 'init'"),
-        ("dynamics { a' = a; b' = b; }", "duplicate section 'dynamics'"),
-        ("constraint: a in [0, 1];", "section 'constraint' must open with '{'"),
-    ], ids=["unknown-block", "unknown-plural", "duplicate-line", "duplicate-block", "wrong-opener"])
-    def test_unknown_duplicate_or_misopened_section_rejected(self, section, message):
-        text = MINIMAL.replace(
-            "init: [[0, 1], [0, 1]];", f"init: [[0, 1], [0, 1]];\n  {section}"
-        )
+    @pytest.mark.parametrize("init, message, line", [
+        ("init: [[0, 1], [0, 1]];\n  jac_overide { f_1/d_1 in [0.5, 0.5]; }",
+         "unknown section 'jac_overide'", 11),
+        ("init: [[0, 1], [0, 1]];\n  constraints { a in [0, 0.2]; }",
+         "unknown section 'constraints'", 11),
+        ("init: [[0, 1], [0, 1]];\n  init: [[5, 6], [5, 6]];", "duplicate section 'init'", 11),
+        ("init: [[0, 1], [0, 1]];\n  dynamics { a' = a; b' = b; }",
+         "duplicate section 'dynamics'", 11),
+        ("init: [[0, 1], [0, 1]];\n  constraint: a in [0, 1];",
+         "section 'constraint' must open with '{'", 11),
+        ("init { [[0, 1], [0, 1]] }", "section 'init' must open with ':'", 10),
+    ], ids=["unknown-block", "unknown-plural", "duplicate-line", "duplicate-block",
+            "block-opened-with-colon", "line-opened-with-brace"])
+    def test_unknown_duplicate_or_misopened_section_rejected(self, init, message, line):
+        text = MINIMAL.replace("init: [[0, 1], [0, 1]];", init)
         with pytest.raises(ModelSyntaxError, match=message) as exc:
             parse_model(text)
-        assert exc.value.line == 11
-
-    def test_init_opened_as_a_block_rejected(self):
-        text = MINIMAL.replace("init: [[0, 1], [0, 1]];", "init { [[0, 1], [0, 1]] }")
-        with pytest.raises(ModelSyntaxError, match="section 'init' must open with ':'") as exc:
-            parse_model(text)
-        assert exc.value.line == 10
+        assert exc.value.line == line
 
     def test_jacobian_override_round_trip_keeps_inf_and_negative_zero(self):
         text = MINIMAL.replace(
